@@ -19,6 +19,7 @@ import argparse
 import enum
 import hashlib
 import json
+import re
 import sys
 import time
 
@@ -33,9 +34,10 @@ from .nicert import (
     FrequencyGrid,
     FrequencyReport,
     NICertificate,
-    PositiveRealReport,
+    SolverOptions,
     freq_ni_test,
     freq_sni_test,
+    frequency_response,
     lmi_ni_certificate,
     positive_real_check,
     sni_rank_condition,
@@ -175,18 +177,15 @@ def _cert_dict(cert: NICertificate | None) -> dict | None:
     }
 
 
-def _freq_dict(report: FrequencyReport | PositiveRealReport) -> dict:
-    worst = None
-    pts = [p for p in report.per_point if p.status == "ok"]
-    if pts:
-        w = min(pts, key=lambda p: p.min_eig)
-        worst = {"omega": w.omega, "min_eig": w.min_eig}
+def _freq_dict(report: FrequencyReport) -> dict:
+    worst = report.worst_point()
     out = {
         "verdict": report.verdict,
-        "worst_point": worst,
-        "points_ok": len(pts),
-        "points_excluded": sum(p.status == "excluded" for p in report.per_point),
-        "points_ill_conditioned": sum(p.status == "near-pole" for p in report.per_point),
+        "worst_point": None if worst is None else {"omega": worst.omega,
+                                                   "min_eig": worst.min_eig},
+        "points_ok": int(np.sum(report.status == "ok")),
+        "points_excluded": int(np.sum(report.status == "excluded")),
+        "points_ill_conditioned": int(np.sum(report.status == "near-pole")),
         "pole_findings": [
             {
                 "omega0": f.omega0,
@@ -198,15 +197,13 @@ def _freq_dict(report: FrequencyReport | PositiveRealReport) -> dict:
         ],
         "warnings": list(report.warnings),
     }
-    if isinstance(report, FrequencyReport):
+    if report.origin_pole is not None:
         out["origin_pole"] = report.origin_pole
-        out["rhp_pole"] = report.rhp_pole
-    else:
-        out["rhp_pole"] = report.rhp_pole
+    out["rhp_pole"] = report.rhp_pole
     return out
 
 
-def _freq_csv(report: FrequencyReport | PositiveRealReport) -> str:
+def _freq_csv(report: FrequencyReport) -> str:
     lines = ["omega,min_eig,status"]
     for p in report.per_point:
         val = "" if p.min_eig is None else f"{p.min_eig:.12g}"
@@ -270,22 +267,21 @@ def cmd_certify(args) -> int:
     grid = _grid_from_args(args)
     tol = args.tol
 
-    freq = freq_ni_test(sys_, grid, tol, args.tol_axis, args.tol_pole)
+    resp = frequency_response(sys_, grid, args.tol_axis, args.tol_pole)
+    freq = freq_ni_test(resp, tol)
     results = {"frequency_ni": _freq_dict(freq)}
     try:
-        pr = positive_real_check(sys_, grid, tol, args.tol_axis, args.tol_pole)
-        results["positive_real"] = _freq_dict(pr)
+        results["positive_real"] = _freq_dict(positive_real_check(resp, tol))
     except NIStabError as exc:
         results["positive_real"] = {"verdict": "NotNI", "error": str(exc)}
     cert = None
     try:
-        cert = lmi_ni_certificate(sys_)
+        cert = lmi_ni_certificate(sys_, SolverOptions(tol=tol))
         results["lmi"] = _cert_dict(cert)
     except NIStabError as exc:
         results["lmi"] = {"verdict": "Infeasible", "error": str(exc)}
     if args.prop == "sni":
-        results["frequency_sni"] = _freq_dict(
-            freq_sni_test(sys_, grid, tol, args.tol_axis, args.tol_pole))
+        results["frequency_sni"] = _freq_dict(freq_sni_test(resp, tol))
         if cert is not None and cert.certified:
             sni_rank_condition(sys_, cert, grid, tol)
             wz = w_transfer_zero_check(sys_, cert, grid, tol)
@@ -321,8 +317,8 @@ def cmd_analyze(args) -> int:
             return EXIT_USAGE
     plant, controller = systems[args.plant], systems[args.controller]
     grid = _grid_from_args(args)
-    outcome = analyze(plant, controller, grid=grid, tol=args.tol,
-                      tol_axis=args.tol_axis, hurwitz_tol=args.tol_hurwitz)
+    outcome = analyze(plant, controller, grid=grid, tol=args.tol, tol_axis=args.tol_axis,
+                      tol_pole=args.tol_pole, hurwitz_tol=args.tol_hurwitz)
 
     lyap_entry = None
     pc, cc = outcome.plant_certificate, outcome.controller_certificate
@@ -394,7 +390,8 @@ def cmd_simulate(args) -> int:
         print("error: need t_final >= dt > 0", file=sys.stderr)
         return EXIT_USAGE
 
-    outcome = analyze(plant, controller, tol=args.tol, tol_axis=args.tol_axis,
+    outcome = analyze(plant, controller, grid=_grid_from_args(args), tol=args.tol,
+                      tol_axis=args.tol_axis, tol_pole=args.tol_pole,
                       hurwitz_tol=args.tol_hurwitz)
     for name in outcome.verdict.violated_hypotheses:
         print(f"warning: hypothesis {name} violated: "
@@ -520,10 +517,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_x0(argv: list[str]) -> list[str]:
+    """Join ``--x0 -0.5,1`` into ``--x0=-0.5,1``; argparse reads "-0.5,1" as an option."""
+    argv = list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--x0" and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1:i + 1] = [f"--x0={argv[i]}"]
+    return argv
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_x0(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors; remap to the usage code unless --version/-h
         return EXIT_OK if exc.code == 0 else EXIT_USAGE

@@ -36,10 +36,11 @@ from .nicert import (
     default_grid,
     freq_ni_test,
     freq_sni_test,
+    frequency_response,
     lmi_ni_certificate,
     sni_rank_condition,
 )
-from .statespace import TOL_AXIS, StateSpace, dc_gain
+from .statespace import TOL_AXIS, TOL_POLE, StateSpace, dc_gain
 
 #: Hurwitz band: eigenvalues with |Re| <= HURWITZ_TOL * max(1, ||A_cl||) are "on axis"
 HURWITZ_TOL = 1e-8
@@ -160,8 +161,8 @@ def analyze(plant: StateSpace, controller: StateSpace,
             grid: FrequencyGrid | None = None,
             tol: float = DEFAULT_TOL,
             tol_axis: float = TOL_AXIS,
-            hurwitz_tol: float = HURWITZ_TOL,
-            solver: SolverOptions | None = None) -> AnalysisResult:
+            tol_pole: float = TOL_POLE,
+            hurwitz_tol: float = HURWITZ_TOL) -> AnalysisResult:
     """Full stability pipeline for the positive-feedback interconnection.
 
     Certifies the plant (NI) and controller (SNI, including the rank
@@ -172,6 +173,7 @@ def analyze(plant: StateSpace, controller: StateSpace,
     """
     _check_dims(plant, controller)
     grid = grid or default_grid()
+    solver = SolverOptions(tol=tol)
     notes: list[str] = []
     hypotheses: dict = {}
     violated: list[str] = []
@@ -188,7 +190,7 @@ def analyze(plant: StateSpace, controller: StateSpace,
                f"certificate verdict {plant_cert.verdict.value}")
     except NIStabError as exc:
         record("plant_ni", False, str(exc))
-    plant_freq = freq_ni_test(plant, grid, tol, tol_axis)
+    plant_freq = freq_ni_test(frequency_response(plant, grid, tol_axis, tol_pole), tol)
     if plant_cert is not None and plant_cert.certified and plant_freq.verdict is Verdict.NOT_NI:
         notes.append("frequency sweep disagrees with the plant certificate; inspect the report")
 
@@ -203,7 +205,7 @@ def analyze(plant: StateSpace, controller: StateSpace,
                f"rank-condition min sv {controller_cert.rank_condition_min_sv:.3e}")
     except NIStabError as exc:
         record("controller_sni", False, str(exc))
-    controller_freq = freq_sni_test(controller, grid, tol, tol_axis)
+    controller_freq = freq_sni_test(frequency_response(controller, grid, tol_axis, tol_pole), tol)
 
     dd = float(np.linalg.norm(plant.D @ controller.D, "fro"))
     dd_scale = max(1.0, float(np.linalg.norm(plant.D, "fro"))

@@ -1,6 +1,6 @@
 """Negative-imaginary certification of LTI systems.
 
-Three independent routes are provided:
+Three independent routes are provided (the first two read one FrequencyResponse):
 
 * a frequency sweep of the Hermitian matrix j(G(jw) - G(jw)*) together with
   pole/residue screening (definition-level test),
@@ -32,7 +32,6 @@ import numpy as np
 from .exceptions import (
     AsymmetricDError,
     GenerationFailedError,
-    NearPoleError,
     NotCertifiedError,
     SingularAError,
 )
@@ -41,8 +40,7 @@ from .statespace import (
     TOL_AXIS,
     TOL_POLE,
     StateSpace,
-    eval_tf,
-    imag_axis_pole_frequencies,
+    eval_tf_stack,
     is_minimal,
     residue_at_pole,
 )
@@ -96,26 +94,38 @@ class GridPoint:
     status: str  # "ok" | "excluded" | "near-pole"
 
 
-@dataclass
-class FrequencyReport:
+@dataclass(frozen=True)
+class FrequencyResponse:
+    """G(j omega) at the "ok" grid points (``status`` is "ok", "excluded" or
+    "near-pole" per point) and the pole data every frequency route reads."""
+
+    sys: StateSpace
     grid: FrequencyGrid
-    per_point: list[GridPoint]
-    pole_findings: list
+    omegas: np.ndarray
+    status: np.ndarray
+    G: np.ndarray
     origin_pole: bool
     rhp_pole: bool
-    verdict: Verdict
-    warnings: list[str] = field(default_factory=list)
+    axis_pole_frequencies: list[float]
+    pole_findings: list
+    pole_problems: list[str]
 
-    def worst_point(self) -> GridPoint | None:
-        pts = [p for p in self.per_point if p.status == "ok"]
-        return min(pts, key=lambda p: p.min_eig) if pts else None
+    def ni_matrices(self) -> np.ndarray:
+        """j(G - G*) at every "ok" point."""
+        return 1j * (self.G - self.G.conj().swapaxes(-1, -2))
 
 
 @dataclass
-class PositiveRealReport:
+class FrequencyReport:
+    """One route's verdict and per-point minimum eigenvalues (NaN where not "ok");
+    ``origin_pole`` is None for the positive-real route, which does not test it."""
+
     grid: FrequencyGrid
-    per_point: list[GridPoint]
+    omegas: np.ndarray
+    status: np.ndarray
+    min_eig: np.ndarray
     pole_findings: list
+    origin_pole: bool | None
     rhp_pole: bool
     verdict: Verdict
     warnings: list[str] = field(default_factory=list)
@@ -123,6 +133,18 @@ class PositiveRealReport:
     @property
     def passed(self) -> bool:
         return self.verdict in (Verdict.NI, Verdict.SNI)
+
+    @property
+    def per_point(self) -> list[GridPoint]:
+        return [GridPoint(float(w), None if st != "ok" else float(v), str(st))
+                for w, st, v in zip(self.omegas, self.status, self.min_eig)]
+
+    def worst_point(self) -> GridPoint | None:
+        ok = np.flatnonzero(self.status == "ok")
+        if ok.size == 0:
+            return None
+        i = ok[np.argmin(self.min_eig[ok])]
+        return GridPoint(float(self.omegas[i]), float(self.min_eig[i]), "ok")
 
 
 @dataclass
@@ -176,141 +198,113 @@ def default_grid() -> FrequencyGrid:
 # frequency-domain certifiers
 
 
-def _classify_poles(sys: StateSpace, tol_axis: float):
-    eigs = np.linalg.eigvals(sys.A)
-    scale_a = max(1.0, float(np.linalg.norm(sys.A, 2)))
-    origin = bool(np.any(np.abs(eigs) <= tol_axis * scale_a))
-    rhp = bool(np.any(eigs.real > tol_axis * np.maximum(1.0, np.abs(eigs))))
-    return eigs, origin, rhp
+def frequency_response(sys: StateSpace, grid: FrequencyGrid | None = None,
+                       tol_axis: float = TOL_AXIS,
+                       tol_pole: float = TOL_POLE) -> FrequencyResponse:
+    """Evaluate G(j omega) once over the grid and classify the poles of G.
 
-
-def _sweep(sys: StateSpace, grid: FrequencyGrid, transform,
-           tol_axis: float = TOL_AXIS, tol_pole: float = TOL_POLE) -> list[GridPoint]:
-    """Evaluate min eig of ``transform(omega, G(j omega))`` over the grid.
-
-    Points inside the exclusion radius of an imaginary-axis pole are skipped;
-    resolvent blow-ups are recorded as conditioning failures.
+    Points inside the exclusion radius of an imaginary-axis pole are skipped
+    first; the rest go through one stacked evaluation, whose resolvent guard
+    marks the ill-conditioned ones "near-pole".
     """
-    pole_ws = imag_axis_pole_frequencies(sys, tol_axis)
-    points = []
-    for omega in grid.omegas():
-        omega = float(omega)
-        if any(abs(omega - w0) <= grid.exclusion_radius * max(1.0, w0) for w0 in pole_ws):
-            points.append(GridPoint(omega, None, "excluded"))
-            continue
-        try:
-            G = eval_tf(sys, 1j * omega, tol_pole)
-        except NearPoleError:
-            points.append(GridPoint(omega, None, "near-pole"))
-            continue
-        M = transform(omega, G)
-        val = float(np.linalg.eigvalsh((M + M.conj().T) / 2).min())
-        points.append(GridPoint(omega, val, "ok"))
-    return points
-
-
-def _residue_findings(sys: StateSpace, tol_axis: float):
-    """Residue reports for every positive-frequency axis pole; (findings, problems)."""
+    grid = grid or default_grid()
+    eigs = np.linalg.eigvals(sys.A)
+    mag = np.maximum(1.0, np.abs(eigs))
+    origin = bool(np.any(np.abs(eigs) <= tol_axis * max(1.0, float(np.linalg.norm(sys.A, 2)))))
+    rhp = bool(np.any(eigs.real > tol_axis * mag))
+    pole_ws = np.sort(eigs.imag[(np.abs(eigs.real) <= tol_axis * mag) & (eigs.imag > 0)])
+    omegas = grid.omegas()
+    excluded = np.any(np.abs(omegas[:, np.newaxis] - pole_ws)
+                      <= grid.exclusion_radius * np.maximum(1.0, pole_ws), axis=1)
+    G, guarded = eval_tf_stack(sys, 1j * omegas[~excluded], tol_pole)
+    status = np.where(excluded, "excluded", "ok").astype("<U9")
+    status[np.flatnonzero(~excluded)[guarded]] = "near-pole"
     findings, problems = [], []
-    for w0 in imag_axis_pole_frequencies(sys, tol_axis):
+    for w0 in pole_ws.tolist():
         try:
             findings.append(residue_at_pole(sys, w0, tol_axis))
         except Exception as exc:  # NotSimple / Degenerate / NotAPole borderline
             problems.append(f"pole at j*{w0:.6g}: {exc}")
-    return findings, problems
+    return FrequencyResponse(sys, grid, omegas, status, G[~guarded], origin, rhp,
+                             pole_ws.tolist(), findings, problems)
 
 
-def freq_ni_test(sys: StateSpace, grid: FrequencyGrid | None = None,
-                 tol: float = DEFAULT_TOL, tol_axis: float = TOL_AXIS,
-                 tol_pole: float = TOL_POLE) -> FrequencyReport:
-    """Definition-level NI test: pole locations, residues, and the grid sweep."""
-    grid = grid or default_grid()
-    notes = []
-    mini = is_minimal(sys)
-    if not mini:
-        notes.append("realization is not minimal; pole-based conditions may be spurious")
-        warnings.warn(f"{sys.label or 'system'}: realization is not minimal", stacklevel=2)
-    _, origin, rhp = _classify_poles(sys, tol_axis)
-    findings, problems = _residue_findings(sys, tol_axis)
-    notes.extend(problems)
-    points = _sweep(sys, grid, lambda w, G: 1j * (G - G.conj().T), tol_axis, tol_pole)
-    valid = [p.min_eig for p in points if p.status == "ok"]
-    if origin or rhp or problems or any(not f.accepted(tol) for f in findings):
+def _report(resp: FrequencyResponse, M: np.ndarray, tol: float, notes: list[str],
+            pole_failure: bool, origin_pole: bool | None, pole_findings: list,
+            strict: bool = False, no_points: str = "no usable grid points") -> FrequencyReport:
+    """The verdict rule shared by the routes, on min eig (M + M*)/2 per "ok" point.
+
+    Pole failures decide NotNI, then a sweep minimum below -tol does; the
+    strict (SNI) rule also answers Inconclusive inside the +/-tol band."""
+    values = np.linalg.eigvalsh((M + M.conj().swapaxes(-1, -2)) / 2).min(axis=-1)
+    worst = float(values.min()) if values.size else None
+    if pole_failure:
         verdict = Verdict.NOT_NI
-    elif not valid:
+    elif worst is None:
         verdict = Verdict.INCONCLUSIVE
-        notes.append("no usable grid points (all excluded or ill-conditioned)")
-    elif min(valid) < -tol:
+        notes.append(no_points)
+    elif worst < -tol:
         verdict = Verdict.NOT_NI
-    else:
+    elif not strict:
         verdict = Verdict.NI
-    return FrequencyReport(grid, points, findings, origin, rhp, verdict, notes)
+    elif worst <= tol:
+        verdict = Verdict.INCONCLUSIVE
+        notes.append(f"sweep minimum {worst:.3e} inside the +/-{tol:.1e} band")
+    else:
+        verdict = Verdict.SNI
+    min_eig = np.full(resp.omegas.shape, np.nan)
+    min_eig[resp.status == "ok"] = values
+    return FrequencyReport(resp.grid, resp.omegas, resp.status, min_eig, pole_findings,
+                           origin_pole, resp.rhp_pole, verdict, notes)
 
 
-def freq_sni_test(sys: StateSpace, grid: FrequencyGrid | None = None,
-                  tol: float = DEFAULT_TOL, tol_axis: float = TOL_AXIS,
-                  tol_pole: float = TOL_POLE) -> FrequencyReport:
+def _residues_fail(resp: FrequencyResponse, tol: float) -> bool:
+    return bool(resp.pole_problems) or any(not f.accepted(tol) for f in resp.pole_findings)
+
+
+def freq_ni_test(resp: FrequencyResponse, tol: float = DEFAULT_TOL) -> FrequencyReport:
+    """Definition-level NI test: pole locations, residues, and the grid sweep
+    of the minimum eigenvalue of j(G(jw) - G(jw)*)."""
+    notes = []
+    if not is_minimal(resp.sys):
+        notes.append("realization is not minimal; pole-based conditions may be spurious")
+        warnings.warn(f"{resp.sys.label or 'system'}: realization is not minimal", stacklevel=2)
+    notes.extend(resp.pole_problems)
+    pole_failure = resp.origin_pole or resp.rhp_pole or _residues_fail(resp, tol)
+    return _report(resp, resp.ni_matrices(), tol, notes, pole_failure, resp.origin_pole,
+                   resp.pole_findings,
+                   no_points="no usable grid points (all excluded or ill-conditioned)")
+
+
+def freq_sni_test(resp: FrequencyResponse, tol: float = DEFAULT_TOL) -> FrequencyReport:
     """Strict test: all poles in the open left half plane, sweep strictly positive.
 
     A grid cannot prove strictness on all of (0, inf); margins inside the
     tolerance band therefore yield ``Inconclusive`` rather than ``SNI``.
     """
-    grid = grid or default_grid()
     notes = []
-    eigs, origin, rhp = _classify_poles(sys, tol_axis)
-    axis = bool(imag_axis_pole_frequencies(sys, tol_axis)) or origin
-    points = _sweep(sys, grid, lambda w, G: 1j * (G - G.conj().T), tol_axis, tol_pole)
-    valid = [p.min_eig for p in points if p.status == "ok"]
-    if rhp or axis:
-        verdict = Verdict.NOT_NI
+    pole_failure = resp.rhp_pole or resp.origin_pole or bool(resp.axis_pole_frequencies)
+    if pole_failure:
         notes.append("poles outside the open left half plane")
-    elif not valid:
-        verdict = Verdict.INCONCLUSIVE
-        notes.append("no usable grid points")
-    elif min(valid) < -tol:
-        verdict = Verdict.NOT_NI
-    elif min(valid) <= tol:
-        verdict = Verdict.INCONCLUSIVE
-        notes.append(f"sweep minimum {min(valid):.3e} inside the +/-{tol:.1e} band")
-    else:
-        verdict = Verdict.SNI
-    return FrequencyReport(grid, points, [], origin, rhp, verdict, notes)
+    return _report(resp, resp.ni_matrices(), tol, notes, pole_failure, resp.origin_pole, [],
+                   strict=True)
 
 
-def positive_real_check(sys: StateSpace, grid: FrequencyGrid | None = None,
-                        tol: float = DEFAULT_TOL, tol_axis: float = TOL_AXIS,
-                        tol_pole: float = TOL_POLE) -> PositiveRealReport:
+def positive_real_check(resp: FrequencyResponse, tol: float = DEFAULT_TOL) -> FrequencyReport:
     """NI via positive realness of F(s) = s (G(s) - D).
 
     Checks F(jw) + F(jw)* >= 0 on the grid, pole locations in the closed left
     half plane, and PSD Hermitian residues on the axis (the residues of F at
     j w0 coincide with the NI residue matrices of G).
     """
-    sigma = min_singular_value(sys.A)
-    if sigma <= tol * max(1.0, float(np.linalg.norm(sys.A, 2))):
+    A = resp.sys.A
+    if min_singular_value(A) <= tol * max(1.0, float(np.linalg.norm(A, 2))):
         raise SingularAError("A is numerically singular; F(s) = s(G(s) - D) is undefined at 0")
-    notes = []
-    _, _, rhp = _classify_poles(sys, tol_axis)
-    findings, problems = _residue_findings(sys, tol_axis)
-    notes.extend(problems)
-    D = sys.D
-
-    def hermitian_part_f(w, G):
-        F = 1j * w * (G - D)
-        return F + F.conj().T
-
-    points = _sweep(sys, grid or default_grid(), hermitian_part_f, tol_axis, tol_pole)
-    valid = [p.min_eig for p in points if p.status == "ok"]
-    if rhp or problems or any(not f.accepted(tol) for f in findings):
-        verdict = Verdict.NOT_NI
-    elif not valid:
-        verdict = Verdict.INCONCLUSIVE
-        notes.append("no usable grid points")
-    elif min(valid) < -tol:
-        verdict = Verdict.NOT_NI
-    else:
-        verdict = Verdict.NI
-    return PositiveRealReport(grid or default_grid(), points, findings, rhp, verdict, notes)
+    s = 1j * resp.omegas[resp.status == "ok"]
+    F = s[:, np.newaxis, np.newaxis] * (resp.G - resp.sys.D)
+    pole_failure = resp.rhp_pole or _residues_fail(resp, tol)
+    return _report(resp, F + F.conj().swapaxes(-1, -2), tol, list(resp.pole_problems),
+                   pole_failure, None, resp.pole_findings)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .nicert import (
     FrequencyGrid,
     Verdict,
     freq_ni_test,
+    frequency_response,
     lmi_ni_certificate,
     positive_real_check,
     random_ni_system,
@@ -99,8 +100,9 @@ def suite_three_way_agreement(seed: int, cases: int,
                                       with_feedthrough=bool(rng.integers(0, 2)))
         else:
             sys = _perturbed_non_ni(sub_seed, max(n, 2), m)
-        freq = freq_ni_test(sys, grid).verdict
-        pr = positive_real_check(sys, grid).verdict
+        resp = frequency_response(sys, grid)
+        freq = freq_ni_test(resp).verdict
+        pr = positive_real_check(resp).verdict
         cert = lmi_ni_certificate(sys)
         lmi = {CertStatus.CERTIFIED: Verdict.NI,
                CertStatus.INFEASIBLE: Verdict.NOT_NI,

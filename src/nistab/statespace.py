@@ -112,22 +112,37 @@ class MinimalityReport:
         return self.minimal
 
 
-def eval_tf(sys: StateSpace, s: complex, tol_pole: float = TOL_POLE) -> np.ndarray:
-    """Evaluate G(s) = C (sI - A)^{-1} B + D at one complex point.
+def eval_tf_stack(sys: StateSpace, points, tol_pole: float = TOL_POLE):
+    """G(s) = C (sI - A)^{-1} B + D at each point by one stacked SVD and solve.
 
-    Raises NearPoleError when sI - A is numerically singular, reporting the
+    Returns ``(G, guarded)``; ``guarded`` marks the points failing the resolvent
+    guard sigma_min(sI - A) < tol_pole * max(1, |s|, ||A||_2), where G is NaN.
+    """
+    s = np.asarray(points).reshape(-1)
+    res = s[:, np.newaxis, np.newaxis] * np.eye(sys.n) - sys.A
+    sigma = np.linalg.svd(res, compute_uv=False).min(axis=-1)
+    guarded = sigma < tol_pole * np.maximum(np.maximum(1.0, np.abs(s)),
+                                            float(np.linalg.norm(sys.A, 2)))
+    G = np.full((s.size, sys.m, sys.m), np.nan, dtype=complex)
+    B = sys.B.astype(complex)[np.newaxis]  # a stack of one (n, m) matrix, on numpy 1.x too
+    G[~guarded] = sys.C @ np.linalg.solve(res[~guarded], B) + sys.D
+    return G, guarded
+
+
+def eval_tf(sys: StateSpace, s: complex, tol_pole: float = TOL_POLE) -> np.ndarray:
+    """Evaluate G(s) at one complex point.
+
+    Raises NearPoleError when sI - A fails the resolvent guard, reporting the
     eigenvalue of A closest to s.
     """
-    n = sys.n
-    res = s * np.eye(n) - sys.A
-    sigma = min_singular_value(res)
-    if sigma < tol_pole * max(1.0, abs(s), float(np.linalg.norm(sys.A, 2))):
+    G, guarded = eval_tf_stack(sys, [s], tol_pole)
+    if guarded[0]:
         eigs = np.linalg.eigvals(sys.A)
         worst = eigs[np.argmin(np.abs(eigs - s))]
         raise NearPoleError(
             f"evaluation point {s} is within the resolvent guard of pole {worst}", worst
         )
-    return sys.C @ np.linalg.solve(res, sys.B.astype(complex)) + sys.D
+    return G[0]
 
 
 def poles(sys: StateSpace) -> np.ndarray:
@@ -213,12 +228,3 @@ def residue_at_pole(sys: StateSpace, omega0: float, tol: float = TOL_AXIS) -> Re
         hermitian_residual=float(np.linalg.norm(K0 - K0.conj().T, "fro")),
         min_eig=float(np.linalg.eigvalsh(herm).min()),
     )
-
-
-def imag_axis_pole_frequencies(sys: StateSpace, tol_axis: float = TOL_AXIS) -> list[float]:
-    """Positive frequencies w0 where A has an eigenvalue on the imaginary axis."""
-    out: list[float] = []
-    for lam in np.linalg.eigvals(sys.A):
-        if abs(lam.real) <= tol_axis * max(1.0, abs(lam)) and lam.imag > 0:
-            out.append(float(lam.imag))
-    return sorted(out)

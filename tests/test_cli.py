@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from nistab import random_ni_system
 from nistab.cli import main
 
 SYSTEMS = {
@@ -98,6 +99,37 @@ class TestCertify:
         assert main(["certify", str(p), "bad"]) == 3
 
 
+def _write_systems(path, **systems):
+    path.write_text(json.dumps({"schema_version": "1", "systems": {
+        name: {k: getattr(sys, k).tolist() for k in "ABCD"} for name, sys in systems.items()
+    }}))
+    return str(path)
+
+
+@pytest.fixture
+def random_file(tmp_path):
+    plant, _ = random_ni_system(3, 5, 2, strict=True)
+    ctrl, _ = random_ni_system(4, 3, 2, strict=True)
+    return _write_systems(tmp_path / "random.json", plant=plant, ctrl=ctrl)
+
+
+class TestTolerancesReachTheRoutes:
+    def test_tol_reaches_certificate_search(self, random_file, capsys):
+        iterations = {}
+        for tol in ("1e-2", "1e-8"):
+            main(["certify", random_file, "plant", "--tol", tol])
+            iterations[tol] = json.loads(capsys.readouterr().out)["results"]["lmi"]["iterations"]
+        assert iterations == {"1e-2": 3, "1e-8": 4}
+
+    def test_tol_pole_reaches_analyze(self, random_file, capsys):
+        main(["certify", random_file, "plant", "--tol-pole", "0.3"])
+        certify = json.loads(capsys.readouterr().out)["results"]["frequency_ni"]
+        main(["analyze", random_file, "plant", "ctrl", "--tol-pole", "0.3"])
+        analyze = json.loads(capsys.readouterr().out)["frequency"]["plant_ni"]
+        assert certify["points_ill_conditioned"] > 0
+        assert analyze["points_ill_conditioned"] == certify["points_ill_conditioned"]
+
+
 class TestAnalyze:
     def test_stable_pair(self, system_file, capsys):
         code = main(["analyze", system_file, "osc", "ctrl_half"])
@@ -159,6 +191,18 @@ class TestSimulate:
         assert len(lines) == 502
         assert "lyapunov monotone: pass" in err
         assert "dissipation bound: pass" in err
+
+    def test_negative_x0_as_separate_value(self, system_file, tmp_path, capsys):
+        csvs = []
+        for x0_args in (["--x0", "-0.5,1,0.25"], ["--x0=-0.5,1,0.25"]):
+            out = tmp_path / f"trace{len(csvs)}.csv"
+            code = main(["simulate", system_file, "osc", "ctrl_half", *x0_args,
+                         "--t-final", "1", "--out", str(out)])
+            assert code == 0
+            csvs.append(out.read_bytes())
+        capsys.readouterr()
+        assert csvs[0] == csvs[1]
+        assert csvs[0].split(b"\n")[1].startswith(b"0,-0.5,1,0.25,")
 
     def test_invalid_t_final(self, system_file, capsys):
         assert main(["simulate", system_file, "osc", "ctrl_half",

@@ -1,0 +1,43 @@
+"""Golden CLI outputs: certify/analyze reports and CSV bytes stay as recorded.
+
+The references in tests/golden/ were written by tests/golden/make_golden.py.
+Each case runs in-process from a temporary copy of the golden system file, so
+the report's input path ("systems.json") and digest match the recording.
+Float fields carry 17 significant digits, so the references are tied to the
+numpy/LAPACK build they were recorded with.
+"""
+
+import hashlib
+import json
+import shutil
+import sys
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+sys.path.insert(0, str(GOLDEN))
+from make_golden import CASES, run_case  # noqa: E402
+
+DIGESTS = json.loads((GOLDEN / "digests.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    work = tmp_path_factory.mktemp("golden")
+    shutil.copy(GOLDEN / "systems.json", work / "systems.json")
+    return work
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_golden_case(name, workdir):
+    code, report, csv = run_case(CASES[name], workdir)
+    expected = DIGESTS[name]
+    assert code == expected["exit_code"]
+    report_path = GOLDEN / "reports" / f"{name}.json"
+    if report_path.exists():
+        assert report == report_path.read_text(encoding="utf-8")
+    else:
+        assert report == ""
+    if "csv_sha256" in expected:
+        assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == expected["csv_sha256"]

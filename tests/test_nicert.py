@@ -8,36 +8,98 @@ from nistab import (
     FrequencyGrid,
     StateSpace,
     Verdict,
+    eval_tf,
+    eval_tf_stack,
     freq_ni_test,
     freq_sni_test,
+    frequency_response,
     lmi_ni_certificate,
     positive_real_check,
     random_ni_system,
     sni_rank_condition,
     w_transfer_zero_check,
 )
-from nistab.exceptions import AsymmetricDError, NotCertifiedError, SingularAError
+from nistab.exceptions import (
+    AsymmetricDError,
+    NearPoleError,
+    NotCertifiedError,
+    SingularAError,
+)
 from nistab.linalg import min_singular_value
 
 GRID = FrequencyGrid(points=120)
 
 
+class TestFrequencyResponse:
+    def test_stack_matches_eval_tf_per_point(self, osc):
+        # linear grid through the pole at j: 1.0 is excluded, and a wide
+        # resolvent guard marks its neighbours near-pole
+        grid = FrequencyGrid(omega_min=0.5, omega_max=1.5, points=101, spacing="linear")
+        resp = frequency_response(osc, grid, tol_pole=0.05)
+        assert set(resp.status) == {"ok", "excluded", "near-pole"}
+        G, guarded = eval_tf_stack(osc, 1j * resp.omegas, 0.05)
+        ok_values = iter(resp.G)
+        for omega, status, g, is_guarded in zip(resp.omegas, resp.status, G, guarded):
+            try:
+                expected = eval_tf(osc, 1j * omega, 0.05)
+            except NearPoleError:
+                assert is_guarded and np.isnan(g).all() and status != "ok"
+                continue
+            assert not is_guarded
+            np.testing.assert_array_equal(g, expected)
+            if status == "ok":
+                np.testing.assert_array_equal(next(ok_values), expected)
+        assert next(ok_values, None) is None
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (4, 1), (5, 2)])
+    def test_stack_matches_eval_tf_off_axis(self, n, m):
+        # square (n == m) and non-square B: each point must use the whole (n, m) matrix B
+        sys, _ = random_ni_system(21, n, m, with_feedthrough=True)
+        rng = np.random.default_rng(0)
+        points = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+        G, guarded = eval_tf_stack(sys, points)
+        assert G.shape == (30, m, m) and not guarded.any()
+        for s, g in zip(points, G):
+            np.testing.assert_array_equal(g, eval_tf(sys, s))
+            direct = sys.C @ np.linalg.inv(s * np.eye(n) - sys.A) @ sys.B + sys.D
+            np.testing.assert_allclose(g, direct, rtol=1e-9, atol=1e-12)
+
+    def test_routes_match_per_point_formulas(self):
+        sys, _ = random_ni_system(4, 4, 2, strict=True, with_feedthrough=True)
+        resp = frequency_response(sys, GRID)
+        ni, pr = freq_ni_test(resp), positive_real_check(resp)
+        for p_ni, p_pr in zip(ni.per_point, pr.per_point):
+            G = eval_tf(sys, 1j * p_ni.omega)
+            M = 1j * (G - G.conj().T)
+            assert p_ni.min_eig == float(np.linalg.eigvalsh((M + M.conj().T) / 2).min())
+            F = 1j * p_pr.omega * (G - sys.D)
+            M = F + F.conj().T
+            assert p_pr.min_eig == float(np.linalg.eigvalsh((M + M.conj().T) / 2).min())
+
+    def test_one_response_serves_every_route(self, osc):
+        resp = frequency_response(osc, GRID)
+        ni, sni, pr = freq_ni_test(resp), freq_sni_test(resp), positive_real_check(resp)
+        assert (ni.verdict, sni.verdict, pr.verdict) == (Verdict.NI, Verdict.NOT_NI, Verdict.NI)
+        assert ni.origin_pole is False and pr.origin_pole is None
+        assert ni.passed and pr.passed and not sni.passed
+
+
 class TestFreqNiTest:
     def test_first_order_is_ni(self, first_order):
-        report = freq_ni_test(first_order, GRID)
+        report = freq_ni_test(frequency_response(first_order, GRID))
         assert report.verdict is Verdict.NI
         # closed form of the sweep curve: j(G - G*) = 2 w / (1 + w^2)
         for p in report.per_point[::20]:
             assert p.min_eig == pytest.approx(2 * p.omega / (1 + p.omega**2), rel=1e-9)
 
     def test_s_over_not_ni(self, s_over):
-        report = freq_ni_test(s_over, GRID)
+        report = freq_ni_test(frequency_response(s_over, GRID))
         assert report.verdict is Verdict.NOT_NI
         for p in report.per_point[::20]:
             assert p.min_eig == pytest.approx(-2 * p.omega / (1 + p.omega**2), rel=1e-9)
 
     def test_oscillator_with_axis_pole(self, osc):
-        report = freq_ni_test(osc, GRID)
+        report = freq_ni_test(frequency_response(osc, GRID))
         assert report.verdict is Verdict.NI
         assert not report.origin_pole and not report.rhp_pole
         assert len(report.pole_findings) == 1
@@ -48,59 +110,59 @@ class TestFreqNiTest:
     def test_grid_point_on_pole_is_excluded(self, osc):
         grid = FrequencyGrid(omega_min=0.5, omega_max=1.5, points=101,
                              spacing="linear", exclusion_radius=1e-2)
-        report = freq_ni_test(osc, grid)
+        report = freq_ni_test(frequency_response(osc, grid))
         assert report.verdict is Verdict.NI
         excluded = [p.omega for p in report.per_point if p.status == "excluded"]
         assert any(abs(w - 1.0) <= 1e-2 for w in excluded)
 
     def test_non_hermitian_residue_rejected(self, s_over_s2):
-        assert freq_ni_test(s_over_s2, GRID).verdict is Verdict.NOT_NI
+        assert freq_ni_test(frequency_response(s_over_s2, GRID)).verdict is Verdict.NOT_NI
 
     def test_rhp_pole_rejected(self):
         sys = StateSpace([[1.0]], [[1.0]], [[1.0]], [[0.0]])
-        report = freq_ni_test(sys, GRID)
+        report = freq_ni_test(frequency_response(sys, GRID))
         assert report.rhp_pole and report.verdict is Verdict.NOT_NI
 
     def test_asymmetric_feedthrough_not_ni(self):
         sys = StateSpace(np.diag([-1.0, -2.0]), np.eye(2), np.eye(2),
                          [[0.0, 1.0], [-1.0, 0.0]])
-        assert freq_ni_test(sys, GRID).verdict is Verdict.NOT_NI
+        assert freq_ni_test(frequency_response(sys, GRID)).verdict is Verdict.NOT_NI
 
 
 class TestFreqSniTest:
     def test_first_order_strict(self, ctrl_one):
-        assert freq_sni_test(ctrl_one, GRID).verdict is Verdict.SNI
+        assert freq_sni_test(frequency_response(ctrl_one, GRID)).verdict is Verdict.SNI
 
     def test_scaled_still_strict(self, ctrl_half):
-        assert freq_sni_test(ctrl_half, GRID).verdict is Verdict.SNI
+        assert freq_sni_test(frequency_response(ctrl_half, GRID)).verdict is Verdict.SNI
 
     def test_axis_pole_fails_strictness(self, osc):
-        assert freq_sni_test(osc, GRID).verdict is Verdict.NOT_NI
+        assert freq_sni_test(frequency_response(osc, GRID)).verdict is Verdict.NOT_NI
 
 
 class TestPositiveRealCheck:
     def test_first_order_passes(self, first_order):
-        report = positive_real_check(first_order, GRID)
+        report = positive_real_check(frequency_response(first_order, GRID))
         assert report.passed
         # F + F* = 2 w^2/(1 + w^2)
         for p in report.per_point[::20]:
             assert p.min_eig == pytest.approx(2 * p.omega**2 / (1 + p.omega**2), rel=1e-9)
 
     def test_s_over_fails(self, s_over):
-        report = positive_real_check(s_over, GRID)
+        report = positive_real_check(frequency_response(s_over, GRID))
         assert not report.passed
         for p in report.per_point[::20]:
             assert p.min_eig == pytest.approx(-2 * p.omega**2 / (1 + p.omega**2), rel=1e-9)
 
     def test_zero_strictly_proper_part(self):
         sys = StateSpace([[-1.0]], [[0.0]], [[1.0]], [[2.0]])
-        report = positive_real_check(sys, GRID)
+        report = positive_real_check(frequency_response(sys, GRID))
         assert report.passed  # F identically zero sits on the PSD boundary
 
     def test_origin_pole_rejected(self):
         integrator = StateSpace([[0.0]], [[1.0]], [[1.0]], [[0.0]])
         with pytest.raises(SingularAError):
-            positive_real_check(integrator, GRID)
+            positive_real_check(frequency_response(integrator, GRID))
 
 
 class TestLmiCertificate:
@@ -231,13 +293,13 @@ class TestRandomNiSystem:
         for seed in range(6):
             sys, cert = random_ni_system(seed, 3, 1, strict=False)
             assert cert.certified
-            assert freq_ni_test(sys, GRID).verdict is Verdict.NI
+            assert freq_ni_test(frequency_response(sys, GRID)).verdict is Verdict.NI
 
     def test_strict_systems_pass_both_certifiers(self):
         for seed in range(4):
             sys, cert = random_ni_system(seed, 3, 1, strict=True)
             assert cert.strict
-            assert freq_sni_test(sys, GRID).verdict is Verdict.SNI
+            assert freq_sni_test(frequency_response(sys, GRID)).verdict is Verdict.SNI
 
     def test_by_construction_certificate_is_valid(self):
         sys, cert = random_ni_system(9, 4, 2, with_feedthrough=True)
@@ -251,22 +313,22 @@ class TestInvariances:
         sys, _ = random_ni_system(13, 3, 2)
         for alpha in (0.1, 7.0):
             scaled = StateSpace(sys.A, alpha * sys.B, sys.C, alpha * sys.D)
-            assert freq_ni_test(scaled, GRID).verdict is Verdict.NI
+            assert freq_ni_test(frequency_response(scaled, GRID)).verdict is Verdict.NI
             assert lmi_ni_certificate(scaled).certified
 
     def test_scaling_preserves_not_ni(self, s_over):
         scaled = StateSpace(s_over.A, 3.0 * s_over.B, s_over.C, 3.0 * s_over.D)
-        assert freq_ni_test(scaled, GRID).verdict is Verdict.NOT_NI
+        assert freq_ni_test(frequency_response(scaled, GRID)).verdict is Verdict.NOT_NI
         assert lmi_ni_certificate(scaled).verdict is CertStatus.INFEASIBLE
 
     def test_transpose_symmetry(self):
         # G(s)^T realized as (A^T, C^T, B^T, D^T) keeps the NI verdict
         sys, _ = random_ni_system(17, 4, 2)
         transposed = StateSpace(sys.A.T, sys.C.T, sys.B.T, sys.D.T)
-        assert freq_ni_test(transposed, GRID).verdict is Verdict.NI
+        assert freq_ni_test(frequency_response(transposed, GRID)).verdict is Verdict.NI
         assert lmi_ni_certificate(transposed).certified
         not_ni = StateSpace(sys.A.T, -sys.C.T, sys.B.T, sys.D.T)
-        assert freq_ni_test(not_ni, GRID).verdict is Verdict.NOT_NI
+        assert freq_ni_test(frequency_response(not_ni, GRID)).verdict is Verdict.NOT_NI
         assert lmi_ni_certificate(not_ni).verdict is CertStatus.INFEASIBLE
 
 
