@@ -27,9 +27,9 @@ import numpy as np
 
 from . import __version__
 from .exceptions import DimensionError, FeedthroughError, NIStabError
-from .interconnect import Stability, analyze, closed_loop
+from .interconnect import Stability, analyze
 from .linalg import DEFAULT_TOL
-from .lyapunov import block_gram, dissipation_integral_check, lyapunov_derivative, make_state
+from .lyapunov import block_gram, dissipation_integral_check, worst_derivative_residual
 from .nicert import (
     FrequencyGrid,
     FrequencyReport,
@@ -326,17 +326,9 @@ def cmd_analyze(args) -> int:
         lyap = block_gram(pc.P, cc.P, plant, controller)
         residual = float("nan")
         if outcome.closed_loop is not None:
-            rng = np.random.default_rng(args.seed)
-            worst = 0.0
-            for _ in range(10):
-                state = make_state(plant, controller,
-                                   rng.standard_normal(plant.n),
-                                   rng.standard_normal(controller.n))
-                chk = lyapunov_derivative(state, plant, controller, (pc, cc), lyap)
-                scale = max(1.0, float(state.x @ state.x)
-                            * max(1.0, float(np.linalg.norm(lyap.Q, 2))))
-                worst = max(worst, chk.residual / scale)
-            residual = worst
+            X = np.random.default_rng(args.seed).standard_normal((10, plant.n + controller.n))
+            residual = worst_derivative_residual(outcome.closed_loop, (pc, cc), lyap, X,
+                                                 max(1.0, float(np.linalg.norm(lyap.Q, 2))))
         lyap_entry = {
             "Q": lyap.Q,
             "min_eig_Q": lyap.min_eig_Q,
@@ -397,7 +389,9 @@ def cmd_simulate(args) -> int:
         print(f"warning: hypothesis {name} violated: "
               f"{outcome.hypotheses[name]['detail']}", file=sys.stderr)
     if outcome.closed_loop is None:
-        print("error: closed loop is not well posed; cannot simulate", file=sys.stderr)
+        print("error: closed-loop matrix not assembled: feedthrough hypothesis fails "
+              f"({outcome.hypotheses['feedthrough_product_zero']['detail']}); "
+              "cannot simulate", file=sys.stderr)
         return EXIT_PROPERTY
 
     x0 = np.array([float(v) for v in args.x0.split(",")]) if args.x0 else \

@@ -59,8 +59,6 @@ class ClosedLoop:
     controller: StateSpace
     A_cl: np.ndarray
     eigenvalues: np.ndarray
-    dc_product_eigs: np.ndarray | None
-    lambda_max: float | None
     well_posed: bool
     dd_product_norm: float
 
@@ -118,31 +116,11 @@ def closed_loop(plant: StateSpace, controller: StateSpace,
         [B2 @ C1, A2 + B2 @ D1 @ C2],
     ])
     eigs = np.linalg.eigvals(A_cl)
-    dc_eigs = None
-    lam_max = None
-    try:
-        lam_max, _, dc_eigs = _dc_product(plant, controller, tol)
-    except NIStabError:
-        pass
     m = plant.m
     well_posed = bool(
         np.linalg.svd(np.eye(m) - D1 @ D2, compute_uv=False).min() > tol
     )
-    return ClosedLoop(plant, controller, A_cl, eigs, dc_eigs, lam_max, well_posed, dd)
-
-
-def _dc_product(plant: StateSpace, controller: StateSpace, tol: float):
-    G0 = dc_gain(plant, tol)
-    H0 = dc_gain(controller, tol)
-    eigs = np.linalg.eigvals(G0 @ H0)
-    radius = float(np.abs(eigs).max()) if eigs.size else 0.0
-    if float(np.abs(eigs.imag).max()) > tol * max(1.0, radius):
-        raise NonRealSpectrumError(
-            "DC-gain product has complex eigenvalues "
-            f"(max |Im| = {np.abs(eigs.imag).max():.3e}); inputs are unlikely to be NI"
-        )
-    lam_max = float(eigs.real.max())
-    return lam_max, G0 @ H0, eigs
+    return ClosedLoop(plant, controller, A_cl, eigs, well_posed, dd)
 
 
 def dc_gain_condition(plant: StateSpace, controller: StateSpace,
@@ -153,7 +131,14 @@ def dc_gain_condition(plant: StateSpace, controller: StateSpace,
     eigenvalues far below 1 (including negative ones) satisfy the condition.
     """
     _check_dims(plant, controller)
-    lam_max, _, _ = _dc_product(plant, controller, tol)
+    eigs = np.linalg.eigvals(dc_gain(plant, tol) @ dc_gain(controller, tol))
+    radius = float(np.abs(eigs).max()) if eigs.size else 0.0
+    if float(np.abs(eigs.imag).max()) > tol * max(1.0, radius):
+        raise NonRealSpectrumError(
+            "DC-gain product has complex eigenvalues "
+            f"(max |Im| = {np.abs(eigs.imag).max():.3e}); inputs are unlikely to be NI"
+        )
+    lam_max = float(eigs.real.max())
     return lam_max, bool(lam_max < 1.0 - tol)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson, cumulative_trapezoid
 
 from .exceptions import DimensionError, FeedthroughError, NIStabError, NotCertifiedError
-from .interconnect import closed_loop, dc_gain_condition
+from .interconnect import ClosedLoop, dc_gain_condition
 from .linalg import DEFAULT_TOL
 from .nicert import NICertificate
 from .statespace import StateSpace
@@ -47,7 +47,12 @@ class LyapunovCertificate:
 
 @dataclass
 class InterconnectState:
-    """State of the closed loop with the loop outputs solved in."""
+    """Closed-loop states with the loop outputs solved in.
+
+    Every field is a stack of vectors along its last axis: ``x1`` is
+    ``(..., n1)``, ``y1`` is ``(..., m)``, and so on; one state is a stack
+    with no leading axes.
+    """
 
     x1: np.ndarray
     x2: np.ndarray
@@ -55,11 +60,10 @@ class InterconnectState:
     u2: np.ndarray
     y1: np.ndarray
     y2: np.ndarray
-    exact_loop: bool
 
     @property
     def x(self) -> np.ndarray:
-        return np.concatenate([self.x1, self.x2])
+        return np.concatenate([self.x1, self.x2], axis=-1)
 
 
 @dataclass
@@ -72,9 +76,9 @@ class ValueReport:
 
 @dataclass
 class DerivativeCheck:
-    vdot_quadratic: float
-    vdot_dissipation: float
-    residual: float
+    vdot_quadratic: float | np.ndarray     # one entry per state of the stack
+    vdot_dissipation: float | np.ndarray
+    residual: float | np.ndarray
     ytilde1: np.ndarray
     ytilde2: np.ndarray
 
@@ -103,30 +107,45 @@ class DissipationReport:
 def make_state(plant: StateSpace, controller: StateSpace,
                x1: np.ndarray, x2: np.ndarray,
                tol: float = DEFAULT_TOL) -> InterconnectState:
-    """Solve the loop equations u1 = y2, u2 = y1 for the given states.
+    """Solve the loop equations u1 = y2, u2 = y1 for a stack of states.
 
-    With D1 @ D2 = 0 (the interconnection stability hypothesis) the substitution is
-    direct; otherwise the general (I - D1 D2)^{-1} solve is used and the state
-    is flagged as not exactly covered by the block closed-loop formula.
+    ``x1`` is ``(..., n1)`` and ``x2`` is ``(..., n2)`` with equal leading
+    shapes.  The loop is solved through the general (I - D1 D2)^{-1}, so the
+    outputs are exact whether or not the feedthrough product vanishes.
     """
     x1 = np.atleast_1d(np.asarray(x1, dtype=float))
     x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    if x1.shape != (plant.n,) or x2.shape != (controller.n,):
+    if (x1.shape[-1:] != (plant.n,) or x2.shape[-1:] != (controller.n,)
+            or x1.shape[:-1] != x2.shape[:-1]):
         raise DimensionError(
-            f"states must have shapes ({plant.n},) and ({controller.n},), "
-            f"got {x1.shape} and {x2.shape}"
+            f"states must have shapes (..., {plant.n}) and (..., {controller.n}) "
+            f"with equal leading shapes, got {x1.shape} and {x2.shape}"
         )
     D1, D2 = plant.D, controller.D
-    m = plant.m
-    loop = np.eye(m) - D1 @ D2
+    loop = np.eye(plant.m) - D1 @ D2
     if np.linalg.svd(loop, compute_uv=False).min() <= tol:
         raise FeedthroughError("loop is not well posed: I - D1 D2 is singular")
-    dd = float(np.linalg.norm(D1 @ D2, "fro"))
-    exact = dd <= tol * max(1.0, float(np.linalg.norm(D1, "fro"))
-                            * float(np.linalg.norm(D2, "fro")))
-    y1 = np.linalg.solve(loop, plant.C @ x1 + D1 @ (controller.C @ x2))
-    y2 = controller.C @ x2 + D2 @ y1
-    return InterconnectState(x1=x1, x2=x2, u1=y2, u2=y1, y1=y1, y2=y2, exact_loop=exact)
+    c2x2 = controller.C @ x2[..., None]
+    y1 = np.linalg.solve(loop, plant.C @ x1[..., None] + D1 @ c2x2)
+    y2 = c2x2 + D2 @ y1
+    y1, y2 = y1[..., 0], y2[..., 0]
+    return InterconnectState(x1=x1, x2=x2, u1=y2, u2=y1, y1=y1, y2=y2)
+
+
+def quadratic_form(x: np.ndarray, M: np.ndarray | None = None) -> np.ndarray:
+    """x^T M x (x^T x when M is None) for each vector of a stack along the last axis.
+
+    Written as row @ matrix @ column, so each entry is bit-identical to the
+    one-vector ``x @ M @ x``; einsum and sums of products reorder the sums.
+    """
+    row = x[..., None, :]
+    return ((row if M is None else row @ M) @ x[..., None])[..., 0, 0]
+
+
+def ytilde(cert: NICertificate, system: StateSpace,
+           x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Dissipation output L P x - L C^T u of one block, for stacks of x and u."""
+    return (cert.L @ (cert.P @ x[..., None]) - cert.L @ (system.C.T @ u[..., None]))[..., 0]
 
 
 def block_gram(P1: np.ndarray, P2: np.ndarray,
@@ -203,35 +222,46 @@ def lyapunov_value(state: InterconnectState, cert: LyapunovCertificate,
                        feedthrough_correction=correction, residual=residual)
 
 
-def lyapunov_derivative(state: InterconnectState,
-                        plant: StateSpace, controller: StateSpace,
+def lyapunov_derivative(state: InterconnectState, cl: ClosedLoop,
                         certs: tuple[NICertificate, NICertificate],
                         lyap_cert: LyapunovCertificate | None = None) -> DerivativeCheck:
-    """Both sides of the dissipation identity at one state.
+    """Both sides of the dissipation identity at a stack of states.
 
-    Computes x^T (A_cl^T Q + Q A_cl) x with A_cl taken from the interconnect
-    module (one source of truth) and the dissipation form
-    -||ytilde1||^2 - ||ytilde2||^2, returning both and their difference.
+    Computes x^T (A_cl^T Q + Q A_cl) x with A_cl taken from the caller's
+    closed loop (one source of truth) and the dissipation form
+    -||ytilde1||^2 - ||ytilde2||^2, returning both and their difference with
+    the leading shape of ``state``.
     """
     cert1, cert2 = certs
     if not (cert1.certified and cert2.certified):
         raise NotCertifiedError("lyapunov_derivative requires certified blocks")
     if lyap_cert is None:
-        lyap_cert = block_gram(cert1.P, cert2.P, plant, controller)
-    cl = closed_loop(plant, controller)
-    x = state.x
+        lyap_cert = block_gram(cert1.P, cert2.P, cl.plant, cl.controller)
     M = cl.A_cl.T @ lyap_cert.Q + lyap_cert.Q @ cl.A_cl
-    vdot_quad = float(x @ M @ x)
-    yt1 = cert1.L @ (cert1.P @ state.x1) - cert1.L @ (plant.C.T @ state.u1)
-    yt2 = cert2.L @ (cert2.P @ state.x2) - cert2.L @ (controller.C.T @ state.u2)
-    vdot_diss = -float(yt1 @ yt1) - float(yt2 @ yt2)
+    vdot_quad = quadratic_form(state.x, M)
+    yt1 = ytilde(cert1, cl.plant, state.x1, state.u1)
+    yt2 = ytilde(cert2, cl.controller, state.x2, state.u2)
+    vdot_diss = -quadratic_form(yt1) - quadratic_form(yt2)
     return DerivativeCheck(
         vdot_quadratic=vdot_quad,
         vdot_dissipation=vdot_diss,
-        residual=abs(vdot_quad - vdot_diss),
+        residual=np.abs(vdot_quad - vdot_diss),
         ytilde1=yt1,
         ytilde2=yt2,
     )
+
+
+def worst_derivative_residual(cl: ClosedLoop, certs: tuple[NICertificate, NICertificate],
+                              lyap_cert: LyapunovCertificate, X: np.ndarray,
+                              scale: float) -> float:
+    """Largest dissipation-identity residual over the probe states, the rows of ``X``.
+
+    Each residual is divided by max(1, ||x||^2 * scale); no rows give 0.
+    """
+    n1 = cl.plant.n
+    state = make_state(cl.plant, cl.controller, X[:, :n1], X[:, n1:])
+    chk = lyapunov_derivative(state, cl, certs, lyap_cert)
+    return float(np.max(chk.residual / np.maximum(1.0, quadratic_form(X) * scale), initial=0.0))
 
 
 def dissipation_integral_check(trace, tol_int: float = 1e-6) -> DissipationReport:

@@ -15,7 +15,8 @@ import numpy as np
 
 from .exceptions import DimensionError
 from .interconnect import ClosedLoop
-from .lyapunov import InterconnectState, LyapunovCertificate, block_gram, make_state
+from .linalg import matrix_exponential
+from .lyapunov import LyapunovCertificate, block_gram, make_state, quadratic_form, ytilde
 from .nicert import NICertificate
 
 METHODS = ("expm_exact", "rk4")
@@ -24,7 +25,7 @@ METHODS = ("expm_exact", "rk4")
 @dataclass
 class SimulationTrace:
     times: np.ndarray
-    states: list[InterconnectState]
+    x: np.ndarray                   # (steps + 1, n), one closed-loop state per row
     V: np.ndarray
     ytilde2_normsq: np.ndarray
     dt: float
@@ -39,10 +40,9 @@ def simulate(cl: ClosedLoop, x0: np.ndarray, t_final: float, dt: float = 1e-2,
 
     ``expm_exact`` computes one matrix exponential and reuses it each step;
     ``rk4`` takes four stage evaluations per step.  V and ||ytilde2||^2 are
-    NaN unless certificates are provided.
+    NaN unless certificates are provided.  The loop outputs are solved once
+    for the whole trajectory, after propagation.
     """
-    from .linalg import matrix_exponential
-
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = cl.n
     if x0.shape != (n,):
@@ -74,22 +74,16 @@ def simulate(cl: ClosedLoop, x0: np.ndarray, t_final: float, dt: float = 1e-2,
             k4 = A @ (x + dt * k3)
             return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    states: list[InterconnectState] = []
-    V = np.full(steps + 1, np.nan)
-    diss = np.full(steps + 1, np.nan)
-    x = x0.copy()
-    for k in range(steps + 1):
-        state = make_state(cl.plant, cl.controller, x[:n1], x[n1:])
-        states.append(state)
-        if lyap_cert is not None:
-            V[k] = float(state.x @ lyap_cert.Q @ state.x)
-        if certs is not None:
-            c2 = certs[1]
-            yt2 = c2.L @ (c2.P @ state.x2) - c2.L @ (cl.controller.C.T @ state.u2)
-            diss[k] = float(yt2 @ yt2)
-        if k < steps:
-            x = step(x)
-    return SimulationTrace(times=times, states=states, V=V,
+    X = np.empty((steps + 1, n))
+    X[0] = x0
+    for k in range(steps):
+        X[k + 1] = step(X[k])
+    state = make_state(cl.plant, cl.controller, X[:, :n1], X[:, n1:])
+    V = (np.full(steps + 1, np.nan) if lyap_cert is None
+         else quadratic_form(X, lyap_cert.Q))
+    diss = (np.full(steps + 1, np.nan) if certs is None
+            else quadratic_form(ytilde(certs[1], cl.controller, state.x2, state.u2)))
+    return SimulationTrace(times=times, x=X, V=V,
                            ytilde2_normsq=diss, dt=dt, method=method)
 
 
@@ -108,10 +102,10 @@ def trace_to_csv(trace: SimulationTrace) -> str:
 
     Header is ``t,x1,...,xn,V,ytilde2sq``; one row per step, deterministic.
     """
-    nx = len(trace.states[0].x) if trace.states else 0
+    nx = trace.x.shape[-1]
     header = ",".join(["t", *(f"x{i + 1}" for i in range(nx)), "V", "ytilde2sq"])
     lines = [header]
     for k, t in enumerate(trace.times):
-        vals = [t, *trace.states[k].x, trace.V[k], trace.ytilde2_normsq[k]]
+        vals = [t, *trace.x[k], trace.V[k], trace.ytilde2_normsq[k]]
         lines.append(",".join(f"{float(v):.12g}" for v in vals))
     return "\n".join(lines) + "\n"

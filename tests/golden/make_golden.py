@@ -49,6 +49,12 @@ CASES.update({
     "analyze-rand6-rand6": ["analyze", "rand6", "rand6"],
     "simulate-osc-ctrl_half": ["simulate", "osc", "ctrl_half", "--x0=1,-0.5,0.25",
                                "--out", "{csv}"],
+    "simulate-osc-ctrl_half-rk4": ["simulate", "osc", "ctrl_half", "--x0=1,-0.5,0.25",
+                                   "--method", "rk4", "--out", "{csv}"],
+    # lambda_max = 2: the loop is unstable and the trace grows
+    "simulate-first_order-ctrl_two": ["simulate", "first_order", "ctrl_two", "--x0=1,-0.5",
+                                      "--out", "{csv}"],
+    "simulate-osc-ctrl_half-zero": ["simulate", "osc", "ctrl_half", "--out", "{csv}"],
 })
 
 

@@ -130,6 +130,20 @@ class TestTolerancesReachTheRoutes:
         assert analyze["points_ill_conditioned"] == certify["points_ill_conditioned"]
 
 
+    def test_tol_reaches_the_derivative_probes(self, tmp_path, capsys):
+        # ||D1 D2|| = 1e-6 passes the feedthrough hypothesis at --tol 1e-5, not at 1e-8
+        path = tmp_path / "dd.json"
+        path.write_text(json.dumps({"schema_version": "1", "systems": {
+            "plant": {"A": [[-1]], "B": [[1]], "C": [[1]], "D": [[1e-3]]},
+            "ctrl": {"A": [[-1]], "B": [[1]], "C": [[0.5]], "D": [[1e-3]]},
+        }}))
+        code = main(["analyze", str(path), "plant", "ctrl", "--tol", "1e-5"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["verdict"] == "InternallyStable"
+        assert isinstance(report["lyapunov"]["derivative_identity_residual"], float)
+
+
 class TestAnalyze:
     def test_stable_pair(self, system_file, capsys):
         code = main(["analyze", system_file, "osc", "ctrl_half"])
@@ -220,6 +234,43 @@ class TestSimulate:
         assert code == 0
         assert "hypothesis dc_gain violated" in err
         assert out.exists()
+
+
+    def test_feedthrough_failure_named(self, system_file, tmp_path, capsys):
+        code = main(["simulate", system_file, "s_over", "s_over",
+                     "--t-final", "1", "--out", str(tmp_path / "trace.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "feedthrough hypothesis fails (||D1 @ D2|| = 1.000e+00)" in err
+        assert "well posed" not in err
+
+
+class TestOneStateStackPerRun:
+    def test_make_state_and_closed_loop_calls(self, system_file, tmp_path, capsys,
+                                              monkeypatch):
+        import nistab.interconnect
+        import nistab.lyapunov
+        import nistab.sim
+
+        calls = {"make_state": 0, "closed_loop": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (nistab.lyapunov, nistab.sim):
+            monkeypatch.setattr(mod, "make_state", counted("make_state", mod.make_state))
+        monkeypatch.setattr(nistab.interconnect, "closed_loop",
+                            counted("closed_loop", nistab.interconnect.closed_loop))
+        for argv in (["analyze", system_file, "osc", "ctrl_half"],
+                     ["simulate", system_file, "osc", "ctrl_half", "--x0", "1,0,0",
+                      "--out", str(tmp_path / "trace.csv")]):
+            calls.update(make_state=0, closed_loop=0)
+            assert main(argv) == 0
+            assert calls == {"make_state": 1, "closed_loop": 1}, argv[0]
+        capsys.readouterr()
 
 
 class TestSelftest:

@@ -124,22 +124,25 @@ class TestLyapunovValue:
 class TestLyapunovDerivative:
     def test_zero_state(self, worked):
         plant, ctrl, pcert, ccert, lyap = worked
+        cl = closed_loop(plant, ctrl)
         state = make_state(plant, ctrl, np.zeros(2), np.zeros(1))
-        chk = lyapunov_derivative(state, plant, ctrl, (pcert, ccert), lyap)
+        chk = lyapunov_derivative(state, cl, (pcert, ccert), lyap)
         assert chk.vdot_quadratic == 0.0 and chk.vdot_dissipation == 0.0
 
     def test_dissipation_is_nonpositive(self, worked):
         plant, ctrl, pcert, ccert, lyap = worked
+        cl = closed_loop(plant, ctrl)
         rng = np.random.default_rng(2)
         for _ in range(20):
             state = make_state(plant, ctrl, rng.standard_normal(2), rng.standard_normal(1))
-            chk = lyapunov_derivative(state, plant, ctrl, (pcert, ccert), lyap)
+            chk = lyapunov_derivative(state, cl, (pcert, ccert), lyap)
             assert chk.vdot_dissipation <= 0.0
 
     def test_worked_identity_at_unit_state(self, worked):
         plant, ctrl, pcert, ccert, lyap = worked
+        cl = closed_loop(plant, ctrl)
         state = make_state(plant, ctrl, np.array([1.0, 0.0]), np.array([0.0]))
-        chk = lyapunov_derivative(state, plant, ctrl, (pcert, ccert), lyap)
+        chk = lyapunov_derivative(state, cl, (pcert, ccert), lyap)
         assert chk.residual <= 1e-9
         # hand value: A_cl' Q + Q A_cl = [[-1,0,1],[0,0,0],[1,0,-1]] at e1 gives -1
         assert chk.vdot_quadratic == pytest.approx(-1.0, abs=1e-6)
@@ -156,7 +159,7 @@ class TestLyapunovDerivative:
         bad = lmi_ni_certificate(StateSpace([[-1.0]], [[1.0]], [[-1.0]], [[0.0]]))
         state = make_state(plant, ctrl, np.zeros(2), np.zeros(1))
         with pytest.raises(NotCertifiedError):
-            lyapunov_derivative(state, plant, ctrl, (pcert, bad), lyap)
+            lyapunov_derivative(state, closed_loop(plant, ctrl), (pcert, bad), lyap)
 
     def test_sign_mutation_is_caught(self, worked):
         # flipping the sign of the L C' u term must break the identity; this
@@ -179,9 +182,64 @@ class TestLyapunovDerivative:
             for _ in range(100):
                 state = make_state(plant, ctrl, rng.standard_normal(3),
                                    rng.standard_normal(3))
-                chk = lyapunov_derivative(state, plant, ctrl, (pcert, ccert), lyap)
+                chk = lyapunov_derivative(state, cl, (pcert, ccert), lyap)
                 scale = max(1.0, float(state.x @ state.x) * scale_q)
                 assert chk.residual <= 1e-7 * scale
+
+
+class TestStackedStates:
+    """One call over a stack of states against one call per state, bit for bit."""
+
+    @pytest.fixture
+    def pair(self):
+        return random_certified_pair(77, 0.6, n1=3, n2=2, m=2)  # D1 = 0, D2 != 0
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["D2-nonzero", "D1-nonzero"])
+    def test_make_state(self, pair, swap):
+        plant, _, ctrl, _ = pair
+        if swap:
+            plant, ctrl = ctrl, plant
+        assert (np.linalg.norm(plant.D) > 0, np.linalg.norm(ctrl.D) > 0) == (swap, not swap)
+        X = np.random.default_rng(4).standard_normal((25, plant.n + ctrl.n))
+        stacked = make_state(plant, ctrl, X[:, :plant.n], X[:, plant.n:])
+        loop = np.eye(plant.m) - plant.D @ ctrl.D
+        for k, x in enumerate(X):
+            one = make_state(plant, ctrl, x[:plant.n], x[plant.n:])
+            y1 = np.linalg.solve(loop, plant.C @ one.x1 + plant.D @ (ctrl.C @ one.x2))
+            np.testing.assert_array_equal(one.y1, y1)
+            np.testing.assert_array_equal(one.y2, ctrl.C @ one.x2 + ctrl.D @ y1)
+            for name in ("x1", "x2", "u1", "u2", "y1", "y2", "x"):
+                np.testing.assert_array_equal(getattr(stacked, name)[k], getattr(one, name))
+
+    def test_make_state_rejects_unequal_leading_shapes(self, pair):
+        plant, _, ctrl, _ = pair
+        with pytest.raises(DimensionError):
+            make_state(plant, ctrl, np.zeros((4, 3)), np.zeros((3, 2)))
+        with pytest.raises(DimensionError):
+            make_state(plant, ctrl, np.zeros((4, 3)), np.zeros(2))
+
+    def test_lyapunov_derivative(self, pair):
+        plant, pcert, ctrl, ccert = pair
+        cl = closed_loop(plant, ctrl)
+        lyap = block_gram(pcert.P, ccert.P, plant, ctrl)
+        M = cl.A_cl.T @ lyap.Q + lyap.Q @ cl.A_cl
+        X = np.random.default_rng(5).standard_normal((25, cl.n))
+        stacked = lyapunov_derivative(make_state(plant, ctrl, X[:, :3], X[:, 3:]), cl,
+                                      (pcert, ccert), lyap)
+        for k, x in enumerate(X):
+            state = make_state(plant, ctrl, x[:3], x[3:])
+            one = lyapunov_derivative(state, cl, (pcert, ccert), lyap)
+            yt1 = pcert.L @ (pcert.P @ state.x1) - pcert.L @ (plant.C.T @ state.u1)
+            yt2 = ccert.L @ (ccert.P @ state.x2) - ccert.L @ (ctrl.C.T @ state.u2)
+            vdot_quad = float(state.x @ M @ state.x)
+            vdot_diss = -float(yt1 @ yt1) - float(yt2 @ yt2)
+            assert (one.vdot_quadratic, one.vdot_dissipation) == (vdot_quad, vdot_diss)
+            assert one.residual == abs(vdot_quad - vdot_diss)
+            assert stacked.vdot_quadratic[k] == vdot_quad
+            assert stacked.vdot_dissipation[k] == vdot_diss
+            assert stacked.residual[k] == one.residual
+            np.testing.assert_array_equal(stacked.ytilde1[k], yt1)
+            np.testing.assert_array_equal(stacked.ytilde2[k], yt2)
 
 
 class TestDissipationIntegral:

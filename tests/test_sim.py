@@ -5,14 +5,17 @@ import pytest
 
 from nistab import (
     StateSpace,
+    block_gram,
     closed_loop,
     lmi_ni_certificate,
+    make_state,
     simulate,
     trace_to_csv,
     v_monotone,
 )
 from nistab.exceptions import DimensionError
 from nistab.linalg import matrix_exponential
+from nistab.selftest import random_certified_pair
 from nistab.sim import SimulationTrace
 
 
@@ -30,19 +33,19 @@ class TestSimulate:
         cl = closed_loop(p, c)
         trace = simulate(cl, np.array([0.3, -0.2]), t_final=0.1, dt=0.1)
         assert len(trace.times) == 2
-        np.testing.assert_array_equal(trace.states[1].x, trace.states[0].x)
+        np.testing.assert_array_equal(trace.x[1], trace.x[0])
 
     def test_worked_example_decays(self, stable_cl):
         cl, certs = stable_cl
         trace = simulate(cl, np.array([1.0, 0.0, 0.0]), 50.0, 1e-2, certs=certs)
-        assert np.linalg.norm(trace.states[-1].x) < 1e-2
+        assert np.linalg.norm(trace.x[-1]) < 1e-2
 
     def test_expm_vs_rk4(self, stable_cl):
         cl, _ = stable_cl
         x0 = np.array([1.0, 0.0, 0.0])
         exact = simulate(cl, x0, 10.0, 1e-3, method="expm_exact")
         rk4 = simulate(cl, x0, 10.0, 1e-3, method="rk4")
-        err = max(np.linalg.norm(a.x - b.x) for a, b in zip(exact.states, rk4.states))
+        err = max(np.linalg.norm(a - b) for a, b in zip(exact.x, rk4.x))
         assert err <= 1e-6
 
     def test_propagator_consistency(self, stable_cl):
@@ -56,6 +59,22 @@ class TestSimulate:
         trace = simulate(cl, np.array([1.0, 0.0, 0.0]), 50.0, 1e-2, certs=certs)
         ok, worst = v_monotone(trace, tol=1e-8)
         assert ok, f"V increased by {worst}"
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["D2-nonzero", "D1-nonzero"])
+    def test_columns_match_per_step_states(self, swap):
+        plant, pcert, ctrl, ccert = random_certified_pair(77, 0.6, n1=3, n2=2, m=2)
+        if swap:
+            plant, pcert, ctrl, ccert = ctrl, ccert, plant, pcert
+        cl = closed_loop(plant, ctrl)
+        Q = block_gram(pcert.P, ccert.P, plant, ctrl).Q
+        x0 = np.random.default_rng(6).standard_normal(cl.n)
+        trace = simulate(cl, x0, 2.0, 1e-2, certs=(pcert, ccert))
+        n1 = plant.n
+        for k, x in enumerate(trace.x):
+            state = make_state(plant, ctrl, x[:n1], x[n1:])
+            yt2 = ccert.L @ (ccert.P @ state.x2) - ccert.L @ (ctrl.C.T @ state.u2)
+            assert trace.V[k] == float(state.x @ Q @ state.x)
+            assert trace.ytilde2_normsq[k] == float(yt2 @ yt2)
 
     def test_dimension_checks(self, stable_cl):
         cl, _ = stable_cl
@@ -71,14 +90,14 @@ class TestSimulate:
 
 class TestTraceCsv:
     def test_empty_trace_header_only(self):
-        trace = SimulationTrace(times=np.zeros(0), states=[], V=np.zeros(0),
+        trace = SimulationTrace(times=np.zeros(0), x=np.zeros((0, 0)), V=np.zeros(0),
                                 ytilde2_normsq=np.zeros(0), dt=1e-2, method="expm_exact")
         assert trace_to_csv(trace) == "t,V,ytilde2sq\n"
 
     def test_single_sample_two_lines(self, stable_cl):
         cl, certs = stable_cl
         trace = simulate(cl, np.array([1.0, 0.0, 0.0]), 1e-2, 1e-2, certs=certs)
-        single = SimulationTrace(times=trace.times[:1], states=trace.states[:1],
+        single = SimulationTrace(times=trace.times[:1], x=trace.x[:1],
                                  V=trace.V[:1], ytilde2_normsq=trace.ytilde2_normsq[:1],
                                  dt=trace.dt, method=trace.method)
         text = trace_to_csv(single)
@@ -93,8 +112,7 @@ class TestTraceCsv:
         rows = [line.split(",") for line in text.strip().split("\n")[1:]]
         parsed = np.array([[float(v) for v in row] for row in rows])
         np.testing.assert_allclose(parsed[:, 0], trace.times, atol=1e-10)
-        states = np.array([s.x for s in trace.states])
-        np.testing.assert_allclose(parsed[:, 1:4], states, atol=1e-10)
+        np.testing.assert_allclose(parsed[:, 1:4], trace.x, atol=1e-10)
         np.testing.assert_allclose(parsed[:, 4], trace.V, atol=1e-10)
         np.testing.assert_allclose(parsed[:, 5], trace.ytilde2_normsq, atol=1e-10)
 
