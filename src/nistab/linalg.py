@@ -74,11 +74,17 @@ def matrix_exponential(M: np.ndarray, t: float = 1.0) -> np.ndarray:
     return scipy.linalg.expm(M * t)
 
 
-def min_singular_value(M: np.ndarray) -> float:
-    """Smallest singular value of M (0.0 for an empty matrix)."""
+def min_singular_value(M: np.ndarray) -> float | np.ndarray:
+    """Smallest singular value of M (0.0 for an empty matrix).
+
+    A stack ``(..., r, c)`` gives an array of shape ``(...)`` holding the
+    minimum of each matrix, from one stacked SVD.
+    """
     M = np.asarray(M)
-    if M.ndim != 2:
-        raise DimensionError(f"min_singular_value requires a 2-d array, got {M.ndim}-d")
-    if min(M.shape) == 0:
-        return 0.0
-    return float(np.linalg.svd(M, compute_uv=False).min())
+    if M.ndim < 2:
+        raise DimensionError(f"min_singular_value requires a (stack of) matrix, got {M.ndim}-d")
+    if min(M.shape[-2:]) == 0:
+        sv = np.zeros(M.shape[:-2])
+    else:
+        sv = np.linalg.svd(M, compute_uv=False).min(axis=-1)
+    return float(sv) if M.ndim == 2 else sv

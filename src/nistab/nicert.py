@@ -24,6 +24,7 @@ projection, is the goal; over-relaxation speeds convergence.
 from __future__ import annotations
 
 import enum
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -172,9 +173,13 @@ class NICertificate:
 
 @dataclass
 class WZeroReport:
-    """Zeros of W(s) = L P (sI - A)^{-1} B - L C^T on the positive imaginary axis."""
+    """Zeros of W(s) = L P (sI - A)^{-1} B - L C^T on the positive imaginary axis.
 
-    per_point: list[GridPoint]
+    ``min_sv`` holds sigma_min W(j omega) per grid point, NaN where j omega I - A
+    is exactly singular (such points are never flagged)."""
+
+    omegas: np.ndarray
+    min_sv: np.ndarray
     flagged: list[float]
     origin_value: float
     passed: bool
@@ -314,33 +319,22 @@ def positive_real_check(resp: FrequencyResponse, tol: float = DEFAULT_TOL) -> Fr
 _SQRT2 = np.sqrt(2.0)
 
 
-def _sym_basis(n: int) -> list[np.ndarray]:
-    """Orthonormal basis of symmetric n x n matrices: diagonals, then off-diagonals."""
-    basis = []
-    for i in range(n):
-        E = np.zeros((n, n))
-        E[i, i] = 1.0
-        basis.append(E)
-    off = 1.0 / _SQRT2
-    for i in range(n):
-        for j in range(i + 1, n):
-            E = np.zeros((n, n))
-            E[i, j] = off
-            E[j, i] = off
-            basis.append(E)
-    return basis
+@functools.cache
+def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(n, k=1)
 
 
 def _svec(M: np.ndarray, n: int) -> np.ndarray:
-    """Coordinates of symmetric M in the _sym_basis ordering (isometry)."""
-    iu, ju = np.triu_indices(n, k=1)
+    """Coordinates of symmetric M in the orthonormal basis of symmetric
+    matrices, diagonals first, then off-diagonals (isometry)."""
+    iu, ju = _triu(n)
     return np.concatenate([np.diag(M), _SQRT2 * M[iu, ju]])
 
 
 def _smat(s: np.ndarray, n: int) -> np.ndarray:
     M = np.zeros((n, n))
     M[np.diag_indices(n)] = s[:n]
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _triu(n)
     off = s[n:] / _SQRT2
     M[iu, ju] = off
     M[ju, iu] = off
@@ -367,8 +361,8 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None) -> NI
     if d_asym > tol * max(1.0, float(np.linalg.norm(sys.D, "fro"))):
         raise AsymmetricDError(f"D is not symmetric (defect {d_asym:.3e})")
 
-    basis = _sym_basis(n)
-    nsym = len(basis)
+    nsym = n * (n + 1) // 2
+    basis = [_smat(e, n) for e in np.eye(nsym)]
     # coupling A Y C^T = -B, with A invertible, reduces to Y C^T = V
     V = -np.linalg.solve(A, B)
     K = np.stack([(E @ C.T).ravel() for E in basis], axis=1)
@@ -534,7 +528,9 @@ def sni_rank_condition(sys: StateSpace, cert: NICertificate,
     """Minimum singular value over the grid of [[A - jwI, B], [L P, -L C^T]].
 
     Full column rank of this pencil for all w > 0 is the strictness condition
-    that excludes imaginary-axis closed-loop eigenvalues.  Sets ``cert.strict``
+    that excludes imaginary-axis closed-loop eigenvalues; the grid cannot see
+    poles of the system itself on the axis, so ``cert.strict`` also requires
+    every eigenvalue of A strictly left of the axis band.  Sets ``cert.strict``
     and ``cert.rank_condition_min_sv``.
     """
     if not cert.certified:
@@ -542,18 +538,22 @@ def sni_rank_condition(sys: StateSpace, cert: NICertificate,
     grid = grid or default_grid()
     n, m = sys.n, sys.m
     L, P = cert.L, cert.P
-    lower = np.hstack([L @ P, -(L @ sys.C.T)])
-    min_sv = np.inf
-    if n + L.shape[0] < n + m:
+    if L.shape[0] < m:
         min_sv = 0.0  # fewer rows than columns: full column rank impossible
     else:
-        for omega in grid.omegas():
-            top = np.hstack([sys.A - 1j * float(omega) * np.eye(n), sys.B])
-            sv = min_singular_value(np.vstack([top, lower]))
-            min_sv = min(min_sv, sv)
-    cert.rank_condition_min_sv = float(min_sv)
-    cert.strict = bool(min_sv > tol)
-    return float(min_sv)
+        omegas = grid.omegas()
+        diag = np.arange(n)
+        pencil = np.empty((omegas.size, n + L.shape[0], n + m), dtype=complex)
+        pencil[:, :n, :n] = sys.A
+        pencil[:, diag, diag] -= 1j * omegas[:, np.newaxis]
+        pencil[:, :n, n:] = sys.B
+        pencil[:, n:] = np.hstack([L @ P, -(L @ sys.C.T)])
+        min_sv = float(min_singular_value(pencil).min())
+    eigs = np.linalg.eigvals(sys.A)
+    hurwitz = bool(np.all(eigs.real < -TOL_AXIS * np.maximum(1.0, np.abs(eigs))))
+    cert.rank_condition_min_sv = min_sv
+    cert.strict = min_sv > tol and hurwitz
+    return min_sv
 
 
 def w_transfer_zero_check(sys: StateSpace, cert: NICertificate,
@@ -567,30 +567,23 @@ def w_transfer_zero_check(sys: StateSpace, cert: NICertificate,
     if not cert.certified:
         raise NotCertifiedError("w_transfer_zero_check requires a certified system")
     grid = grid or default_grid()
-    L, P = cert.L, cert.P
-    LP = L @ P
-    LCt = L @ sys.C.T
-    eye = np.eye(sys.n)
-    points: list[GridPoint] = []
-    flagged: list[float] = []
+    L = cert.L
     omegas = grid.omegas()
-    for omega in omegas:
-        omega = float(omega)
-        if L.shape[0] == 0:
-            points.append(GridPoint(omega, 0.0, "ok"))
-            flagged.append(omega)
-            continue
-        try:
-            Wjw = LP @ np.linalg.solve(1j * omega * eye - sys.A, sys.B.astype(complex)) - LCt
-        except np.linalg.LinAlgError:
-            points.append(GridPoint(omega, None, "near-pole"))
-            continue
-        sv = min_singular_value(Wjw) if L.shape[0] >= sys.m else 0.0
-        points.append(GridPoint(omega, sv, "ok"))
-        if sv < tol and omega > omegas[0]:
-            flagged.append(omega)
-    origin_value = next((p.min_eig for p in points if p.min_eig is not None), 0.0)
-    return WZeroReport(points, flagged, float(origin_value), passed=not flagged)
+    if L.shape[0] == 0:
+        min_sv = np.zeros(omegas.size)
+        flagged = omegas.tolist()
+    else:
+        res = 1j * omegas[:, np.newaxis, np.newaxis] * np.eye(sys.n) - sys.A
+        # a zero LU pivot: exactly the points where solve would raise
+        solvable = np.linalg.slogdet(res)[0] != 0
+        X = np.linalg.solve(res[solvable], sys.B.astype(complex)[np.newaxis])
+        W = L @ cert.P @ X - L @ sys.C.T
+        min_sv = np.full(omegas.size, np.nan)
+        min_sv[solvable] = min_singular_value(W) if L.shape[0] >= sys.m else 0.0
+        flagged = omegas[(min_sv < tol) & (omegas > omegas[0])].tolist()
+    known = min_sv[~np.isnan(min_sv)]
+    origin_value = float(known[0]) if known.size else 0.0
+    return WZeroReport(omegas, min_sv, flagged, origin_value, passed=not flagged)
 
 
 # ---------------------------------------------------------------------------

@@ -104,8 +104,6 @@ def trace_to_csv(trace: SimulationTrace) -> str:
     """
     nx = trace.x.shape[-1]
     header = ",".join(["t", *(f"x{i + 1}" for i in range(nx)), "V", "ytilde2sq"])
-    lines = [header]
-    for k, t in enumerate(trace.times):
-        vals = [t, *trace.x[k], trace.V[k], trace.ytilde2_normsq[k]]
-        lines.append(",".join(f"{float(v):.12g}" for v in vals))
-    return "\n".join(lines) + "\n"
+    row = ",".join(["%.12g"] * (nx + 3))
+    table = np.column_stack([trace.times, trace.x, trace.V, trace.ytilde2_normsq])
+    return "\n".join([header, *(row % tuple(r.tolist()) for r in table)]) + "\n"

@@ -120,7 +120,7 @@ def eval_tf_stack(sys: StateSpace, points, tol_pole: float = TOL_POLE):
     """
     s = np.asarray(points).reshape(-1)
     res = s[:, np.newaxis, np.newaxis] * np.eye(sys.n) - sys.A
-    sigma = np.linalg.svd(res, compute_uv=False).min(axis=-1)
+    sigma = min_singular_value(res)
     guarded = sigma < tol_pole * np.maximum(np.maximum(1.0, np.abs(s)),
                                             float(np.linalg.norm(sys.A, 2)))
     G = np.full((s.size, sys.m, sys.m), np.nan, dtype=complex)

@@ -19,6 +19,11 @@ SYSTEMS = {
         "ctrl_two": {"A": [[-1]], "B": [[1]], "C": [[2]], "D": [[0]]},
         "first_order": {"A": [[-1]], "B": [[1]], "C": [[1]], "D": [[0]]},
         "s_over": {"A": [[-1]], "B": [[1]], "C": [[-1]], "D": [[1]]},
+        # NI with poles at +-j and a dissipative mode: the pencil has full rank
+        # on the grid, but the system is not SNI
+        "mixed": {"A": [[0, 1, 0], [-1, 0, 0], [0, 0, -1]], "B": [[0], [1], [1]],
+                  "C": [[1, 0, 1]], "D": [[0]]},
+        "small": {"A": [[-1]], "B": [[1]], "C": [[0.1]], "D": [[0]]},
     },
 }
 
@@ -111,6 +116,23 @@ def random_file(tmp_path):
     plant, _ = random_ni_system(3, 5, 2, strict=True)
     ctrl, _ = random_ni_system(4, 3, 2, strict=True)
     return _write_systems(tmp_path / "random.json", plant=plant, ctrl=ctrl)
+
+
+class TestAxisPolesAreNotStrict:
+    def test_certify_sni_rejects(self, system_file, capsys):
+        code = main(["certify", system_file, "mixed", "--property", "sni"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert report["certified"] is False
+        assert report["results"]["lmi"]["strict"] is False
+        assert report["results"]["frequency_sni"]["verdict"] == "NotNI"
+
+    def test_analyze_violates_controller_sni(self, system_file, capsys):
+        code = main(["analyze", system_file, "small", "mixed"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert report["verdict"] == "HypothesisViolated"
+        assert report["violated_hypotheses"] == ["controller_sni"]
 
 
 class TestTolerancesReachTheRoutes:

@@ -174,6 +174,22 @@ class TestMinSingularValue:
     def test_empty(self):
         assert min_singular_value(np.zeros((0, 3))) == 0.0
 
+    def test_stack_matches_per_matrix_calls(self):
+        rng = np.random.default_rng(5)
+        M = rng.standard_normal((7, 4, 3)) + 1j * rng.standard_normal((7, 4, 3))
+        stacked = min_singular_value(M.reshape(7, 1, 4, 3))
+        assert stacked.shape == (7, 1)
+        expected = np.array([min_singular_value(Mk) for Mk in M])
+        assert stacked[:, 0].tobytes() == expected.tobytes()
+
+    def test_empty_stack(self):
+        np.testing.assert_array_equal(min_singular_value(np.zeros((3, 0, 2))), np.zeros(3))
+        assert min_singular_value(np.zeros((0, 2, 2))).shape == (0,)
+
+    def test_vector_rejected(self):
+        with pytest.raises(DimensionError):
+            min_singular_value(np.ones(3))
+
     def test_matches_brute_force_rank(self):
         rng = np.random.default_rng(11)
         for _ in range(40):

@@ -26,6 +26,7 @@ from nistab.exceptions import (
     SingularAError,
 )
 from nistab.linalg import min_singular_value
+from nistab.nicert import certificate_from_y
 
 GRID = FrequencyGrid(points=120)
 
@@ -266,20 +267,115 @@ class TestWTransferZeroCheck:
         cert = lmi_ni_certificate(ctrl_half)
         report = w_transfer_zero_check(ctrl_half, cert, GRID)
         assert report.passed
-        for p in report.per_point[::20]:
-            assert p.min_eig == pytest.approx(p.omega / np.sqrt(1 + p.omega**2), rel=1e-9)
+        for w, sv in zip(report.omegas[::20], report.min_sv[::20]):
+            assert sv == pytest.approx(w / np.sqrt(1 + w**2), rel=1e-9)
 
     def test_value_at_unit_frequency(self, ctrl_half):
         cert = lmi_ni_certificate(ctrl_half)
         grid = FrequencyGrid(omega_min=1.0, omega_max=2.0, points=2)
         report = w_transfer_zero_check(ctrl_half, cert, grid)
-        assert report.per_point[0].min_eig == pytest.approx(1 / np.sqrt(2.0), rel=1e-9)
+        assert report.min_sv[0] == pytest.approx(1 / np.sqrt(2.0), rel=1e-9)
 
     def test_zero_factor_flagged_everywhere(self, osc):
         cert = lmi_ni_certificate(osc)
         report = w_transfer_zero_check(osc, cert, GRID)
         assert not report.passed
         assert len(report.flagged) == GRID.points
+
+
+# A = blkdiag([[0, 1], [-1, 0]], -1): NI with poles at +-j, hence not SNI
+MIXED = StateSpace([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]],
+                   [[0.0], [1.0], [1.0]], [[1.0, 0.0, 1.0]], [[0.0]], label="mixed")
+
+
+def per_point_rank(sys, cert, grid):
+    """Reference for sni_rank_condition: one pencil SVD per grid point."""
+    L, P = cert.L, cert.P
+    if L.shape[0] < sys.m:
+        return 0.0
+    lower = np.hstack([L @ P, -(L @ sys.C.T)])
+    return min(min_singular_value(np.vstack([
+        np.hstack([sys.A - 1j * float(w) * np.eye(sys.n), sys.B]), lower]))
+        for w in grid.omegas())
+
+
+def per_point_w(sys, cert, grid, tol=1e-8):
+    """Reference for w_transfer_zero_check: one solve and one SVD per grid point;
+    None where the solve raises."""
+    L = cert.L
+    LP, LCt = L @ cert.P, L @ sys.C.T
+    omegas = grid.omegas()
+    values, flagged = [], []
+    for w in omegas:
+        w = float(w)
+        if L.shape[0] == 0:
+            values.append(0.0)
+            flagged.append(w)
+            continue
+        try:
+            W = LP @ np.linalg.solve(1j * w * np.eye(sys.n) - sys.A, sys.B.astype(complex)) - LCt
+        except np.linalg.LinAlgError:
+            values.append(None)
+            continue
+        sv = min_singular_value(W) if L.shape[0] >= sys.m else 0.0
+        values.append(sv)
+        if sv < tol and w > omegas[0]:
+            flagged.append(w)
+    origin = next((v for v in values if v is not None), 0.0)
+    return values, flagged, origin
+
+
+def _certified_systems():
+    out = [(StateSpace([[-1.0]], [[1.0]], [[0.5]], [[0.0]]), None),
+           (StateSpace([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]]), None),
+           (MIXED, None)]
+    # Y = I and a rank-one dissipation: L has one row for two inputs
+    rng = np.random.default_rng(0)
+    T, f, C = rng.standard_normal((3, 3)), rng.standard_normal((3, 1)), rng.standard_normal((2, 3))
+    A = (T - T.T) / 2 - f @ f.T / 2
+    thin = StateSpace(A, -A @ C.T, C, np.zeros((2, 2)))
+    out.append((thin, certificate_from_y(thin, np.eye(3))))
+    for seed in range(8):
+        n = 1 + seed % 5
+        m = min(n, 1 + seed % 3)
+        out.append(random_ni_system(seed, n, m, strict=True, with_feedthrough=seed % 2 == 1))
+        out.append(random_ni_system(100 + seed, n, m, strict=False))
+    return [(sys, cert or lmi_ni_certificate(sys)) for sys, cert in out]
+
+
+class TestStackedStrictnessChecks:
+    GRIDS = (FrequencyGrid(), GRID,
+             FrequencyGrid(omega_min=0.5, omega_max=1.5, points=101, spacing="linear"))
+
+    def test_match_per_point_reference(self):
+        masked = 0
+        for sys, cert in _certified_systems():
+            assert cert.certified
+            for grid in self.GRIDS:
+                rank = sni_rank_condition(sys, cert, grid)
+                assert np.float64(rank).tobytes() == np.float64(
+                    per_point_rank(sys, cert, grid)).tobytes()
+                values, flagged, origin = per_point_w(sys, cert, grid)
+                report = w_transfer_zero_check(sys, cert, grid)
+                assert np.array_equal(report.omegas, grid.omegas())
+                none = np.array([v is None for v in values])
+                np.testing.assert_array_equal(np.isnan(report.min_sv), none)
+                kept = np.array([v for v in values if v is not None], dtype=float)
+                assert report.min_sv[~none].tobytes() == kept.tobytes()
+                assert report.flagged == flagged
+                assert report.origin_value == origin
+                assert report.passed is (not flagged)
+                masked += int(none.sum())
+        assert masked > 0  # w = 1 on the linear grid is an exact pole of MIXED
+
+    def test_origin_value_skips_a_masked_point(self):
+        cert = lmi_ni_certificate(MIXED)
+        grid = FrequencyGrid(omega_min=1.0, omega_max=2.0, points=11, spacing="linear")
+        values, flagged, origin = per_point_w(MIXED, cert, grid)
+        report = w_transfer_zero_check(MIXED, cert, grid)
+        assert values[0] is None and np.isnan(report.min_sv[0])
+        assert report.origin_value == origin == values[1]
+        assert report.flagged == flagged
 
 
 class TestRandomNiSystem:
