@@ -283,7 +283,7 @@ def cmd_certify(args) -> int:
     if args.prop == "sni":
         results["frequency_sni"] = _freq_dict(freq_sni_test(resp, tol))
         if cert is not None and cert.certified:
-            sni_rank_condition(sys_, cert, grid, tol)
+            sni_rank_condition(sys_, cert, grid, tol, args.tol_axis)
             wz = w_transfer_zero_check(sys_, cert, grid, tol)
             results["lmi"] = _cert_dict(cert)
             results["w_transfer_zeros"] = {

@@ -183,7 +183,7 @@ def analyze(plant: StateSpace, controller: StateSpace,
     try:
         controller_cert = lmi_ni_certificate(controller, solver)
         if controller_cert.certified:
-            sni_rank_condition(controller, controller_cert, grid, tol)
+            sni_rank_condition(controller, controller_cert, grid, tol, tol_axis)
         ok = controller_cert.certified and controller_cert.strict
         record("controller_sni", ok,
                f"certificate verdict {controller_cert.verdict.value}, "

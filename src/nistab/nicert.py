@@ -13,12 +13,17 @@ Three independent routes are provided (the first two read one FrequencyResponse)
 Sign convention used throughout: A Y + Y A^T = -L^T L.  Every certificate
 carries this convention string so downstream checks are unambiguous.
 
-The certificate search runs alternating projections between the affine
-subspace that encodes the coupling constraint exactly (parametrized through
+The certificate search is Douglas-Rachford splitting between the affine
+family that encodes the coupling constraint exactly (parametrized through
 its nullspace) and the product of PSD cones {Y - eps I >= 0} x
 {-(A Y + Y A^T) >= 0}, with eigenvalue clamping as the cone projection and
-a least-squares map back to the subspace.  Feasibility, not nearest-point
-projection, is the goal; over-relaxation speeds convergence.
+a least-squares map back to the family.  The candidate checked each
+iteration is the shadow point: the cone projection pulled back to the
+family.  The search stops Certified when the shadow point meets all three
+conditions, Infeasible when the best residual gap of a stall window fails to
+improve on the previous window's, and MaxIterations at the iteration limit.
+Each cone projection is one stacked eigendecomposition of both blocks, and
+each residual check one stacked eigenvalue call on A Y + Y A^T and Y.
 """
 
 from __future__ import annotations
@@ -341,6 +346,21 @@ def _smat(s: np.ndarray, n: int) -> np.ndarray:
     return M
 
 
+@functools.cache
+def _sym_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index maps between two concatenated svec vectors and a (2, n, n) stack:
+    ``s[gather] / div`` is the stacked _smat and ``S.reshape(-1)[scatter] * mult``
+    the concatenated _svec, bit for bit."""
+    iu, ju = _triu(n)
+    pos = np.empty((n, n), dtype=np.intp)
+    pos[np.diag_indices(n)] = np.arange(n)
+    pos[iu, ju] = pos[ju, iu] = n + np.arange(iu.size)
+    div = np.where(np.eye(n, dtype=bool), 1.0, _SQRT2)
+    flat = np.concatenate([np.arange(n) * (n + 1), iu * n + ju])
+    return (np.stack([pos, pos + n * (n + 1) // 2]), div,
+            np.concatenate([flat, flat + n * n]), np.tile(div.reshape(-1)[flat], 2))
+
+
 def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None) -> NICertificate:
     """Search for Y = Y^T > 0 with A Y + Y A^T <= 0 and A Y C^T = -B.
 
@@ -386,7 +406,8 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None) -> NI
     dim_free = null_basis.shape[1]
     Yp = _smat(s_particular, n)
     Yp = (Yp + Yp.T) / 2
-    null_mats = [_smat(null_basis[:, k], n) for k in range(dim_free)]
+    gather, div, scatter, mult = _sym_maps(n)
+    null_mats = np.ascontiguousarray(null_basis.T[:, gather[0]] / div)  # read block by block
 
     eps = opts.eps_scale / max(1.0, norm_a)
     eye = np.eye(n)
@@ -410,27 +431,38 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None) -> NI
     # tangential (sublinear) approach on thin feasible slivers into a
     # linear-rate one, while the certified residuals stay within tolerance
     tol_lyap = tol * max(1.0, norm_a)
-    floors = (-eps / 2, -tol_lyap / 2)
+    floors = np.array([[-eps / 2], [-tol_lyap / 2]])
 
     def psd_clamp(z):
-        out = []
-        for block, floor in zip((z[:nsym], z[nsym:]), floors):
-            M = _smat(block, n)
-            w, U = np.linalg.eigh((M + M.T) / 2)
-            out.append(_svec((U * np.maximum(w, floor)) @ U.T, n))
-        return np.concatenate(out)
+        # both cone blocks in one stacked eigh; the maps are _smat and _svec
+        w, U = np.linalg.eigh(z[gather] / div)
+        clamped = (U * np.maximum(w, floors)[:, np.newaxis, :]) @ U.swapaxes(-1, -2)
+        return clamped.reshape(-1)[scatter] * mult
+
+    # make_y sums Yp + t_1 N_1 + ... + t_d N_d through a reused buffer of
+    # 256 KiB: one block for every n up to 15, cache-sized blocks beyond
+    block = max(1, 32768 // (n * n))
+    terms = np.empty((block + 1, n, n))
 
     def make_y(theta):
-        Y = Yp.copy()
-        for t, Nk in zip(theta, null_mats):
-            Y += t * Nk
+        # a reduction along the outer axis of a C-order stack adds term by
+        # term in order, as Y += t * Nk would; carrying Y into the next
+        # block keeps that order
+        Y = Yp
+        for k in range(0, dim_free, block):
+            t = theta[k:k + block]
+            terms[0] = Y
+            np.multiply(t[:, np.newaxis, np.newaxis], null_mats[k:k + block],
+                        out=terms[1:t.size + 1])
+            Y = np.add.reduce(terms[:t.size + 1], axis=0)
         return (Y + Y.T) / 2
 
     scale_b = max(1.0, float(np.linalg.norm(B, "fro")))
 
     def residuals(Y):
-        lyap_min = float(-np.linalg.eigvalsh(lyap(Y)).max())
-        y_min = float(np.linalg.eigvalsh(Y).min())
+        eig_lyap, eig_y = np.linalg.eigvalsh(np.stack([lyap(Y), Y]))
+        lyap_min = float(-eig_lyap.max())
+        y_min = float(eig_y.min())
         coupling = float(np.linalg.norm(B + A @ Y @ C.T, "fro"))
         gap = (max(0.0, -lyap_min) / max(1.0, norm_a)
                + max(0.0, eps / 2 - y_min)
@@ -524,14 +556,16 @@ def certificate_from_y(sys: StateSpace, Y: np.ndarray, tol: float = DEFAULT_TOL)
 
 def sni_rank_condition(sys: StateSpace, cert: NICertificate,
                        grid: FrequencyGrid | None = None,
-                       tol: float = DEFAULT_TOL) -> float:
+                       tol: float = DEFAULT_TOL,
+                       tol_axis: float = TOL_AXIS) -> float:
     """Minimum singular value over the grid of [[A - jwI, B], [L P, -L C^T]].
 
     Full column rank of this pencil for all w > 0 is the strictness condition
     that excludes imaginary-axis closed-loop eigenvalues; the grid cannot see
     poles of the system itself on the axis, so ``cert.strict`` also requires
-    every eigenvalue of A strictly left of the axis band.  Sets ``cert.strict``
-    and ``cert.rank_condition_min_sv``.
+    every eigenvalue of A strictly left of the axis band (relative width
+    ``tol_axis``, as in ``frequency_response``).  Sets ``cert.strict`` and
+    ``cert.rank_condition_min_sv``.
     """
     if not cert.certified:
         raise NotCertifiedError("sni_rank_condition requires a certified system")
@@ -550,7 +584,7 @@ def sni_rank_condition(sys: StateSpace, cert: NICertificate,
         pencil[:, n:] = np.hstack([L @ P, -(L @ sys.C.T)])
         min_sv = float(min_singular_value(pencil).min())
     eigs = np.linalg.eigvals(sys.A)
-    hurwitz = bool(np.all(eigs.real < -TOL_AXIS * np.maximum(1.0, np.abs(eigs))))
+    hurwitz = bool(np.all(eigs.real < -tol_axis * np.maximum(1.0, np.abs(eigs))))
     cert.rank_condition_min_sv = min_sv
     cert.strict = min_sv > tol and hurwitz
     return min_sv
@@ -602,6 +636,10 @@ def random_ni_system(seed: int, n: int, m: int, strict: bool = False,
     """
     if n < 1 or m < 1:
         raise GenerationFailedError("need n >= 1 and m >= 1")
+    if strict and m > n:
+        raise GenerationFailedError(
+            f"no SNI system with m = {m} > n = {n}: the certificate factor L has at most "
+            "n rows, so the rank condition cannot hold")
     rng = np.random.default_rng(seed)
     grid = FrequencyGrid(points=120)
     for _ in range(max_retries):

@@ -5,7 +5,9 @@ Run from the repository root:
     PYTHONPATH=src python tests/golden/make_golden.py
 
 It writes ``systems.json`` (the tests/test_cli.py fixture systems plus one
-random SNI draw with feedthrough), one report per case in ``reports/``,
+random SNI draw with feedthrough), ``dr_exits.json`` (four systems that are
+not NI: two negated random draws and two lightly damped notch systems), one
+report per case in ``reports/``,
 and ``digests.json`` with the exit code of every case and the SHA-256 of
 every CSV it writes.  The reports
 are byte-level references: regenerate them only for a change that is meant
@@ -55,7 +57,22 @@ CASES.update({
     "simulate-first_order-ctrl_two": ["simulate", "first_order", "ctrl_two", "--x0=1,-0.5",
                                       "--out", "{csv}"],
     "simulate-osc-ctrl_half-zero": ["simulate", "osc", "ctrl_half", "--out", "{csv}"],
+    # the two non-certified exits of the DR certificate search: the stall exit
+    # (Infeasible after 400 iterations) and the iteration limit (MaxIterations)
+    "certify-ni-neg_rand6": ["certify", "neg_rand6", "--property", "ni"],
+    "certify-sni-notch3": ["certify", "notch3", "--property", "sni"],
+    "certify-sni-notch57": ["certify", "notch57", "--property", "sni"],
+    # n = 20: the DR update of Y sums its 170 null-space terms in several blocks
+    "certify-ni-neg_rand20": ["certify", "neg_rand20", "--property", "ni"],
 })
+
+
+def notch(w0: float, zeta: float = 1e-4) -> dict:
+    """G(s) = 1/(s+1) - k s/(s^2 + 2 zeta w0 s + w0^2), not NI: the dip of
+    j(G - G*) near w0 reaches about -1 but is only about zeta*w0 wide."""
+    k = (2 * w0 / (1 + w0 ** 2) + 1.0) * 2 * zeta * w0
+    return {"A": [[-1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -w0 ** 2, -2 * zeta * w0]],
+            "B": [[1.0], [0.0], [1.0]], "C": [[1.0, 0.0, -k]], "D": [[0.0]]}
 
 
 def system_file_payload() -> dict:
@@ -75,12 +92,37 @@ def system_file_payload() -> dict:
     return {"schema_version": "1", "systems": systems}
 
 
+def dr_exits_payload() -> dict:
+    from nistab import random_ni_system
+
+    rand6, _ = random_ni_system(6, 6, 2, strict=True, with_feedthrough=True)
+    rand20, _ = random_ni_system(1, 20, 2)
+    # -G: C and D change sign, so j(G - G*) <= 0 and no certificate exists
+    systems = {f"neg_{name}": {"A": g.A.tolist(), "B": g.B.tolist(),
+                               "C": (-g.C).tolist(), "D": (-g.D).tolist()}
+               for name, g in (("rand6", rand6), ("rand20", rand20))}
+    systems["notch3"] = notch(3.3)
+    systems["notch57"] = notch(57.0)
+    return {"schema_version": "1", "systems": systems}
+
+
+# every report records the SHA-256 of its system file, so systems added after
+# the first recording go into a file of their own
+SYSTEM_FILES = {"systems.json": system_file_payload, "dr_exits.json": dr_exits_payload}
+DR_EXIT_SYSTEMS = ("neg_rand6", "neg_rand20", "notch3", "notch57")
+
+
+def system_file(system: str) -> str:
+    return "dr_exits.json" if system in DR_EXIT_SYSTEMS else "systems.json"
+
+
 def run_case(argv: list[str], workdir: Path) -> tuple[int, str, str | None]:
-    """Run one case from ``workdir`` (which holds systems.json); (code, report, csv)."""
+    """Run one case from ``workdir`` (which holds the system files); (code, report, csv)."""
     from nistab.cli import main
 
     csv_path = workdir / "out.csv"
-    args = [argv[0], "systems.json"] + [str(csv_path) if a == "{csv}" else a for a in argv[1:]]
+    args = ([argv[0], system_file(argv[1])]
+            + [str(csv_path) if a == "{csv}" else a for a in argv[1:]])
     cwd = os.getcwd()
     out = io.StringIO()
     try:
@@ -101,13 +143,15 @@ def sha256(text: str) -> str:
 
 
 def main() -> int:
-    (HERE / "systems.json").write_text(json.dumps(system_file_payload(), indent=1) + "\n")
+    for fname, payload in SYSTEM_FILES.items():
+        (HERE / fname).write_text(json.dumps(payload(), indent=1) + "\n")
     reports = HERE / "reports"
     reports.mkdir(exist_ok=True)
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        (work / "systems.json").write_bytes((HERE / "systems.json").read_bytes())
+        for fname in SYSTEM_FILES:
+            (work / fname).write_bytes((HERE / fname).read_bytes())
         for name, argv in CASES.items():
             code, report, csv = run_case(argv, work)
             entry = {"exit_code": code}

@@ -24,6 +24,9 @@ SYSTEMS = {
         "mixed": {"A": [[0, 1, 0], [-1, 0, 0], [0, 0, -1]], "B": [[0], [1], [1]],
                   "C": [[1, 0, 1]], "D": [[0]]},
         "small": {"A": [[-1]], "B": [[1]], "C": [[0.1]], "D": [[0]]},
+        # lightly damped: the poles -0.001 +/- j lie inside a 1e-2 axis band
+        "damped": {"A": [[-0.001, 1], [-1, -0.001]], "B": [[0], [1]], "C": [[1, 0]],
+                   "D": [[0]]},
     },
 }
 
@@ -151,6 +154,23 @@ class TestTolerancesReachTheRoutes:
         assert certify["points_ill_conditioned"] > 0
         assert analyze["points_ill_conditioned"] == certify["points_ill_conditioned"]
 
+
+    def test_tol_axis_reaches_certify_strictness(self, system_file, capsys):
+        assert main(["certify", system_file, "damped", "--property", "sni"]) == 0
+        capsys.readouterr()
+        code = main(["certify", system_file, "damped", "--property", "sni",
+                     "--tol-axis", "1e-2"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert report["results"]["frequency_sni"]["verdict"] == "NotNI"
+        assert report["results"]["lmi"]["verdict"] == "Certified"
+        assert report["results"]["lmi"]["strict"] is False
+
+    def test_tol_axis_reaches_analyze_strictness(self, system_file, capsys):
+        code = main(["analyze", system_file, "small", "damped", "--tol-axis", "1e-2"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert report["violated_hypotheses"] == ["controller_sni"]
 
     def test_tol_reaches_the_derivative_probes(self, tmp_path, capsys):
         # ||D1 D2|| = 1e-6 passes the feedthrough hypothesis at --tol 1e-5, not at 1e-8

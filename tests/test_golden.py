@@ -1,8 +1,8 @@
 """Golden CLI outputs: certify/analyze reports and CSV bytes stay as recorded.
 
 The references in tests/golden/ were written by tests/golden/make_golden.py.
-Each case runs in-process from a temporary copy of the golden system file, so
-the report's input path ("systems.json") and digest match the recording.
+Each case runs in-process from a temporary copy of the golden system files, so
+the report's input path and digest match the recording.
 Float fields carry 17 significant digits, so the references are tied to the
 numpy/LAPACK build they were recorded with.
 """
@@ -17,7 +17,7 @@ import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN))
-from make_golden import CASES, run_case  # noqa: E402
+from make_golden import CASES, SYSTEM_FILES, run_case  # noqa: E402
 
 DIGESTS = json.loads((GOLDEN / "digests.json").read_text())
 
@@ -25,7 +25,8 @@ DIGESTS = json.loads((GOLDEN / "digests.json").read_text())
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     work = tmp_path_factory.mktemp("golden")
-    shutil.copy(GOLDEN / "systems.json", work / "systems.json")
+    for fname in SYSTEM_FILES:
+        shutil.copy(GOLDEN / fname, work / fname)
     return work
 
 

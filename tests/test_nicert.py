@@ -21,12 +21,13 @@ from nistab import (
 )
 from nistab.exceptions import (
     AsymmetricDError,
+    GenerationFailedError,
     NearPoleError,
     NotCertifiedError,
     SingularAError,
 )
 from nistab.linalg import min_singular_value
-from nistab.nicert import certificate_from_y
+from nistab.nicert import _smat, _svec, _sym_maps, certificate_from_y
 
 GRID = FrequencyGrid(points=120)
 
@@ -232,6 +233,42 @@ class TestLmiCertificate:
         assert fact == pytest.approx(cert.factor_residual, abs=1e-12)
 
 
+def notch(w0, zeta=1e-4):
+    """1/(s+1) - k s/(s^2 + 2 zeta w0 s + w0^2): not NI, with a narrow dip near w0."""
+    k = (2 * w0 / (1 + w0**2) + 1.0) * 2 * zeta * w0
+    return StateSpace([[-1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -w0**2, -2 * zeta * w0]],
+                      [[1.0], [0.0], [1.0]], [[1.0, 0.0, -k]], [[0.0]])
+
+
+class TestDrIteration:
+    def test_one_stacked_call_per_half_step(self, monkeypatch):
+        # each iteration: one eigh for both cone blocks, one eigvalsh for both
+        # residual spectra; the final residual check adds one eigvalsh
+        counts = {"eigh": 0, "eigvalsh": 0}
+        for name in counts:
+            def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        cert = lmi_ni_certificate(notch(3.3))
+        assert cert.verdict is CertStatus.INFEASIBLE
+        assert counts == {"eigh": cert.iterations, "eigvalsh": cert.iterations + 1}
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_index_maps_are_stacked_smat_and_svec(self, n):
+        gather, div, scatter, mult = _sym_maps(n)
+        nsym = n * (n + 1) // 2
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            z = rng.standard_normal(2 * nsym) * 10.0 ** rng.uniform(-8, 8, 2 * nsym)
+            assert np.array_equal(z[gather] / div,
+                                  np.stack([_smat(z[:nsym], n), _smat(z[nsym:], n)]))
+            # not symmetric: _svec reads the upper triangle, and so must the map
+            M = rng.standard_normal((2, n, n))
+            assert np.array_equal(M.reshape(-1)[scatter] * mult,
+                                  np.concatenate([_svec(M[0], n), _svec(M[1], n)]))
+
+
 class TestSniRankCondition:
     def test_matches_explicit_pencil(self, ctrl_half):
         cert = lmi_ni_certificate(ctrl_half)
@@ -396,6 +433,13 @@ class TestRandomNiSystem:
             sys, cert = random_ni_system(seed, 3, 1, strict=True)
             assert cert.strict
             assert freq_sni_test(frequency_response(sys, GRID)).verdict is Verdict.SNI
+
+    def test_strict_with_more_inputs_than_states_fails_before_drawing(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("random_ni_system drew a system")
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(GenerationFailedError, match="L has at most n rows"):
+            random_ni_system(5, 1, 3, strict=True)
 
     def test_by_construction_certificate_is_valid(self):
         sys, cert = random_ni_system(9, 4, 2, with_feedthrough=True)
