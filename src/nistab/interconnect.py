@@ -94,17 +94,26 @@ def _check_dims(plant: StateSpace, controller: StateSpace) -> None:
         )
 
 
+def _feedthrough_product(plant: StateSpace, controller: StateSpace) -> tuple[float, float]:
+    """||D1 @ D2|| and the scale max(1, ||D1|| ||D2||) its hypothesis is judged by."""
+    D1, D2 = plant.D, controller.D
+    return (float(np.linalg.norm(D1 @ D2, "fro")),
+            max(1.0, float(np.linalg.norm(D1, "fro")) * float(np.linalg.norm(D2, "fro"))))
+
+
 def closed_loop(plant: StateSpace, controller: StateSpace,
-                tol: float = DEFAULT_TOL) -> ClosedLoop:
+                tol: float = DEFAULT_TOL,
+                product: tuple[float, float] | None = None) -> ClosedLoop:
     """Assemble the closed-loop matrix for the positive-feedback loop.
 
     Requires the feedthrough hypothesis ||D1 @ D2|| <= tol, under which the
     loop is automatically well posed and the block formula is exact.
+    ``product`` is ``_feedthrough_product(plant, controller)`` when the caller
+    already holds it.
     """
     _check_dims(plant, controller)
     D1, D2 = plant.D, controller.D
-    dd = float(np.linalg.norm(D1 @ D2, "fro"))
-    scale = max(1.0, float(np.linalg.norm(D1, "fro")) * float(np.linalg.norm(D2, "fro")))
+    dd, scale = product or _feedthrough_product(plant, controller)
     if dd > tol * scale:
         raise FeedthroughError(
             f"||D1 @ D2|| = {dd:.3e} violates the zero feedthrough-product hypothesis"
@@ -192,9 +201,8 @@ def analyze(plant: StateSpace, controller: StateSpace,
         record("controller_sni", False, str(exc))
     controller_freq = freq_sni_test(frequency_response(controller, grid, tol_axis, tol_pole), tol)
 
-    dd = float(np.linalg.norm(plant.D @ controller.D, "fro"))
-    dd_scale = max(1.0, float(np.linalg.norm(plant.D, "fro"))
-                   * float(np.linalg.norm(controller.D, "fro")))
+    product = _feedthrough_product(plant, controller)
+    dd, dd_scale = product
     record("feedthrough_product_zero", dd <= tol * dd_scale, f"||D1 @ D2|| = {dd:.3e}")
 
     h_inf_min = min_eig_sym(controller.D)
@@ -217,7 +225,7 @@ def analyze(plant: StateSpace, controller: StateSpace,
     margin = float("nan")
     spectrum_class = None
     try:
-        cl = closed_loop(plant, controller, tol)
+        cl = closed_loop(plant, controller, tol, product)
         band = hurwitz_tol * max(1.0, float(np.linalg.norm(cl.A_cl, 2)))
         max_re = float(cl.eigenvalues.real.max())
         margin = -max_re

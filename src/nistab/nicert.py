@@ -20,10 +20,22 @@ its nullspace) and the product of PSD cones {Y - eps I >= 0} x
 a least-squares map back to the family.  The candidate checked each
 iteration is the shadow point: the cone projection pulled back to the
 family.  The search stops Certified when the shadow point meets all three
-conditions, Infeasible when the best residual gap of a stall window fails to
-improve on the previous window's, and MaxIterations at the iteration limit.
-Each cone projection is one stacked eigendecomposition of both blocks, and
-each residual check one stacked eigenvalue call on A Y + Y A^T and Y.
+conditions.  It stops Infeasible at a Farkas witness: w = pc - proj(pc), the
+cone point minus its projection onto the family, is orthogonal to every free
+direction, and with its smat blocks (Z_Y, Z_W) of w/||w||, lambda_min their
+smallest eigenvalue and s = <w, f0 - floors>/||w||, the exit needs s < 0 and
+s <= min(0, lambda_min) R with R = max(1, ||f0||)/sqrt(tol).  Then no point
+of the relaxed cone sets with shifted trace up to R lies in the family.  To
+re-check (Z_Y, Z_W) from (A, B, C): Z_Y - (A^T Z_W + Z_W A) annihilates every
+symmetric N with N C^T = 0, and at any symmetric Y with Y C^T = -A^{-1} B,
+<Z_Y, Y - eps/2 I> + <Z_W, -(A Y + Y A^T) + tol_lyap/2 I> = s (eps and
+tol_lyap as in lmi_ni_certificate).  Failing that, it stops Infeasible when
+the best residual gap of a stall window fails to improve on the previous
+window's, and MaxIterations at the iteration limit.  ``infeasibility_witness``
+is (n, m) for a coupling equation with no symmetric solution and (2, n, n)
+for a Farkas pair.  Each cone projection is one stacked eigendecomposition
+of both blocks, and each residual check one stacked eigenvalue call on
+A Y + Y A^T, Y and the witness blocks.
 """
 
 from __future__ import annotations
@@ -367,8 +379,10 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None) -> NI
     On success the certificate carries P = Y^{-1}, the factor L with
     L^T L = -(A Y + Y A^T), and the three residuals that make it checkable
     by direct matrix arithmetic.  An empty affine constraint set yields an
-    ``Infeasible`` verdict with a separating-functional witness; otherwise
-    infeasibility is declared when the projection gap stagnates.
+    ``Infeasible`` verdict with a separating-functional witness (n, m); a
+    Farkas pair (2, n, n) that separates the family from the cone sets does
+    too, and failing both infeasibility is declared when the projection gap
+    stagnates.
     """
     opts = opts or SolverOptions()
     tol = opts.tol
@@ -459,16 +473,26 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None) -> NI
 
     scale_b = max(1.0, float(np.linalg.norm(B, "fro")))
 
-    def residuals(Y):
-        eig_lyap, eig_y = np.linalg.eigvalsh(np.stack([lyap(Y), Y]))
-        lyap_min = float(-eig_lyap.max())
-        y_min = float(eig_y.min())
+    def residuals(Y, blocks=()):
+        # the witness blocks ride in the same stacked eigenvalue call
+        eigs = np.linalg.eigvalsh(np.stack([lyap(Y), Y, *blocks]))
+        lyap_min = float(-eigs[0].max())
+        y_min = float(eigs[1].min())
         coupling = float(np.linalg.norm(B + A @ Y @ C.T, "fro"))
         gap = (max(0.0, -lyap_min) / max(1.0, norm_a)
                + max(0.0, eps / 2 - y_min)
                + coupling / scale_b)
         ok = lyap_min >= -tol_lyap and y_min >= eps / 2 and coupling <= tol * scale_b
-        return lyap_min, y_min, coupling, gap, ok
+        return lyap_min, y_min, coupling, gap, ok, eigs[2:]
+
+    # Farkas exit: w = pc - proj_affine(pc) is orthogonal to every free
+    # direction, so <w, f> = <w, f0> on the whole family, while on the relaxed
+    # cone sets <w, a> >= <w, floors> + min(0, lambda_min(w)) tr(a - floors).
+    # A separation s = <w, f0 - floors>/||w|| below min(0, lambda_min) R, with
+    # lambda_min that of w/||w||, thus rules out every point of the sets with
+    # shifted trace up to R
+    slack = f0 - embed(floors[0, 0] * eye, floors[1, 0] * eye)
+    radius = max(1.0, float(np.linalg.norm(f0))) / np.sqrt(tol)
 
     # Douglas-Rachford splitting between the affine family and the product
     # cone; the shadow point (cone projection pulled back to the family) is
@@ -483,16 +507,29 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None) -> NI
     prev_window_best = np.inf
     status = CertStatus.MAX_ITERATIONS
     Y = make_y(np.zeros(dim_free))
+    res = witness = None
     iterations = opts.max_iterations
     for it in range(1, opts.max_iterations + 1):
         pc = psd_clamp(z)
         pa = proj_affine(2 * pc - z)
         z = z + opts.step * (pa - pc)
-        theta = pinv_g @ (pc - f0)
+        shift = pc - f0
+        theta = pinv_g @ shift
         Y = make_y(theta)
-        lyap_min, y_min, coupling, gap, ok = residuals(Y)
+        w = shift - Gmap @ theta
+        wn = w / (np.linalg.norm(w) or 1.0)
+        sep = float(wn @ slack)
+        # only a negative separation can prove anything
+        blocks = wn[gather] / div if sep < 0 else ()
+        res = residuals(Y, blocks)
+        _, _, _, gap, ok, eig_w = res
         if ok:
             status = CertStatus.CERTIFIED
+            iterations = it
+            break
+        if sep < 0 and sep <= min(0.0, float(eig_w.min())) * radius:
+            status = CertStatus.INFEASIBLE
+            witness = blocks
             iterations = it
             break
         window_best = min(window_best, gap)
@@ -505,14 +542,15 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None) -> NI
             prev_window_best = window_best
             window_best = np.inf
 
-    lyap_min, y_min, coupling, gap, ok = residuals(Y)
     if status is not CertStatus.CERTIFIED:
+        lyap_min, _, coupling, *_ = res or residuals(Y)
         return NICertificate(
             verdict=status,
             Y=Y,
             lyap_residual=lyap_min,
             coupling_residual=coupling,
             iterations=iterations,
+            infeasibility_witness=witness,
             system_label=sys.label,
         )
     return _assemble_certificate(sys, Y, iterations, tol)
@@ -526,7 +564,8 @@ def _assemble_certificate(sys: StateSpace, Y: np.ndarray, iterations: int,
     W = (W + W.T) / 2
     # same eigendecomposition square root as psd_factor, with the clamp band
     # widened to the solver's certified tolerance (relative to ||A||)
-    thr = tol * max(1.0, float(np.linalg.norm(A, 2)), float(np.abs(np.linalg.eigvalsh(W)).max()))
+    eig_w = np.linalg.eigvalsh(W)
+    thr = tol * max(1.0, float(np.linalg.norm(A, 2)), float(np.abs(eig_w).max()))
     w, U = np.linalg.eigh(W)
     keep = w > thr
     L = np.sqrt(w[keep])[:, np.newaxis] * U[:, keep].T
@@ -537,7 +576,7 @@ def _assemble_certificate(sys: StateSpace, Y: np.ndarray, iterations: int,
         P=P,
         Y=Y,
         L=L,
-        lyap_residual=float(np.linalg.eigvalsh(W).min()),
+        lyap_residual=float(eig_w.min()),
         coupling_residual=float(np.linalg.norm(sys.B + A @ Y @ sys.C.T, "fro")),
         factor_residual=float(np.linalg.norm(L.T @ L + A @ Y + Y @ A.T, "fro")),
         iterations=iterations,

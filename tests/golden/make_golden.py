@@ -2,16 +2,18 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/golden/make_golden.py
+    PYTHONPATH=src python tests/golden/make_golden.py [CASE ...]
 
-It writes ``systems.json`` (the tests/test_cli.py fixture systems plus one
-random SNI draw with feedthrough), ``dr_exits.json`` (four systems that are
-not NI: two negated random draws and two lightly damped notch systems), one
-report per case in ``reports/``,
-and ``digests.json`` with the exit code of every case and the SHA-256 of
-every CSV it writes.  The reports
-are byte-level references: regenerate them only for a change that is meant
-to alter report or CSV bytes, and say so in the change log.
+With no argument it writes ``systems.json`` (the tests/test_cli.py fixture
+systems plus one random SNI draw with feedthrough), ``dr_exits.json`` (four
+systems that are not NI: two negated random draws and two lightly damped
+notch systems), one report per case in ``reports/``, and ``digests.json``
+with the exit code of every case and the SHA-256 of every CSV it writes.
+Named cases regenerate only those cases' reports and ``digests.json``
+entries; the system files and every other reference stay as they are.  The
+reports are byte-level references: regenerate them only for a change that is
+meant to alter report or CSV bytes, name the cases, and say so in the change
+log.
 """
 
 from __future__ import annotations
@@ -57,12 +59,15 @@ CASES.update({
     "simulate-first_order-ctrl_two": ["simulate", "first_order", "ctrl_two", "--x0=1,-0.5",
                                       "--out", "{csv}"],
     "simulate-osc-ctrl_half-zero": ["simulate", "osc", "ctrl_half", "--out", "{csv}"],
-    # the two non-certified exits of the DR certificate search: the stall exit
-    # (Infeasible after 400 iterations) and the iteration limit (MaxIterations)
+    # the three non-certified exits of the DR certificate search: the Farkas
+    # witness exit (neg_rand6, Infeasible after 10 iterations), the stall exit
+    # (notch3, Infeasible after 400) and the iteration limit (notch57,
+    # MaxIterations after 5,000)
     "certify-ni-neg_rand6": ["certify", "neg_rand6", "--property", "ni"],
     "certify-sni-notch3": ["certify", "notch3", "--property", "sni"],
     "certify-sni-notch57": ["certify", "notch57", "--property", "sni"],
-    # n = 20: the DR update of Y sums its 170 null-space terms in several blocks
+    # n = 20: the DR update of Y sums its 170 null-space terms in several
+    # blocks; the witness exit fires after 384 iterations
     "certify-ni-neg_rand20": ["certify", "neg_rand20", "--property", "ni"],
 })
 
@@ -142,27 +147,35 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def main() -> int:
-    for fname, payload in SYSTEM_FILES.items():
-        (HERE / fname).write_text(json.dumps(payload(), indent=1) + "\n")
+def main(names: list[str]) -> int:
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        print(f"unknown case(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    if names:
+        digests = json.loads((HERE / "digests.json").read_text())
+    else:
+        names, digests = list(CASES), {}
+        for fname, payload in SYSTEM_FILES.items():
+            (HERE / fname).write_text(json.dumps(payload(), indent=1) + "\n")
     reports = HERE / "reports"
     reports.mkdir(exist_ok=True)
-    digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for fname in SYSTEM_FILES:
             (work / fname).write_bytes((HERE / fname).read_bytes())
-        for name, argv in CASES.items():
-            code, report, csv = run_case(argv, work)
+        for name in names:
+            code, report, csv = run_case(CASES[name], work)
             entry = {"exit_code": code}
             if report:
                 (reports / f"{name}.json").write_text(report, encoding="utf-8")
             if csv is not None:
                 entry["csv_sha256"] = sha256(csv)
             digests[name] = entry
+    digests = {name: digests[name] for name in CASES if name in digests}
     (HERE / "digests.json").write_text(json.dumps(digests, indent=1) + "\n")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

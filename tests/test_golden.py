@@ -42,3 +42,31 @@ def test_golden_case(name, workdir):
         assert report == ""
     if "csv_sha256" in expected:
         assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == expected["csv_sha256"]
+
+
+def test_named_cases_regenerate_alone(tmp_path, monkeypatch, capsys):
+    import make_golden
+
+    copy = tmp_path / "golden"
+    shutil.copytree(GOLDEN, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    named, other = "certify-ni-s_over", "certify-ni-osc"
+    digests = json.loads((copy / "digests.json").read_text())
+    for name in (named, other):
+        (copy / "reports" / f"{name}.json").write_text("stale\n")
+        digests[name]["exit_code"] = 99
+    (copy / "digests.json").write_text(json.dumps(digests, indent=1) + "\n")
+    before = {p.relative_to(copy): p.read_bytes() for p in copy.rglob("*") if p.is_file()}
+    monkeypatch.setattr(make_golden, "HERE", copy)
+    assert make_golden.main([named]) == 0
+    after = {p.relative_to(copy): p.read_bytes() for p in copy.rglob("*") if p.is_file()}
+    assert after.keys() == before.keys()
+    assert {p for p in after if after[p] != before[p]} == {
+        Path("reports") / f"{named}.json", Path("digests.json")}
+    assert after[Path("reports") / f"{named}.json"] == (
+        GOLDEN / "reports" / f"{named}.json").read_bytes()
+    regenerated = json.loads(after[Path("digests.json")])
+    assert list(regenerated) == list(CASES)
+    assert regenerated[named] == DIGESTS[named]
+    assert regenerated[other]["exit_code"] == 99
+    assert make_golden.main(["no-such-case"]) == 2
+    assert "no-such-case" in capsys.readouterr().err

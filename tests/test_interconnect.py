@@ -45,6 +45,24 @@ class TestClosedLoop:
             closed_loop(osc, c)
 
 
+class TestFeedthroughProductOnce:
+    def test_analyze_computes_the_product_once(self, osc, ctrl_half, monkeypatch):
+        import nistab.interconnect
+
+        calls = []
+        real = nistab.interconnect._feedthrough_product
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(nistab.interconnect, "_feedthrough_product", counted)
+        result = analyze(osc, ctrl_half, grid=GRID)
+        assert len(calls) == 1
+        assert result.closed_loop.dd_product_norm == 0.0
+        assert result.hypotheses["feedthrough_product_zero"]["satisfied"]
+
+
 class TestDcGainCondition:
     def test_holds(self, osc, ctrl_half):
         lam, holds = dc_gain_condition(osc, ctrl_half)

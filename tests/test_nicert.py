@@ -6,6 +6,7 @@ import pytest
 from nistab import (
     CertStatus,
     FrequencyGrid,
+    SolverOptions,
     StateSpace,
     Verdict,
     eval_tf,
@@ -187,8 +188,13 @@ class TestLmiCertificate:
         cert = lmi_ni_certificate(sys)
         assert cert.verdict is CertStatus.INFEASIBLE
         # the coupling equation forces Y = -1, so the affine set itself is
-        # feasible and no separating witness is available
-        assert cert.infeasibility_witness is None
+        # solvable; the witness is a Farkas pair (Z_Y, Z_W) of unit norm, here
+        # both positive, found in the first iteration
+        assert cert.iterations == 1
+        witness = cert.infeasibility_witness
+        assert witness.shape == (2, 1, 1)
+        assert np.all(witness > 0)
+        assert float(np.sum(witness ** 2)) == pytest.approx(1.0, rel=1e-12)
 
     def test_affine_infeasible_with_witness(self):
         # A = -I, C = I force Y = -A^{-1}B = B, which is not symmetric here
@@ -197,7 +203,7 @@ class TestLmiCertificate:
         cert = lmi_ni_certificate(sys)
         assert cert.verdict is CertStatus.INFEASIBLE
         witness = cert.infeasibility_witness
-        assert witness is not None
+        assert witness.shape == (sys.n, sys.m)
         # separating functional: <witness, Y C' - V> is a fixed positive
         # number for every symmetric Y
         V = -np.linalg.solve(sys.A, sys.B)
@@ -241,18 +247,31 @@ def notch(w0, zeta=1e-4):
 
 
 class TestDrIteration:
-    def test_one_stacked_call_per_half_step(self, monkeypatch):
-        # each iteration: one eigh for both cone blocks, one eigvalsh for both
-        # residual spectra; the final residual check adds one eigvalsh
+    @staticmethod
+    def count_eig_calls(monkeypatch):
         counts = {"eigh": 0, "eigvalsh": 0}
         for name in counts:
             def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
                 counts[_name] += 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
+        return counts
+
+    def test_one_stacked_call_per_half_step(self, monkeypatch):
+        # each iteration: one eigh for both cone blocks, one eigvalsh for both
+        # residual spectra and the witness blocks; the exit reuses the last check
+        counts = self.count_eig_calls(monkeypatch)
         cert = lmi_ni_certificate(notch(3.3))
         assert cert.verdict is CertStatus.INFEASIBLE
-        assert counts == {"eigh": cert.iterations, "eigvalsh": cert.iterations + 1}
+        assert counts == {"eigh": cert.iterations, "eigvalsh": cert.iterations}
+
+    def test_residuals_checked_once_without_iterations(self, monkeypatch):
+        counts = self.count_eig_calls(monkeypatch)
+        cert = lmi_ni_certificate(notch(3.3), SolverOptions(max_iterations=0))
+        assert cert.verdict is CertStatus.MAX_ITERATIONS
+        assert cert.iterations == 0
+        assert np.isfinite(cert.lyap_residual) and np.isfinite(cert.coupling_residual)
+        assert counts == {"eigh": 0, "eigvalsh": 1}
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_index_maps_are_stacked_smat_and_svec(self, n):
@@ -267,6 +286,119 @@ class TestDrIteration:
             M = rng.standard_normal((2, n, n))
             assert np.array_equal(M.reshape(-1)[scatter] * mult,
                                   np.concatenate([_svec(M[0], n), _svec(M[1], n)]))
+
+
+def _sym_basis(n):
+    """Orthonormal basis of the symmetric n x n matrices (Frobenius product)."""
+    out = []
+    for i in range(n):
+        for j in range(i, n):
+            E = np.zeros((n, n))
+            E[i, j] = E[j, i] = 1.0 if i == j else 1 / np.sqrt(2)
+            out.append(E)
+    return np.array(out)
+
+
+def recheck_farkas_witness(sys, witness, tol=1e-8, eps_scale=1e-6):
+    """Re-check a (Z_Y, Z_W) witness in matrix form from (A, B, C) alone.
+
+    Returns the largest |<Z_Y - (A' Z_W + Z_W A), N>| over a basis of the
+    symmetric N with N C' = 0, the separation s at the least-squares Y with
+    Y C' = -A^-1 B, lambda_min over both blocks and the radius R."""
+    A, B, C = sys.A, sys.B, sys.C
+    n = sys.n
+    basis = _sym_basis(n)
+    K = np.stack([(E @ C.T).ravel() for E in basis], axis=1)
+    _, sv, Vt = np.linalg.svd(K)
+    rank = int(np.sum(sv > 1e-12 * sv[0]))
+    null = np.tensordot(Vt[rank:], basis, axes=1)
+    Z_Y, Z_W = witness
+    M = Z_Y - (A.T @ Z_W + Z_W @ A)
+    orth = float(np.abs(np.einsum("kij,ij->k", null, M)).max(initial=0.0))
+    Y0 = np.tensordot(np.linalg.lstsq(K, (-np.linalg.solve(A, B)).ravel(), rcond=None)[0],
+                      basis, axes=1)
+    norm_a = float(np.linalg.norm(A, 2))
+    eps, tol_lyap = eps_scale / max(1.0, norm_a), tol * max(1.0, norm_a)
+    W0 = -(A @ Y0 + Y0 @ A.T)
+    eye = np.eye(n)
+    # <Z, f0 - floors>: the floors are Y >= eps/2 I and W >= -tol_lyap/2 I
+    sep = float(np.sum(Z_Y * (Y0 - eps / 2 * eye)) + np.sum(Z_W * (W0 + tol_lyap / 2 * eye)))
+    lam = float(min(np.linalg.eigvalsh(Z_Y).min(), np.linalg.eigvalsh(Z_W).min()))
+    radius = max(1.0, float(np.sqrt(np.sum((Y0 - eps * eye) ** 2) + np.sum(W0 ** 2)))) / np.sqrt(tol)
+    return orth, sep, lam, radius
+
+
+def negated(sys):
+    return StateSpace(sys.A, sys.B, -sys.C, -sys.D, label=f"-{sys.label}")
+
+
+class TestInfeasibilityWitness:
+    def check(self, sys, cert):
+        assert cert.verdict is CertStatus.INFEASIBLE
+        witness = cert.infeasibility_witness
+        assert witness.shape == (2, sys.n, sys.n)
+        np.testing.assert_array_equal(witness, witness.swapaxes(-1, -2))
+        assert float(np.sum(witness ** 2)) == pytest.approx(1.0, rel=1e-12)
+        orth, sep, lam, radius = recheck_farkas_witness(sys, witness)
+        assert orth <= 1e-12 * max(1.0, float(np.linalg.norm(sys.A, 2)))
+        assert sep < 0
+        assert sep <= min(0.0, lam) * radius
+
+    def test_s_over(self, s_over):
+        cert = lmi_ni_certificate(s_over)
+        assert cert.iterations == 1
+        self.check(s_over, cert)
+
+    def test_neg_rand6(self):
+        rand6, _ = random_ni_system(6, 6, 2, strict=True, with_feedthrough=True)
+        sys = negated(rand6)
+        cert = lmi_ni_certificate(sys)
+        assert cert.iterations == 10
+        self.check(sys, cert)
+
+    def test_negated_draws(self):
+        # n = 1..12, with and without D; two of the 24 draws end at the stall exit
+        exits = []
+        for k in range(24):
+            n = 1 + k % 12
+            g, _ = random_ni_system(300 + k, n, min(n, 1 + k % 3), with_feedthrough=k % 2 == 1)
+            sys = negated(g)
+            cert = lmi_ni_certificate(sys)
+            if cert.infeasibility_witness is None:
+                assert cert.verdict is CertStatus.INFEASIBLE
+                exits.append(("stall", cert.iterations))
+                continue
+            self.check(sys, cert)
+            exits.append(("witness", cert.iterations))
+        assert [k for k, (kind, _) in enumerate(exits) if kind == "stall"] == [6, 9]
+        assert all(its < 400 for kind, its in exits if kind == "witness")
+
+
+class TestNoFalseWitnessExit:
+    # random_ni_system draws (seed, n, m, strict, with_feedthrough) and the
+    # iteration counts of their Certified exits, recorded before the witness
+    # exit existed, for alpha G with alpha = 1e-3, 1, 1e3 at tol 1e-8 and 1e-2
+    CASES = [
+        ((401, 1, 1, False, False), [1, 1, 1, 1, 1, 1]),
+        ((401, 3, 2, True, True), [4, 2, 4, 4, 4, 4]),
+        ((402, 5, 1, False, True), [4, 6, 4, 4, 4, 4]),
+        ((403, 8, 2, True, False), [6, 7, 6, 5, 6, 6]),
+        ((404, 10, 3, False, False), [5, 7, 5, 4, 5, 5]),
+        ((405, 12, 2, True, True), [6, 8, 6, 4, 6, 6]),
+    ]
+
+    @pytest.mark.parametrize("draw, iterations", CASES)
+    def test_feasible_draws_still_certify(self, draw, iterations):
+        seed, n, m, strict, feedthrough = draw
+        g, _ = random_ni_system(seed, n, m, strict=strict, with_feedthrough=feedthrough)
+        got = []
+        for alpha in (1e-3, 1.0, 1e3):
+            for tol in (1e-8, 1e-2):
+                sys = StateSpace(g.A, alpha * g.B, g.C, alpha * g.D)
+                cert = lmi_ni_certificate(sys, SolverOptions(tol=tol))
+                assert cert.verdict is CertStatus.CERTIFIED
+                got.append(cert.iterations)
+        assert got == iterations
 
 
 class TestSniRankCondition:
