@@ -10,7 +10,9 @@ Reports are JSON written to stdout (or --out) with fixed field order and
 17-significant-digit floats, so identical inputs produce byte-identical
 output; NaN/inf are emitted as null.  Exit codes partition outcomes:
 0 success, 1 property or hypothesis failure, 2 input parse failure,
-3 usage or dimension failure.
+3 usage or dimension failure.  Flags are checked before any file is read:
+a tolerance, ``--t-final`` or ``--dt`` that is not finite and positive, a
+``--t-final`` shorter than ``--dt``, or grid flags that make no grid, exit 3.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .exceptions import DimensionError, FeedthroughError, NIStabError
-from .interconnect import Stability, analyze
+from .interconnect import Stability, analyze, check_hypotheses
 from .linalg import DEFAULT_TOL
 from .lyapunov import block_gram, dissipation_integral_check, worst_derivative_residual
 from .nicert import (
@@ -372,19 +374,18 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.t_final < args.dt:
+        print("error: need t_final >= dt > 0", file=sys.stderr)
+        return EXIT_USAGE
     systems, digest = load_system_file(args.file)
     for name in (args.plant, args.controller):
         if name not in systems:
             print(f"error: system {name!r} not found in {args.file}", file=sys.stderr)
             return EXIT_USAGE
     plant, controller = systems[args.plant], systems[args.controller]
-    if args.t_final <= 0 or args.dt <= 0 or args.t_final < args.dt:
-        print("error: need t_final >= dt > 0", file=sys.stderr)
-        return EXIT_USAGE
 
-    outcome = analyze(plant, controller, grid=_grid_from_args(args), tol=args.tol,
-                      tol_axis=args.tol_axis, tol_pole=args.tol_pole,
-                      hurwitz_tol=args.tol_hurwitz)
+    outcome = check_hypotheses(plant, controller, grid=_grid_from_args(args), tol=args.tol,
+                               tol_axis=args.tol_axis, hurwitz_tol=args.tol_hurwitz)
     for name in outcome.verdict.violated_hypotheses:
         print(f"warning: hypothesis {name} violated: "
               f"{outcome.hypotheses[name]['detail']}", file=sys.stderr)
@@ -442,6 +443,13 @@ def cmd_selftest(args) -> int:
 # argument parsing
 
 
+def _finite_positive(text: str) -> float:
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="write the report/CSV here instead of stdout")
     parser.add_argument("--timestamps", action="store_true",
@@ -455,15 +463,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     grid.add_argument("--exclusion-radius", type=float, default=1e-2,
                       help="relative radius skipped around imaginary-axis poles")
     tols = parser.add_argument_group("tolerances")
-    tols.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    tols.add_argument("--tol", type=_finite_positive, default=DEFAULT_TOL,
                       help="general numerical tolerance (default 1e-8)")
-    tols.add_argument("--tol-axis", type=float, default=TOL_AXIS,
+    tols.add_argument("--tol-axis", type=_finite_positive, default=TOL_AXIS,
                       help="imaginary-axis pole band (default 1e-7)")
-    tols.add_argument("--tol-pole", type=float, default=TOL_POLE,
+    tols.add_argument("--tol-pole", type=_finite_positive, default=TOL_POLE,
                       help="resolvent evaluation guard (default 1e-12)")
-    tols.add_argument("--tol-hurwitz", type=float, default=1e-8,
+    tols.add_argument("--tol-hurwitz", type=_finite_positive, default=1e-8,
                       help="closed-loop stability band (default 1e-8)")
-    tols.add_argument("--tol-int", type=float, default=1e-6,
+    tols.add_argument("--tol-int", type=_finite_positive, default=1e-6,
                       help="dissipation integral slack (default 1e-6)")
 
 
@@ -498,8 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     simp.add_argument("plant")
     simp.add_argument("controller")
     simp.add_argument("--x0", help="comma-separated initial state (default zeros)")
-    simp.add_argument("--t-final", type=float, default=50.0)
-    simp.add_argument("--dt", type=float, default=1e-2)
+    simp.add_argument("--t-final", type=_finite_positive, default=50.0)
+    simp.add_argument("--dt", type=_finite_positive, default=1e-2)
     simp.add_argument("--method", choices=("expm_exact", "rk4"), default="expm_exact")
     _add_common(simp)
     simp.set_defaults(func=cmd_simulate)
@@ -527,6 +535,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; remap to the usage code unless --version/-h
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    if args.command != "selftest":
+        try:
+            _grid_from_args(args)
+        except ValueError as exc:
+            print(f"error: invalid frequency grid: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -6,17 +6,19 @@ well) the closed-loop state matrix is
 
     A_cl = [[A1 + B1 D2 C1, B1 C2], [B2 C1, A2 + B2 D1 C2]]
 
-and internal stability is decided by its spectrum.  ``analyze`` checks every
-stability hypothesis (plant NI, controller SNI, feedthrough product,
-controller feedthrough PSD, DC-gain condition) and always reports the
-closed-loop spectrum as ground truth, so hypothesis violations can be
-compared against the actual behaviour.
+and internal stability is decided by its spectrum.  ``check_hypotheses``
+checks every stability hypothesis (plant NI, controller SNI, feedthrough
+product, controller feedthrough PSD, DC-gain condition) and always reports
+the closed-loop spectrum as ground truth, so hypothesis violations can be
+compared against the actual behaviour.  ``analyze`` adds the frequency
+sweeps of both systems to that result, as a cross-check that the verdict
+does not read; ``simulate`` needs only the hypotheses and the closed loop.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,16 +77,20 @@ class StabilityVerdict:
 
 
 @dataclass
-class AnalysisResult:
+class LoopHypotheses:
     verdict: StabilityVerdict
     closed_loop: ClosedLoop | None
     hypotheses: dict
     lambda_max: float | None
     plant_certificate: NICertificate | None
     controller_certificate: NICertificate | None
+    warnings: list[str]
+
+
+@dataclass
+class AnalysisResult(LoopHypotheses):
     plant_freq: FrequencyReport
     controller_freq: FrequencyReport
-    warnings: list[str] = field(default_factory=list)
 
 
 def _check_dims(plant: StateSpace, controller: StateSpace) -> None:
@@ -151,19 +157,19 @@ def dc_gain_condition(plant: StateSpace, controller: StateSpace,
     return lam_max, bool(lam_max < 1.0 - tol)
 
 
-def analyze(plant: StateSpace, controller: StateSpace,
-            grid: FrequencyGrid | None = None,
-            tol: float = DEFAULT_TOL,
-            tol_axis: float = TOL_AXIS,
-            tol_pole: float = TOL_POLE,
-            hurwitz_tol: float = HURWITZ_TOL) -> AnalysisResult:
-    """Full stability pipeline for the positive-feedback interconnection.
+def check_hypotheses(plant: StateSpace, controller: StateSpace,
+                     grid: FrequencyGrid | None = None,
+                     tol: float = DEFAULT_TOL,
+                     tol_axis: float = TOL_AXIS,
+                     hurwitz_tol: float = HURWITZ_TOL) -> LoopHypotheses:
+    """Stability hypotheses and closed loop of the positive-feedback interconnection.
 
     Certifies the plant (NI) and controller (SNI, including the rank
-    condition), checks the feedthrough and DC-gain hypotheses, and computes
-    the closed-loop spectrum.  Nothing short-circuits: hypothesis violations
-    are collected, and the spectrum is still reported when it is computable,
-    so the prediction can be compared with the ground truth.
+    condition on ``grid``), checks the feedthrough and DC-gain hypotheses,
+    and computes the closed-loop spectrum.  Nothing short-circuits:
+    hypothesis violations are collected, and the spectrum is still reported
+    when it is computable, so the prediction can be compared with the ground
+    truth.
     """
     _check_dims(plant, controller)
     grid = grid or default_grid()
@@ -184,9 +190,6 @@ def analyze(plant: StateSpace, controller: StateSpace,
                f"certificate verdict {plant_cert.verdict.value}")
     except NIStabError as exc:
         record("plant_ni", False, str(exc))
-    plant_freq = freq_ni_test(frequency_response(plant, grid, tol_axis, tol_pole), tol)
-    if plant_cert is not None and plant_cert.certified and plant_freq.verdict is Verdict.NOT_NI:
-        notes.append("frequency sweep disagrees with the plant certificate; inspect the report")
 
     controller_cert: NICertificate | None = None
     try:
@@ -199,7 +202,6 @@ def analyze(plant: StateSpace, controller: StateSpace,
                f"rank-condition min sv {controller_cert.rank_condition_min_sv:.3e}")
     except NIStabError as exc:
         record("controller_sni", False, str(exc))
-    controller_freq = freq_sni_test(frequency_response(controller, grid, tol_axis, tol_pole), tol)
 
     product = _feedthrough_product(plant, controller)
     dd, dd_scale = product
@@ -244,14 +246,32 @@ def analyze(plant: StateSpace, controller: StateSpace,
         verdict = Stability.HYPOTHESIS_VIOLATED
     else:
         verdict = spectrum_class
-    return AnalysisResult(
+    return LoopHypotheses(
         verdict=StabilityVerdict(verdict, violated, margin),
         closed_loop=cl,
         hypotheses=hypotheses,
         lambda_max=lam_max,
         plant_certificate=plant_cert,
         controller_certificate=controller_cert,
-        plant_freq=plant_freq,
-        controller_freq=controller_freq,
         warnings=notes,
     )
+
+
+def analyze(plant: StateSpace, controller: StateSpace,
+            grid: FrequencyGrid | None = None,
+            tol: float = DEFAULT_TOL,
+            tol_axis: float = TOL_AXIS,
+            tol_pole: float = TOL_POLE,
+            hurwitz_tol: float = HURWITZ_TOL) -> AnalysisResult:
+    """``check_hypotheses`` plus the NI sweep of the plant and the SNI sweep
+    of the controller; a plant sweep that contradicts a plant certificate is
+    noted first among the warnings."""
+    grid = grid or default_grid()
+    checked = check_hypotheses(plant, controller, grid, tol, tol_axis, hurwitz_tol)
+    plant_freq = freq_ni_test(frequency_response(plant, grid, tol_axis, tol_pole), tol)
+    controller_freq = freq_sni_test(frequency_response(controller, grid, tol_axis, tol_pole), tol)
+    pc = checked.plant_certificate
+    if pc is not None and pc.certified and plant_freq.verdict is Verdict.NOT_NI:
+        checked.warnings.insert(
+            0, "frequency sweep disagrees with the plant certificate; inspect the report")
+    return AnalysisResult(**vars(checked), plant_freq=plant_freq, controller_freq=controller_freq)

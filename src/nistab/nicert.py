@@ -90,13 +90,13 @@ class FrequencyGrid:
     exclusion_radius: float = 1e-2
 
     def __post_init__(self):
-        if not (0 < self.omega_min < self.omega_max):
-            raise ValueError("need 0 < omega_min < omega_max")
+        if not (0 < self.omega_min < self.omega_max < np.inf):
+            raise ValueError("need 0 < omega_min < omega_max < inf")
         if self.points < 2:
             raise ValueError("need at least 2 grid points")
         if self.spacing not in ("logarithmic", "linear"):
             raise ValueError(f"unknown spacing {self.spacing!r}")
-        if self.exclusion_radius < 0:
+        if not self.exclusion_radius >= 0:
             raise ValueError("exclusion_radius must be nonnegative")
 
     def omegas(self) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .interconnect import Stability, analyze, closed_loop, dc_gain_condition
+from .interconnect import Stability, check_hypotheses, closed_loop, dc_gain_condition
 from .lyapunov import block_gram, gram_dc_equivalence, worst_derivative_residual
 from .nicert import (
     CertStatus,
@@ -174,7 +174,7 @@ def suite_stable_soundness(seed: int, cases: int) -> SuiteResult:
     for k in range(cases):
         sub_seed = int(rng.integers(0, 2**31))
         plant, _, ctrl, _ = random_certified_pair(sub_seed, float(rng.uniform(0.2, 0.95)))
-        outcome = analyze(plant, ctrl, grid=PROPERTY_GRID)
+        outcome = check_hypotheses(plant, ctrl, grid=PROPERTY_GRID)
         max_re = float(outcome.closed_loop.eigenvalues.real.max())
         if outcome.verdict.verdict is Stability.INTERNALLY_STABLE and max_re >= 0:
             res.failed += 1

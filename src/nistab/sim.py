@@ -38,15 +38,17 @@ def simulate(cl: ClosedLoop, x0: np.ndarray, t_final: float, dt: float = 1e-2,
              lyap_cert: LyapunovCertificate | None = None) -> SimulationTrace:
     """Propagate x' = A_cl x from x0 on a uniform grid of spacing dt.
 
-    ``expm_exact`` computes one matrix exponential and reuses it each step;
-    ``rk4`` takes four stage evaluations per step.  V and ||ytilde2||^2 are
-    NaN unless certificates are provided.  The loop outputs are solved once
-    for the whole trajectory, after propagation.
+    ``expm_exact`` computes one matrix exponential and applies it to each
+    state in place; ``rk4`` takes four stage evaluations per step.  V and
+    ||ytilde2||^2 are NaN unless certificates are provided.  The loop outputs
+    are solved once for the whole trajectory, after propagation.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = cl.n
     if x0.shape != (n,):
         raise DimensionError(f"x0 must have shape ({n},), got {x0.shape}")
+    if not (np.isfinite(t_final) and np.isfinite(dt)):
+        raise DimensionError("t_final and dt must be finite")
     if dt <= 0:
         raise DimensionError("dt must be positive")
     if t_final < dt:
@@ -61,11 +63,12 @@ def simulate(cl: ClosedLoop, x0: np.ndarray, t_final: float, dt: float = 1e-2,
 
     n1 = cl.plant.n
     A = cl.A_cl
+    X = np.empty((steps + 1, n))
+    X[0] = x0
     if method == "expm_exact":
         phi = matrix_exponential(A, dt)
-
-        def step(x):
-            return phi @ x
+        for k in range(steps):
+            np.dot(phi, X[k], out=X[k + 1])
     else:
         def step(x):
             k1 = A @ x
@@ -74,10 +77,8 @@ def simulate(cl: ClosedLoop, x0: np.ndarray, t_final: float, dt: float = 1e-2,
             k4 = A @ (x + dt * k3)
             return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    X = np.empty((steps + 1, n))
-    X[0] = x0
-    for k in range(steps):
-        X[k + 1] = step(X[k])
+        for k in range(steps):
+            X[k + 1] = step(X[k])
     state = make_state(cl.plant, cl.controller, X[:, :n1], X[:, n1:])
     V = (np.full(steps + 1, np.nan) if lyap_cert is None
          else quadratic_form(X, lyap_cert.Q))

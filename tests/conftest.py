@@ -55,6 +55,27 @@ def s_over_s2():
                       label="s-over-s2-plus-1")
 
 
+@pytest.fixture
+def frequency_response_calls(monkeypatch) -> list:
+    """Labels of the systems passed to ``frequency_response``, patched in every nistab
+    module that holds it."""
+    import nistab.cli
+    import nistab.interconnect
+    import nistab.nicert
+    import nistab.selftest
+
+    calls = []
+    real = nistab.nicert.frequency_response
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].label)
+        return real(*args, **kwargs)
+
+    for mod in (nistab.cli, nistab.interconnect, nistab.nicert, nistab.selftest):
+        monkeypatch.setattr(mod, "frequency_response", counted)
+    return calls
+
+
 def random_spd(rng, n, lo=0.5, hi=2.0):
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return Q @ np.diag(rng.uniform(lo, hi, n)) @ Q.T

@@ -287,6 +287,65 @@ class TestSimulate:
         assert "well posed" not in err
 
 
+class TestSimulateRunsNoSweep:
+    def test_frequency_response_calls(self, system_file, tmp_path, capsys,
+                                      frequency_response_calls):
+        calls = frequency_response_calls
+        assert main(["simulate", system_file, "osc", "ctrl_half", "--x0", "1,0,0",
+                     "--out", str(tmp_path / "trace.csv")]) == 0
+        assert calls == []
+        assert main(["analyze", system_file, "osc", "ctrl_half"]) == 0
+        assert calls == ["lossless plant", "ctrl_half"]
+        capsys.readouterr()
+
+
+class TestFlagsAreUsageErrors:
+    """Unusable flag values exit 3 before any file is read or analysis runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_loading(self, monkeypatch):
+        import nistab.cli
+
+        def fail(*args):
+            raise AssertionError("a system file was read")
+
+        monkeypatch.setattr(nistab.cli, "load_system_file", fail)
+
+    def test_t_final_below_dt(self, system_file, capsys):
+        assert main(["simulate", system_file, "osc", "ctrl_half",
+                     "--t-final", "1e-3", "--dt", "1e-2"]) == 3
+        assert capsys.readouterr().err == "error: need t_final >= dt > 0\n"
+
+    @pytest.mark.parametrize("flags", [["--t-final", "inf"], ["--t-final", "nan"],
+                                       ["--dt", "nan"], ["--dt", "inf"], ["--dt", "-1"]])
+    def test_non_finite_simulation_times(self, system_file, capsys, flags):
+        assert main(["simulate", system_file, "osc", "ctrl_half", *flags]) == 3
+        err = capsys.readouterr().err
+        assert "must be finite and positive" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [["--points", "1"], ["--wmin", "nan"],
+                                       ["--wmin", "10", "--wmax", "1"], ["--wmax", "inf"],
+                                       ["--exclusion-radius", "nan"]])
+    @pytest.mark.parametrize("command", [["certify", "osc"], ["analyze", "osc", "ctrl_half"],
+                                         ["simulate", "osc", "ctrl_half"]])
+    def test_grid_flags(self, system_file, capsys, command, flags):
+        assert main([command[0], system_file, *command[1:], *flags]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid frequency grid: ")
+        assert "invalid system file" not in err
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--tol", "--tol-axis", "--tol-pole", "--tol-hurwitz",
+                                      "--tol-int"])
+    def test_tolerance_flags(self, system_file, capsys, flag, value):
+        for command in (["certify", "ctrl_half", "--property", "sni"],
+                        ["analyze", "osc", "ctrl_half"], ["simulate", "osc", "ctrl_half"]):
+            assert main([command[0], system_file, *command[1:], f"{flag}={value}"]) == 3
+            err = capsys.readouterr().err
+            assert f"argument {flag}: must be finite and positive, got '{value}'" in err
+
+
 class TestOneStateStackPerRun:
     def test_make_state_and_closed_loop_calls(self, system_file, tmp_path, capsys,
                                               monkeypatch):

@@ -1,9 +1,12 @@
 """Closed-loop assembly, DC-gain condition, and the full stability pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from nistab import StateSpace, Stability, analyze, closed_loop, dc_gain_condition
+from nistab import (StateSpace, Stability, Verdict, analyze, check_hypotheses, closed_loop,
+                    dc_gain_condition)
 from nistab.exceptions import DimensionError, FeedthroughError, SingularAError
 from nistab.nicert import FrequencyGrid
 from nistab.selftest import random_certified_pair
@@ -61,6 +64,45 @@ class TestFeedthroughProductOnce:
         assert len(calls) == 1
         assert result.closed_loop.dd_product_norm == 0.0
         assert result.hypotheses["feedthrough_product_zero"]["satisfied"]
+
+
+class TestHypothesesWithoutSweeps:
+    def test_analyze_is_the_hypotheses_plus_two_sweeps(self, osc, ctrl_two,
+                                                       frequency_response_calls):
+        calls = frequency_response_calls
+        checked = check_hypotheses(osc, ctrl_two, grid=GRID)
+        assert calls == []
+        result = analyze(osc, ctrl_two, grid=GRID)
+        assert calls == ["osc", "ctrl-two"]
+        assert result.verdict == checked.verdict
+        assert result.hypotheses == checked.hypotheses
+        assert result.warnings == checked.warnings
+        assert result.lambda_max == checked.lambda_max
+        np.testing.assert_array_equal(result.closed_loop.A_cl, checked.closed_loop.A_cl)
+        assert result.plant_freq.verdict is Verdict.NI
+        assert result.controller_freq.verdict is Verdict.SNI
+
+    def test_sweep_disagreement_is_the_first_warning(self, osc, ctrl_half, monkeypatch):
+        import nistab.interconnect
+
+        real = nistab.interconnect.freq_ni_test
+
+        def not_ni(*args):
+            return dataclasses.replace(real(*args), verdict=Verdict.NOT_NI)
+
+        monkeypatch.setattr(nistab.interconnect, "freq_ni_test", not_ni)
+        checked = check_hypotheses(osc, ctrl_half, grid=GRID)
+        result = analyze(osc, ctrl_half, grid=GRID)
+        assert result.warnings[0].startswith("frequency sweep disagrees with the plant")
+        assert result.warnings[1:] == checked.warnings
+        assert result.verdict.verdict is Stability.INTERNALLY_STABLE
+
+    def test_stable_soundness_suite_runs_no_sweep(self, frequency_response_calls):
+        from nistab.selftest import suite_stable_soundness
+
+        calls = frequency_response_calls
+        assert suite_stable_soundness(seed=5, cases=3).passed == 3
+        assert calls == []
 
 
 class TestDcGainCondition:

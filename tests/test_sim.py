@@ -76,6 +76,28 @@ class TestSimulate:
             assert trace.V[k] == float(state.x @ Q @ state.x)
             assert trace.ytilde2_normsq[k] == float(yt2 @ yt2)
 
+    @pytest.mark.parametrize("swap", [False, True], ids=["D1-zero", "D1-nonzero"])
+    def test_expm_exact_matches_reference_recurrence(self, swap):
+        plant, _, ctrl, _ = random_certified_pair(78, 0.6, n1=3, n2=2, m=2)
+        if swap:
+            plant, ctrl = ctrl, plant
+        assert np.any(plant.D) == swap
+        cl = closed_loop(plant, ctrl)
+        x0 = np.random.default_rng(7).standard_normal(cl.n)
+        trace = simulate(cl, x0, 3.0, 1e-2)
+        phi = matrix_exponential(cl.A_cl, 1e-2)
+        expected = [x0]
+        for _ in range(300):
+            expected.append(phi @ expected[-1])
+        np.testing.assert_array_equal(trace.x, np.array(expected))
+
+    @pytest.mark.parametrize("t_final, dt", [(np.inf, 1e-2), (np.nan, 1e-2),
+                                             (1.0, np.nan), (1.0, np.inf)])
+    def test_non_finite_times_rejected(self, stable_cl, t_final, dt):
+        cl, _ = stable_cl
+        with pytest.raises(DimensionError, match="finite"):
+            simulate(cl, np.zeros(3), t_final, dt)
+
     def test_dimension_checks(self, stable_cl):
         cl, _ = stable_cl
         with pytest.raises(DimensionError):
