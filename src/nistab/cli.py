@@ -395,8 +395,7 @@ def cmd_simulate(args) -> int:
               "cannot simulate", file=sys.stderr)
         return EXIT_PROPERTY
 
-    x0 = np.array([float(v) for v in args.x0.split(",")]) if args.x0 else \
-        np.zeros(outcome.closed_loop.n)
+    x0 = args.x0 if args.x0 is not None else np.zeros(outcome.closed_loop.n)
     if x0.shape != (outcome.closed_loop.n,):
         print(f"error: --x0 must have {outcome.closed_loop.n} entries, got {len(x0)}",
               file=sys.stderr)
@@ -448,6 +447,17 @@ def _finite_positive(text: str) -> float:
     if not 0 < value < float("inf"):
         raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
     return value
+
+
+def _state_vector(text: str) -> np.ndarray:
+    try:
+        x0 = np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated numbers, got {text!r}") from None
+    if not np.all(np.isfinite(x0)):
+        raise argparse.ArgumentTypeError(f"entries must be finite, got {text!r}")
+    return x0
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -505,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     simp.add_argument("file")
     simp.add_argument("plant")
     simp.add_argument("controller")
-    simp.add_argument("--x0", help="comma-separated initial state (default zeros)")
+    simp.add_argument("--x0", type=_state_vector,
+                      help="comma-separated initial state (default zeros)")
     simp.add_argument("--t-final", type=_finite_positive, default=50.0)
     simp.add_argument("--dt", type=_finite_positive, default=1e-2)
     simp.add_argument("--method", choices=("expm_exact", "rk4"), default="expm_exact")

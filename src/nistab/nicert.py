@@ -35,7 +35,11 @@ window's, and MaxIterations at the iteration limit.  ``infeasibility_witness``
 is (n, m) for a coupling equation with no symmetric solution and (2, n, n)
 for a Farkas pair.  Each cone projection is one stacked eigendecomposition
 of both blocks, and each residual check one stacked eigenvalue call on
-A Y + Y A^T, Y and the witness blocks.
+A Y + Y A^T, Y and the witness blocks.  The reflection and the cone point
+are projected onto the family together, with one product by pinv(Gmap) for
+both null-space coordinate vectors and one by Gmap for both projections, and
+the shadow point is Y = Yp + smat(N theta), N the orthonormal null-space
+basis: exactly symmetric by construction.
 """
 
 from __future__ import annotations
@@ -211,6 +215,19 @@ class SolverOptions:
     stall_improvement: float = 1e-3
     step: float = 1.0  # Douglas-Rachford step scale in (0, 2)
 
+    def __post_init__(self):
+        for name, value in (("tol", self.tol), ("eps_scale", self.eps_scale)):
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.max_iterations < 0:
+            raise ValueError(f"max_iterations must be nonnegative, got {self.max_iterations}")
+        if self.stall_window < 1:
+            raise ValueError(f"stall_window must be at least 1, got {self.stall_window}")
+        if not 0 <= self.stall_improvement < 1:
+            raise ValueError(f"stall_improvement must lie in [0, 1), got {self.stall_improvement}")
+        if not 0 < self.step < 2:
+            raise ValueError(f"step must lie in (0, 2), got {self.step}")
+
 
 def default_grid() -> FrequencyGrid:
     return FrequencyGrid()
@@ -337,33 +354,15 @@ _SQRT2 = np.sqrt(2.0)
 
 
 @functools.cache
-def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(n, k=1)
-
-
-def _svec(M: np.ndarray, n: int) -> np.ndarray:
-    """Coordinates of symmetric M in the orthonormal basis of symmetric
-    matrices, diagonals first, then off-diagonals (isometry)."""
-    iu, ju = _triu(n)
-    return np.concatenate([np.diag(M), _SQRT2 * M[iu, ju]])
-
-
-def _smat(s: np.ndarray, n: int) -> np.ndarray:
-    M = np.zeros((n, n))
-    M[np.diag_indices(n)] = s[:n]
-    iu, ju = _triu(n)
-    off = s[n:] / _SQRT2
-    M[iu, ju] = off
-    M[ju, iu] = off
-    return M
-
-
-@functools.cache
 def _sym_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Index maps between two concatenated svec vectors and a (2, n, n) stack:
-    ``s[gather] / div`` is the stacked _smat and ``S.reshape(-1)[scatter] * mult``
-    the concatenated _svec, bit for bit."""
-    iu, ju = _triu(n)
+    """Index maps between svec coordinates and symmetric matrices.
+
+    svec lists the diagonal, then sqrt(2) times the strict upper triangle: an
+    isometry onto the symmetric matrices.  ``s[gather[0]] / div`` is the
+    matrix of one svec vector and ``s[gather] / div`` the (2, n, n) stack of
+    two concatenated ones; ``S.reshape(-1)[scatter] * mult`` maps a (2, n, n)
+    stack back to two concatenated svec vectors, reading upper triangles."""
+    iu, ju = np.triu_indices(n, k=1)
     pos = np.empty((n, n), dtype=np.intp)
     pos[np.diag_indices(n)] = np.arange(n)
     pos[iu, ju] = pos[ju, iu] = n + np.arange(iu.size)
@@ -396,10 +395,16 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None) -> NI
         raise AsymmetricDError(f"D is not symmetric (defect {d_asym:.3e})")
 
     nsym = n * (n + 1) // 2
-    basis = [_smat(e, n) for e in np.eye(nsym)]
-    # coupling A Y C^T = -B, with A invertible, reduces to Y C^T = V
+    gather, div, scatter, mult = _sym_maps(n)
+
+    def svec2(S):
+        # concatenated svec coordinates of the trailing (2, n, n) blocks
+        return S.reshape(S.shape[:-3] + (2 * n * n,))[..., scatter] * mult
+
+    # coupling A Y C^T = -B, with A invertible, reduces to Y C^T = V; column k
+    # of K is E_k C^T for the k-th unit matrix E_k of the svec basis
     V = -np.linalg.solve(A, B)
-    K = np.stack([(E @ C.T).ravel() for E in basis], axis=1)
+    K = np.ascontiguousarray(((np.eye(nsym)[:, gather[0]] / div) @ C.T).reshape(nsym, -1).T)
     b = V.ravel()
     U_k, sv_k, Vt_k = np.linalg.svd(K, full_matrices=True)
     rank_k = int(np.sum(sv_k > 1e-12 * (sv_k[0] if sv_k.size else 1.0)))
@@ -417,11 +422,8 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None) -> NI
         )
 
     null_basis = Vt_k[rank_k:].T  # nsym x d, orthonormal
-    dim_free = null_basis.shape[1]
-    Yp = _smat(s_particular, n)
-    Yp = (Yp + Yp.T) / 2
-    gather, div, scatter, mult = _sym_maps(n)
-    null_mats = np.ascontiguousarray(null_basis.T[:, gather[0]] / div)  # read block by block
+    Yp = s_particular[gather[0]] / div
+    null_mats = null_basis.T[:, gather[0]] / div  # the free directions N_k
 
     eps = opts.eps_scale / max(1.0, norm_a)
     eye = np.eye(n)
@@ -429,16 +431,11 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None) -> NI
     def lyap(Y):
         return A @ Y + Y @ A.T
 
-    def embed(Ymat, Zmat):
-        return np.concatenate([_svec(Ymat, n), _svec(Zmat, n)])
-
-    f0 = embed(Yp - eps * eye, -lyap(Yp))
-    if dim_free:
-        Gmap = np.stack([embed(Nk, -lyap(Nk)) for Nk in null_mats], axis=1)
-        pinv_g = np.linalg.pinv(Gmap, rcond=1e-12)
-    else:
-        Gmap = np.zeros((2 * nsym, 0))
-        pinv_g = np.zeros((0, 2 * nsym))
+    # the family is f0 + Gmap theta; column k of Gmap, the svec pair of
+    # (N_k, -lyap(N_k)), is row k of gmap_t, and pinv_t is pinv(Gmap)^T
+    f0 = svec2(np.stack([Yp - eps * eye, -lyap(Yp)]))
+    gmap_t = svec2(np.stack([null_mats, -lyap(null_mats)], axis=1))
+    pinv_t = np.linalg.pinv(gmap_t.T, rcond=1e-12).T
 
     # clamp floors sit half a tolerance below the cone boundary: the true
     # feasible point is then interior to the relaxed sets, which turns the
@@ -448,88 +445,83 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None) -> NI
     floors = np.array([[-eps / 2], [-tol_lyap / 2]])
 
     def psd_clamp(z):
-        # both cone blocks in one stacked eigh; the maps are _smat and _svec
+        # both cone blocks in one stacked eigh, mapped through _sym_maps
         w, U = np.linalg.eigh(z[gather] / div)
         clamped = (U * np.maximum(w, floors)[:, np.newaxis, :]) @ U.swapaxes(-1, -2)
         return clamped.reshape(-1)[scatter] * mult
 
-    # make_y sums Yp + t_1 N_1 + ... + t_d N_d through a reused buffer of
-    # 256 KiB: one block for every n up to 15, cache-sized blocks beyond
-    block = max(1, 32768 // (n * n))
-    terms = np.empty((block + 1, n, n))
-
-    def make_y(theta):
-        # a reduction along the outer axis of a C-order stack adds term by
-        # term in order, as Y += t * Nk would; carrying Y into the next
-        # block keeps that order
-        Y = Yp
-        for k in range(0, dim_free, block):
-            t = theta[k:k + block]
-            terms[0] = Y
-            np.multiply(t[:, np.newaxis, np.newaxis], null_mats[k:k + block],
-                        out=terms[1:t.size + 1])
-            Y = np.add.reduce(terms[:t.size + 1], axis=0)
-        return (Y + Y.T) / 2
-
+    # lyap(Y), Y and the witness blocks of one residual check, for one
+    # stacked eigenvalue call; Y itself lives in the stack
+    stack = np.empty((4, n, n))
+    Y = stack[1]
+    Y[...] = Yp
     scale_b = max(1.0, float(np.linalg.norm(B, "fro")))
 
-    def residuals(Y, blocks=()):
-        # the witness blocks ride in the same stacked eigenvalue call
-        eigs = np.linalg.eigvalsh(np.stack([lyap(Y), Y, *blocks]))
-        lyap_min = float(-eigs[0].max())
-        y_min = float(eigs[1].min())
-        coupling = float(np.linalg.norm(B + A @ Y @ C.T, "fro"))
+    def residuals(k):
+        # k = 4 when the witness blocks ride along
+        AY = A @ Y
+        np.add(AY, Y @ A.T, out=stack[0])
+        eigs = np.linalg.eigvalsh(stack[:k])  # ascending per block
+        lyap_min = float(-eigs[0, -1])
+        y_min = float(eigs[1, 0])
+        defect = (AY @ C.T + B).ravel()
+        coupling = float(np.sqrt(defect @ defect))
         gap = (max(0.0, -lyap_min) / max(1.0, norm_a)
                + max(0.0, eps / 2 - y_min)
                + coupling / scale_b)
         ok = lyap_min >= -tol_lyap and y_min >= eps / 2 and coupling <= tol * scale_b
         return lyap_min, y_min, coupling, gap, ok, eigs[2:]
 
-    # Farkas exit: w = pc - proj_affine(pc) is orthogonal to every free
-    # direction, so <w, f> = <w, f0> on the whole family, while on the relaxed
-    # cone sets <w, a> >= <w, floors> + min(0, lambda_min(w)) tr(a - floors).
-    # A separation s = <w, f0 - floors>/||w|| below min(0, lambda_min) R, with
-    # lambda_min that of w/||w||, thus rules out every point of the sets with
-    # shifted trace up to R
-    slack = f0 - embed(floors[0, 0] * eye, floors[1, 0] * eye)
+    # Farkas exit: w = pc - proj(pc), with proj the projection onto the
+    # family, is orthogonal to every free direction, so <w, f> = <w, f0> on
+    # the whole family, while on the relaxed cone sets <w, a> >= <w, floors>
+    # + min(0, lambda_min(w)) tr(a - floors).  A separation
+    # s = <w, f0 - floors>/||w|| below min(0, lambda_min) R, with lambda_min
+    # that of w/||w||, thus rules out every point of the sets with shifted
+    # trace up to R
+    slack = f0 - svec2(floors[:, :, np.newaxis] * eye)
     radius = max(1.0, float(np.linalg.norm(f0))) / np.sqrt(tol)
 
     # Douglas-Rachford splitting between the affine family and the product
     # cone; the shadow point (cone projection pulled back to the family) is
     # the candidate checked each iteration.  Plain alternating projections
     # approach thin feasible slivers tangentially and can need 1e4+ sweeps;
-    # DR reaches the same points in tens of iterations.
-    def proj_affine(z):
-        return f0 + Gmap @ (pinv_g @ (z - f0))
-
+    # DR reaches the same points in tens of iterations.  Row 0 of shifts is
+    # the reflection 2 pc - z and row 1 the cone point pc, both less f0: one
+    # product with pinv(Gmap) gives both coordinate vectors, one with Gmap
+    # both projections, and the shadow point is Yp + smat(null_basis theta)
+    shifts = np.empty((2, 2 * nsym))
     z = f0.copy()
     window_best = np.inf
     prev_window_best = np.inf
     status = CertStatus.MAX_ITERATIONS
-    Y = make_y(np.zeros(dim_free))
     res = witness = None
     iterations = opts.max_iterations
     for it in range(1, opts.max_iterations + 1):
         pc = psd_clamp(z)
-        pa = proj_affine(2 * pc - z)
-        z = z + opts.step * (pa - pc)
-        shift = pc - f0
-        theta = pinv_g @ shift
-        Y = make_y(theta)
-        w = shift - Gmap @ theta
-        wn = w / (np.linalg.norm(w) or 1.0)
+        np.multiply(pc, 2.0, out=shifts[0])
+        shifts[0] -= z
+        shifts[0] -= f0
+        np.subtract(pc, f0, out=shifts[1])
+        theta = shifts @ pinv_t
+        back = theta @ gmap_t
+        z = z + opts.step * (f0 + back[0] - pc)
+        np.add(Yp, (null_basis @ theta[1])[gather[0]] / div, out=Y)
+        w = shifts[1] - back[1]
+        wn = w / (np.sqrt(w @ w) or 1.0)
         sep = float(wn @ slack)
         # only a negative separation can prove anything
-        blocks = wn[gather] / div if sep < 0 else ()
-        res = residuals(Y, blocks)
+        if sep < 0:
+            np.divide(wn[gather], div, out=stack[2:])
+        res = residuals(4 if sep < 0 else 2)
         _, _, _, gap, ok, eig_w = res
         if ok:
             status = CertStatus.CERTIFIED
             iterations = it
             break
-        if sep < 0 and sep <= min(0.0, float(eig_w.min())) * radius:
+        if sep < 0 and sep <= min(0.0, float(eig_w[:, 0].min())) * radius:
             status = CertStatus.INFEASIBLE
-            witness = blocks
+            witness = stack[2:].copy()
             iterations = it
             break
         window_best = min(window_best, gap)
@@ -543,17 +535,17 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None) -> NI
             window_best = np.inf
 
     if status is not CertStatus.CERTIFIED:
-        lyap_min, _, coupling, *_ = res or residuals(Y)
+        lyap_min, _, coupling, *_ = res or residuals(2)
         return NICertificate(
             verdict=status,
-            Y=Y,
+            Y=Y.copy(),
             lyap_residual=lyap_min,
             coupling_residual=coupling,
             iterations=iterations,
             infeasibility_witness=witness,
             system_label=sys.label,
         )
-    return _assemble_certificate(sys, Y, iterations, tol)
+    return _assemble_certificate(sys, Y.copy(), iterations, tol)
 
 
 def _assemble_certificate(sys: StateSpace, Y: np.ndarray, iterations: int,

@@ -47,6 +47,8 @@ def simulate(cl: ClosedLoop, x0: np.ndarray, t_final: float, dt: float = 1e-2,
     n = cl.n
     if x0.shape != (n,):
         raise DimensionError(f"x0 must have shape ({n},), got {x0.shape}")
+    if not np.all(np.isfinite(x0)):
+        raise DimensionError("x0 must be finite")
     if not (np.isfinite(t_final) and np.isfinite(dt)):
         raise DimensionError("t_final and dt must be finite")
     if dt <= 0:

@@ -3,6 +3,7 @@
 Run from the repository root:
 
     PYTHONPATH=src python tests/golden/make_golden.py [CASE ...]
+    PYTHONPATH=src python tests/golden/make_golden.py --check [CASE ...]
 
 With no argument it writes ``systems.json`` (the tests/test_cli.py fixture
 systems plus one random SNI draw with feedthrough), ``dr_exits.json`` (four
@@ -14,6 +15,13 @@ entries; the system files and every other reference stay as they are.  The
 reports are byte-level references: regenerate them only for a change that is
 meant to alter report or CSV bytes, name the cases, and say so in the change
 log.
+
+``--check`` writes nothing.  It runs the named cases (all with no name) and
+prints, per case, whether the exit code, report and CSV match the references.
+For a report that differs it lists each differing field: float fields with
+their maximum relative difference, everything else (exit code, verdicts,
+iteration counts, flags, array shapes) marked CHANGED.  It exits 1 when a
+case differs.
 """
 
 from __future__ import annotations
@@ -26,6 +34,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 HERE = Path(__file__).resolve().parent
 
@@ -66,8 +76,8 @@ CASES.update({
     "certify-ni-neg_rand6": ["certify", "neg_rand6", "--property", "ni"],
     "certify-sni-notch3": ["certify", "notch3", "--property", "sni"],
     "certify-sni-notch57": ["certify", "notch57", "--property", "sni"],
-    # n = 20: the DR update of Y sums its 170 null-space terms in several
-    # blocks; the witness exit fires after 384 iterations
+    # n = 20: the DR search has 170 free directions (Gmap is 420 x 170); the
+    # witness exit fires after 384 iterations
     "certify-ni-neg_rand20": ["certify", "neg_rand20", "--property", "ni"],
 })
 
@@ -143,15 +153,107 @@ def run_case(argv: list[str], workdir: Path) -> tuple[int, str, str | None]:
     return code, out.getvalue(), csv
 
 
+@contextlib.contextmanager
+def _recorded_systems():
+    """A temporary working directory holding copies of the system files."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for fname in SYSTEM_FILES:
+            (work / fname).write_bytes((HERE / fname).read_bytes())
+        yield work
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def main(names: list[str]) -> int:
+def _leaves(value, path: str):
+    """(path, value) pairs of a parsed report; a list of numbers at any depth
+    is one leaf, an array."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list) and not _is_array(value):
+        for k, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{k}]")
+    else:
+        yield path, value
+
+
+def _is_array(value) -> bool:
+    if isinstance(value, list):
+        return all(_is_array(item) for item in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _has_float(value) -> bool:
+    if isinstance(value, list):
+        return any(_has_float(item) for item in value)
+    return isinstance(value, float)
+
+
+_ABSENT = object()
+
+
+def _show(value) -> str:
+    if value is _ABSENT:
+        return "(absent)"
+    return f"shape {np.shape(value)}" if isinstance(value, list) else repr(value)
+
+
+def field_changes(expected: str, got: str) -> list[str]:
+    """One line per differing field of two reports."""
+    old, new = dict(_leaves(json.loads(expected), "")), dict(_leaves(json.loads(got), ""))
+    lines = []
+    for path in {**old, **new}:
+        a, b = old.get(path, _ABSENT), new.get(path, _ABSENT)
+        if a == b:
+            continue
+        if (_is_array(a) and _is_array(b) and np.shape(a) == np.shape(b)
+                and (_has_float(a) or _has_float(b))):
+            a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+            scale = max(float(np.abs(a).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
+            rel = float(np.abs(a - b).max()) / scale if scale else 0.0
+            lines.append(f"{path}: float, max rel diff {rel:.2e}")
+        else:
+            lines.append(f"{path}: CHANGED {_show(a)} -> {_show(b)}")
+    return lines
+
+
+def check(names: list[str]) -> int:
+    """Compare the named cases (all with none) with the references; writes nothing."""
+    digests = json.loads((HERE / "digests.json").read_text())
+    differing = 0
+    with _recorded_systems() as work:
+        for name in names or list(CASES):
+            code, report, csv = run_case(CASES[name], work)
+            expected = digests[name]
+            path = HERE / "reports" / f"{name}.json"
+            reference = path.read_text(encoding="utf-8") if path.exists() else ""
+            lines = []
+            if code != expected["exit_code"]:
+                lines.append(f"exit_code: CHANGED {expected['exit_code']} -> {code}")
+            if report != reference:
+                changes = field_changes(reference, report) if report and reference else []
+                lines += changes or ["report: CHANGED bytes"]
+            if csv is not None and sha256(csv) != expected.get("csv_sha256"):
+                lines.append("csv: CHANGED sha256")
+            differing += bool(lines)
+            print(f"{name}: {'differs' if lines else 'identical'}")
+            for line in lines:
+                print(f"  {line}")
+    print(f"{differing} of {len(names or CASES)} case(s) differ")
+    return 1 if differing else 0
+
+
+def main(args: list[str]) -> int:
+    names = [a for a in args if a != "--check"]
     unknown = [name for name in names if name not in CASES]
     if unknown:
         print(f"unknown case(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
+    if "--check" in args:
+        return check(names)
     if names:
         digests = json.loads((HERE / "digests.json").read_text())
     else:
@@ -160,10 +262,7 @@ def main(names: list[str]) -> int:
             (HERE / fname).write_text(json.dumps(payload(), indent=1) + "\n")
     reports = HERE / "reports"
     reports.mkdir(exist_ok=True)
-    with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        for fname in SYSTEM_FILES:
-            (work / fname).write_bytes((HERE / fname).read_bytes())
+    with _recorded_systems() as work:
         for name in names:
             code, report, csv = run_case(CASES[name], work)
             entry = {"exit_code": code}

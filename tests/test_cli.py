@@ -335,6 +335,17 @@ class TestFlagsAreUsageErrors:
         assert err.startswith("error: invalid frequency grid: ")
         assert "invalid system file" not in err
 
+    @pytest.mark.parametrize("x0, message", [
+        ("nan,0,0", "entries must be finite, got 'nan,0,0'"),
+        ("1,inf,0", "entries must be finite, got '1,inf,0'"),
+        ("abc,0,0", "must be comma-separated numbers, got 'abc,0,0'"),
+        ("1,,0", "must be comma-separated numbers, got '1,,0'")])
+    def test_x0(self, system_file, capsys, x0, message):
+        assert main(["simulate", system_file, "osc", "ctrl_half", f"--x0={x0}"]) == 3
+        err = capsys.readouterr().err
+        assert f"argument --x0: {message}" in err
+        assert "invalid system file" not in err
+
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "-inf"])
     @pytest.mark.parametrize("flag", ["--tol", "--tol-axis", "--tol-pole", "--tol-hurwitz",
                                       "--tol-int"])

@@ -13,6 +13,7 @@ import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -70,3 +71,48 @@ def test_named_cases_regenerate_alone(tmp_path, monkeypatch, capsys):
     assert regenerated[other]["exit_code"] == 99
     assert make_golden.main(["no-such-case"]) == 2
     assert "no-such-case" in capsys.readouterr().err
+
+
+def test_check_mode_writes_nothing_on_an_unchanged_tree(capsys):
+    import make_golden
+
+    before = {p: p.read_bytes() for p in GOLDEN.rglob("*") if p.is_file()
+              and "__pycache__" not in p.parts}
+    assert make_golden.main(["--check"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"{name}: identical" for name in CASES] + [f"0 of {len(CASES)} case(s) differ"]
+    assert {p: p.read_bytes() for p in before} == before
+
+
+def test_check_mode_names_the_changed_fields(tmp_path, monkeypatch, capsys):
+    import make_golden
+
+    copy = tmp_path / "golden"
+    shutil.copytree(GOLDEN, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    name, csv_case = "certify-ni-neg_rand6", "certify-ni-osc"
+    path = copy / "reports" / f"{name}.json"
+    report = json.loads(path.read_text())
+    lmi = report["results"]["lmi"]
+    y00 = lmi["Y"][0][0]
+    lmi["Y"][0][0] *= 1 + 1e-9
+    lmi["iterations"] += 1
+    lmi["infeasibility_witness"] = lmi["infeasibility_witness"][:1]
+    path.write_text(json.dumps(report, indent=2) + "\n")
+    digests = json.loads((copy / "digests.json").read_text())
+    digests[name]["exit_code"] = 0
+    digests[csv_case]["csv_sha256"] = "0" * 64
+    (copy / "digests.json").write_text(json.dumps(digests, indent=1) + "\n")
+    monkeypatch.setattr(make_golden, "HERE", copy)
+    assert make_golden.main(["--check", name, csv_case, "certify-ni-s_over"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"{name}: differs"
+    assert out[1] == "  exit_code: CHANGED 0 -> 1"
+    # relative to the largest entry of Y
+    head, rel = out[2].rsplit(" ", 1)
+    assert head == "  results.lmi.Y: float, max rel diff"
+    assert float(rel) == pytest.approx(1e-9 * abs(y00) / np.abs(lmi["Y"]).max(), rel=1e-2)
+    assert out[3] == "  results.lmi.iterations: CHANGED 11 -> 10"
+    assert out[4] == ("  results.lmi.infeasibility_witness: "
+                      "CHANGED shape (1, 6, 6) -> shape (2, 6, 6)")
+    assert out[5:] == [f"{csv_case}: differs", "  csv: CHANGED sha256",
+                       "certify-ni-s_over: identical", "2 of 3 case(s) differ"]

@@ -1,5 +1,8 @@
 """Certification routes: frequency sweep, positive-real reduction, LMI search."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -28,7 +31,7 @@ from nistab.exceptions import (
     SingularAError,
 )
 from nistab.linalg import min_singular_value
-from nistab.nicert import _smat, _svec, _sym_maps, certificate_from_y
+from nistab.nicert import _sym_maps, certificate_from_y
 
 GRID = FrequencyGrid(points=120)
 
@@ -239,11 +242,46 @@ class TestLmiCertificate:
         assert fact == pytest.approx(cert.factor_residual, abs=1e-12)
 
 
+class TestSolverOptions:
+    @pytest.mark.parametrize("field, value", [
+        ("tol", -1.0), ("tol", 0.0), ("tol", np.nan), ("tol", np.inf),
+        ("eps_scale", 0.0), ("eps_scale", -1e-6), ("eps_scale", np.nan), ("eps_scale", np.inf),
+        ("max_iterations", -1), ("stall_window", 0), ("stall_window", -5),
+        ("stall_improvement", -0.1), ("stall_improvement", 1.0), ("stall_improvement", np.nan),
+        ("step", 0.0), ("step", 2.0), ("step", -1.0), ("step", np.nan)])
+    def test_invalid_field_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            SolverOptions(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_iterations", 0), ("stall_window", 1), ("stall_improvement", 0.0),
+        ("step", 1.9), ("tol", 1e-2), ("eps_scale", 1e-3)])
+    def test_edge_values_accepted(self, field, value):
+        assert getattr(SolverOptions(**{field: value}), field) == value
+
+
 def notch(w0, zeta=1e-4):
     """1/(s+1) - k s/(s^2 + 2 zeta w0 s + w0^2): not NI, with a narrow dip near w0."""
     k = (2 * w0 / (1 + w0**2) + 1.0) * 2 * zeta * w0
     return StateSpace([[-1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -w0**2, -2 * zeta * w0]],
                       [[1.0], [0.0], [1.0]], [[1.0, 0.0, -k]], [[0.0]])
+
+
+def _svec(M, n):
+    """Reference svec: the diagonal, then sqrt(2) times the strict upper triangle."""
+    iu, ju = np.triu_indices(n, k=1)
+    return np.concatenate([np.diag(M), np.sqrt(2.0) * M[iu, ju]])
+
+
+def _smat(s, n):
+    """Reference inverse of _svec."""
+    M = np.zeros((n, n))
+    M[np.diag_indices(n)] = s[:n]
+    iu, ju = np.triu_indices(n, k=1)
+    off = s[n:] / np.sqrt(2.0)
+    M[iu, ju] = off
+    M[ju, iu] = off
+    return M
 
 
 class TestDrIteration:
@@ -399,6 +437,63 @@ class TestNoFalseWitnessExit:
                 assert cert.verdict is CertStatus.CERTIFIED
                 got.append(cert.iterations)
         assert got == iterations
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class TestPinnedDrRuns:
+    """Verdict, iteration count and witness shape of DR runs: a rewrite of
+    the iteration that keeps the algorithm and moves only rounding bits
+    keeps all three, and the returned Y stays exactly symmetric."""
+
+    # the dr_exits.json notches are the notches at w0 = 3.3 and 57
+    DR_EXITS = {
+        "neg_rand6": ("Infeasible", 10, (2, 6, 6)),
+        "neg_rand20": ("Infeasible", 384, (2, 20, 20)),
+        "notch3": ("Infeasible", 400, None),
+        "notch57": ("MaxIterations", 5000, None),
+    }
+    NOTCHES = {0.47: ("Infeasible", 400, None), 12.9: ("Infeasible", 400, None)}
+    # random_ni_system(500 + n, n, min(n, 1 + n % 3), D for even n): the draw
+    # is Certified after the given count, and its negation ends as recorded
+    DRAWS = {
+        1: (1, ("Infeasible", 1, (2, 1, 1))),
+        2: (1, ("Infeasible", 1, (2, 2, 2))),
+        3: (5, ("Infeasible", 1, (2, 3, 3))),
+        4: (5, ("Infeasible", 7, (2, 4, 4))),
+        5: (4, ("Infeasible", 6, (2, 5, 5))),
+        6: (5, ("Infeasible", 389, (2, 6, 6))),
+        7: (7, ("Infeasible", 213, (2, 7, 7))),
+        8: (10, ("Infeasible", 40, (2, 8, 8))),
+        9: (5, ("Infeasible", 411, (2, 9, 9))),
+        10: (6, ("Infeasible", 300, (2, 10, 10))),
+        11: (5, ("Infeasible", 94, (2, 11, 11))),
+        12: (7, ("Infeasible", 168, (2, 12, 12))),
+    }
+
+    @staticmethod
+    def outcome(sys):
+        cert = lmi_ni_certificate(sys)
+        assert np.array_equal(cert.Y, cert.Y.T)
+        witness = cert.infeasibility_witness
+        return cert.verdict.value, cert.iterations, None if witness is None else witness.shape
+
+    @pytest.mark.parametrize("name", list(DR_EXITS))
+    def test_dr_exit_systems(self, name):
+        s = json.loads((GOLDEN / "dr_exits.json").read_text())["systems"][name]
+        assert self.outcome(StateSpace(s["A"], s["B"], s["C"], s["D"])) == self.DR_EXITS[name]
+
+    @pytest.mark.parametrize("w0", list(NOTCHES))
+    def test_notches(self, w0):
+        assert self.outcome(notch(w0)) == self.NOTCHES[w0]
+
+    @pytest.mark.parametrize("n", list(DRAWS))
+    def test_random_draws(self, n):
+        g, _ = random_ni_system(500 + n, n, min(n, 1 + n % 3), with_feedthrough=n % 2 == 0)
+        certified, negated_outcome = self.DRAWS[n]
+        assert self.outcome(g) == ("Certified", certified, None)
+        assert self.outcome(negated(g)) == negated_outcome
 
 
 class TestSniRankCondition:

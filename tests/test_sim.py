@@ -35,6 +35,12 @@ class TestSimulate:
         assert len(trace.times) == 2
         np.testing.assert_array_equal(trace.x[1], trace.x[0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x0_rejected(self, stable_cl, bad):
+        cl, certs = stable_cl
+        with pytest.raises(DimensionError, match="x0 must be finite"):
+            simulate(cl, np.array([1.0, bad, 0.0]), 1.0, 1e-2, certs=certs)
+
     def test_worked_example_decays(self, stable_cl):
         cl, certs = stable_cl
         trace = simulate(cl, np.array([1.0, 0.0, 0.0]), 50.0, 1e-2, certs=certs)
