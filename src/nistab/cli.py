@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import enum
+import functools
 import hashlib
 import json
 import re
@@ -485,6 +486,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                       help="dissipation integral slack (default 1e-6)")
 
 
+@functools.cache  # parse_args leaves the parser as it is; cmd_* look up their helpers per call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nistab",

@@ -24,7 +24,8 @@ from .linalg import DEFAULT_TOL, min_singular_value
 
 #: an eigenvalue counts as "on the imaginary axis" when |Re| <= TOL_AXIS * max(1, |lambda|)
 TOL_AXIS = 1e-7
-#: resolvent guard: evaluation fails when smallest singular value of (sI - A) < TOL_POLE
+#: resolvent guard: evaluation fails when sigma_min(sI - A) < TOL_POLE * max(1, |s|, ||A||_2);
+#: the SVD runs only at points that the Bauer-Fike bound of eval_tf_stack cannot clear
 TOL_POLE = 1e-12
 
 
@@ -113,16 +114,32 @@ class MinimalityReport:
 
 
 def eval_tf_stack(sys: StateSpace, points, tol_pole: float = TOL_POLE):
-    """G(s) = C (sI - A)^{-1} B + D at each point by one stacked SVD and solve.
+    """G(s) = C (sI - A)^{-1} B + D at each point by one stacked solve.
 
     Returns ``(G, guarded)``; ``guarded`` marks the points failing the resolvent
     guard sigma_min(sI - A) < tol_pole * max(1, |s|, ||A||_2), where G is NaN.
+    With A V = V diag(lam) + R, sigma_min(sI - A) >= dist(s, lam) / cond_2(V) -
+    ||R||_2 ||V^-1||_2; a stacked SVD decides only the points where this is below
+    twice the guard (all of them when V is singular).  Non-finite points raise DimensionError.
     """
     s = np.asarray(points).reshape(-1)
+    if not np.all(np.isfinite(s)):
+        raise DimensionError("evaluation points must be finite")
     res = s[:, np.newaxis, np.newaxis] * np.eye(sys.n) - sys.A
-    sigma = min_singular_value(res)
-    guarded = sigma < tol_pole * np.maximum(np.maximum(1.0, np.abs(s)),
-                                            float(np.linalg.norm(sys.A, 2)))
+    bound = tol_pole * np.maximum(np.maximum(1.0, np.abs(s)), float(np.linalg.norm(sys.A, 2)))
+    # Bauer-Fike: with R = A V - V diag(lam), sI - A = V (sI - diag(lam)) V^-1 - R V^-1, so
+    # sigma_min(sI - A) >= min|s - lam| / cond_2(V) - ||R||_2 ||V^-1||_2 = lower.  Where
+    # lower >= 2 * bound the guard cannot fail, with room for rounding; a NaN lower takes the SVD.
+    try:
+        lam, V = np.linalg.eig(sys.A)
+        inv_norm = np.linalg.norm(np.linalg.inv(V), 2)
+        lower = (np.abs(s[:, np.newaxis] - lam).min(axis=1) / (np.linalg.norm(V, 2) * inv_norm)
+                 - np.linalg.norm(sys.A @ V - V * lam, 2) * inv_norm)
+        unclear = ~(lower >= 2 * bound)
+    except np.linalg.LinAlgError:
+        unclear = np.ones(s.size, dtype=bool)
+    guarded = np.zeros(s.size, dtype=bool)
+    guarded[unclear] = min_singular_value(res[unclear]) < bound[unclear]
     G = np.full((s.size, sys.m, sys.m), np.nan, dtype=complex)
     B = sys.B.astype(complex)[np.newaxis]  # a stack of one (n, m) matrix, on numpy 1.x too
     G[~guarded] = sys.C @ np.linalg.solve(res[~guarded], B) + sys.D
@@ -151,17 +168,17 @@ def poles(sys: StateSpace) -> np.ndarray:
 
 
 def is_minimal(sys: StateSpace, tol: float = DEFAULT_TOL) -> MinimalityReport:
-    """PBH controllability/observability test at every eigenvalue of A."""
+    """PBH controllability/observability test at every eigenvalue of A, one stacked SVD each."""
     scale = tol * max(1.0, float(np.linalg.norm(sys.A, 2)))
-    failures = []
-    for lam in np.linalg.eigvals(sys.A):
-        shifted = sys.A - lam * np.eye(sys.n)
-        sv_c = min_singular_value(np.hstack([shifted, sys.B.astype(complex)]))
-        if sv_c <= scale:
-            failures.append((complex(lam), "controllability", sv_c))
-        sv_o = min_singular_value(np.vstack([shifted, sys.C.astype(complex)]))
-        if sv_o <= scale:
-            failures.append((complex(lam), "observability", sv_o))
+    lams = np.linalg.eigvals(sys.A)
+    shifted = sys.A - lams[:, np.newaxis, np.newaxis] * np.eye(sys.n)
+    sv_c = min_singular_value(np.concatenate(
+        [shifted, np.broadcast_to(sys.B, (sys.n, sys.n, sys.m))], axis=2))
+    sv_o = min_singular_value(np.concatenate(
+        [shifted, np.broadcast_to(sys.C, (sys.n, sys.m, sys.n))], axis=1))
+    failures = [(complex(lam), kind, float(sv))
+                for lam, c, o in zip(lams, sv_c, sv_o)
+                for kind, sv in (("controllability", c), ("observability", o)) if sv <= scale]
     return MinimalityReport(minimal=not failures, failures=failures)
 
 

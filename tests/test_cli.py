@@ -404,3 +404,32 @@ class TestUsage:
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0
+
+
+class TestParserBuiltOnce:
+    def test_calls_share_one_parser(self, system_file, monkeypatch, capsys):
+        import nistab.cli
+
+        nistab.cli.build_parser.cache_clear()
+        assert main(["certify", system_file, "first_order"]) == 0
+        first = capsys.readouterr().out
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out.startswith("nistab ")
+        assert main(["certify", system_file]) == 3
+        assert "usage:" in capsys.readouterr().err
+        assert main(["certify", system_file, "first_order"]) == 0
+        assert capsys.readouterr().out == first
+        # the cached parser still reaches a patched helper
+        loaded = []
+        real = nistab.cli.load_system_file
+
+        def spy(path):
+            loaded.append(path)
+            return real(path)
+
+        monkeypatch.setattr(nistab.cli, "load_system_file", spy)
+        assert main(["certify", system_file, "first_order"]) == 0
+        assert capsys.readouterr().out == first
+        assert loaded == [system_file]
+        info = nistab.cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 4)

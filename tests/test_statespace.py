@@ -1,9 +1,13 @@
 """State-space systems: evaluation, poles, minimality, DC gain, residues."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from nistab import StateSpace, dc_gain, eval_tf, is_minimal, poles, residue_at_pole
+import nistab.statespace
+from nistab import (StateSpace, dc_gain, default_grid, eval_tf, eval_tf_stack, is_minimal, poles,
+                    random_ni_system, residue_at_pole)
 from nistab.exceptions import (
     DimensionError,
     NearPoleError,
@@ -11,6 +15,7 @@ from nistab.exceptions import (
     NotSimplePoleError,
     SingularAError,
 )
+from nistab.linalg import DEFAULT_TOL, min_singular_value
 
 
 class TestConstruction:
@@ -64,6 +69,96 @@ class TestEvalTf:
             assert np.abs(Gc - np.conj(G)).max() <= 1e-12 * max(1.0, np.abs(G).max())
 
 
+    @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf, complex(0, np.inf),
+                                   complex(np.nan, 1)])
+    def test_non_finite_point_rejected(self, osc, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionError, match="evaluation points must be finite"):
+                eval_tf(osc, s)
+            with pytest.raises(DimensionError, match="evaluation points must be finite"):
+                eval_tf_stack(osc, [1j, s, 2j])
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """Shapes of the arrays passed to ``min_singular_value`` inside ``nistab.statespace``."""
+    shapes = []
+
+    def counted(M):
+        shapes.append(M.shape)
+        return min_singular_value(M)
+
+    monkeypatch.setattr(nistab.statespace, "min_singular_value", counted)
+    return shapes
+
+
+def reference_eval_tf_stack(sys, points, tol_pole):
+    """The resolvent guard by a full stacked SVD at every point, then the stacked solve."""
+    s = np.asarray(points).reshape(-1)
+    res = s[:, np.newaxis, np.newaxis] * np.eye(sys.n) - sys.A
+    sigma = min_singular_value(res)
+    guarded = sigma < tol_pole * np.maximum(np.maximum(1.0, np.abs(s)),
+                                            float(np.linalg.norm(sys.A, 2)))
+    G = np.full((s.size, sys.m, sys.m), np.nan, dtype=complex)
+    B = sys.B.astype(complex)[np.newaxis]
+    G[~guarded] = sys.C @ np.linalg.solve(res[~guarded], B) + sys.D
+    return G, guarded
+
+
+def _similar(sys, d):
+    """The realization (T A T^-1, T B, C T^-1, D) for T = diag(d)."""
+    return StateSpace(sys.A * d[:, np.newaxis] / d, sys.B * d[:, np.newaxis], sys.C / d, sys.D)
+
+
+def _guard_systems():
+    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    systems = {
+        "axis-poles": StateSpace(rot, [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]]),
+        "jordan-pair-at-j": StateSpace(np.block([[rot, np.eye(2)], [np.zeros((2, 2)), rot]]),
+                                       np.ones((4, 1)), np.ones((1, 4)), [[0.0]]),
+        "defective": StateSpace([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]],
+                                np.ones((3, 1)), np.ones((1, 3)), [[0.0]]),
+        "non-normal-1e6": StateSpace([[-1.0, 1e6], [0.0, -2.0]], [[0.0], [1.0]],
+                                     [[1.0, 0.0]], [[0.0]]),
+        "near-zero-a": StateSpace([[-1e-13]], [[1.0]], [[1.0]], [[0.0]]),
+    }
+    for n in (3, 6, 12):
+        base = random_ni_system(40 + n, n, 2)[0]
+        for top in (3, 6, 12):
+            systems[f"rand{n}-cond1e{top}"] = _similar(base, np.logspace(0, top, n))
+    return systems
+
+
+GUARD_SYSTEMS = _guard_systems()
+
+
+class TestResolventGuard:
+    @pytest.mark.parametrize("name", sorted(GUARD_SYSTEMS))
+    def test_matches_full_svd_guard(self, name):
+        sys = GUARD_SYSTEMS[name]
+        grids = (1j * default_grid().omegas(), 1j * np.linspace(0.5, 1.5, 401))
+        for points in grids:
+            for tol_pole in (1e-12, 1e-8, 1e-4, 1e-2, 0.05, 0.5):
+                G, guarded = eval_tf_stack(sys, points, tol_pole)
+                G_ref, guarded_ref = reference_eval_tf_stack(sys, points, tol_pole)
+                assert guarded.tobytes() == guarded_ref.tobytes()
+                assert G.tobytes() == G_ref.tobytes()
+
+    def test_hurwitz_system_skips_the_svd(self, svd_shapes):
+        sys = random_ni_system(7, 6, 2, strict=True)[0]
+        svd_shapes.clear()  # the draw's own checks
+        _, guarded = eval_tf_stack(sys, 1j * default_grid().omegas())
+        assert not guarded.any()
+        assert sum(shape[0] for shape in svd_shapes) == 0
+
+    def test_near_pole_points_take_the_svd(self, osc, svd_shapes):
+        points = 1j * np.linspace(0.5, 1.5, 400)
+        _, guarded = eval_tf_stack(osc, points, tol_pole=0.05)
+        assert guarded.any()
+        assert guarded.sum() < sum(shape[0] for shape in svd_shapes) < points.size
+
+
 class TestPoles:
     def test_first_order(self, first_order):
         np.testing.assert_allclose(poles(first_order), [-1.0])
@@ -111,6 +206,65 @@ class TestIsMinimal:
         assert np.linalg.matrix_rank(ctrb) == 2
         assert np.linalg.matrix_rank(obsv) == 2
         assert is_minimal(osc)
+
+
+def reference_pbh_failures(sys, tol=DEFAULT_TOL):
+    """The PBH test one eigenvalue and one SVD at a time."""
+    scale = tol * max(1.0, float(np.linalg.norm(sys.A, 2)))
+    failures = []
+    for lam in np.linalg.eigvals(sys.A):
+        shifted = sys.A - lam * np.eye(sys.n)
+        sv_c = min_singular_value(np.hstack([shifted, sys.B.astype(complex)]))
+        if sv_c <= scale:
+            failures.append((complex(lam), "controllability", sv_c))
+        sv_o = min_singular_value(np.vstack([shifted, sys.C.astype(complex)]))
+        if sv_o <= scale:
+            failures.append((complex(lam), "observability", sv_o))
+    return failures
+
+
+def _pbh_systems():
+    rng = np.random.default_rng(11)
+    osc = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    yield StateSpace(np.diag([-1.0, -2.0]), [[1.0], [0.0]], [[1.0, 0.0]], [[0.0]])
+    yield StateSpace(np.diag([-1.0, -2.0, -3.0]), [[1.0], [1.0], [0.0]],
+                     [[0.0, 1.0, 1.0]], [[0.0]])
+    # two copies of one oscillator: neither controllable nor observable at +-j
+    yield StateSpace(np.kron(np.eye(2), osc), [[0.0], [1.0], [0.0], [1.0]],
+                     [[1.0, 0.0, 1.0, 0.0]], [[0.0]])
+    yield StateSpace(osc, [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+    for n, m in ((1, 1), (3, 2), (5, 1), (8, 3), (12, 2)):
+        yield random_ni_system(60 + n, n, m)[0]
+        A = rng.standard_normal((n, n))
+        B = rng.standard_normal((n, m))
+        C = rng.standard_normal((m, n))
+        yield StateSpace(A, B, C, np.zeros((m, m)))
+        # a hidden mode appended to the state: uncontrollable and unobservable
+        hidden = np.block([[A, np.zeros((n, 1))], [np.zeros((1, n)), np.full((1, 1), -7.0)]])
+        yield StateSpace(hidden, np.vstack([B, np.zeros((1, m))]),
+                         np.hstack([C, np.zeros((m, 1))]), np.zeros((m, m)))
+
+
+class TestIsMinimalStacked:
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-3])
+    def test_matches_per_eigenvalue_reference(self, tol):
+        outcomes = set()
+        for sys in _pbh_systems():
+            report = is_minimal(sys, tol)
+            expected = reference_pbh_failures(sys, tol)
+            assert [(lam, kind) for lam, kind, _ in report.failures] == [
+                (lam, kind) for lam, kind, _ in expected]
+            assert all(type(sv) is float and sv == ref
+                       for (_, _, sv), (_, _, ref) in zip(report.failures, expected))
+            assert report.minimal == (not expected)
+            outcomes.add(report.minimal)
+        assert outcomes == {True, False}
+
+    def test_two_svd_calls(self, svd_shapes):
+        sys = random_ni_system(3, 12, 2)[0]
+        svd_shapes.clear()  # the draw's own checks
+        assert is_minimal(sys)
+        assert svd_shapes == [(12, 12, 14), (12, 14, 12)]
 
 
 class TestDcGain:
