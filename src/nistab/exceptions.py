@@ -11,10 +11,6 @@ class DimensionError(NIStabError):
     """Matrix or vector dimensions are inconsistent with the operation."""
 
 
-class NotHermitianError(NIStabError):
-    """Input matrix violates the Hermitian-symmetry precondition."""
-
-
 class NotPSDError(NIStabError):
     """Matrix has an eigenvalue below the negative tolerance band."""
 

@@ -1,4 +1,4 @@
-"""Dense matrix kernels: Hermitian spectra, PSD factors, exponentials, SVD ranks.
+"""Dense matrix kernels: symmetric spectra, PSD factors, exponentials, SVD ranks.
 
 Eigen/SVD work is delegated to LAPACK via numpy/scipy; the verdict logic
 (PSD bands, rank cuts) lives here with explicit tolerances so results are
@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .exceptions import DimensionError, NotHermitianError, NotPSDError
+from .exceptions import DimensionError, NotPSDError
 
 DEFAULT_TOL = 1e-8
 
@@ -19,25 +19,9 @@ def _as_square(M: np.ndarray, name: str) -> np.ndarray:
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"{name} requires a square matrix, got shape {M.shape}")
-    if M.size and not np.all(np.isfinite(M.view(float) if np.iscomplexobj(M) else M)):
+    if not np.all(np.isfinite(M)):
         raise DimensionError(f"{name} requires finite entries")
     return M
-
-
-def hermitian_eigenvalues(M: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues of the Hermitian part of M, ascending.
-
-    M must be Hermitian within ``tol`` relative to its Frobenius norm; the
-    spectrum of (M + M*)/2 is returned.
-    """
-    M = _as_square(np.asarray(M, dtype=complex), "hermitian_eigenvalues")
-    herm = (M + M.conj().T) / 2
-    defect = np.linalg.norm(M - M.conj().T, "fro")
-    if defect > tol * max(1.0, np.linalg.norm(M, "fro")):
-        raise NotHermitianError(
-            f"matrix is not Hermitian within tolerance (defect {defect:.3e})"
-        )
-    return np.linalg.eigvalsh(herm)
 
 
 def min_eig_sym(M: np.ndarray) -> float:

@@ -33,13 +33,8 @@ tol_lyap as in lmi_ni_certificate).  Failing that, it stops Infeasible when
 the best residual gap of a stall window fails to improve on the previous
 window's, and MaxIterations at the iteration limit.  ``infeasibility_witness``
 is (n, m) for a coupling equation with no symmetric solution and (2, n, n)
-for a Farkas pair.  Each cone projection is one stacked eigendecomposition
-of both blocks, and each residual check one stacked eigenvalue call on
-A Y + Y A^T, Y and the witness blocks.  The reflection and the cone point
-are projected onto the family together, with one product by pinv(Gmap) for
-both null-space coordinate vectors and one by Gmap for both projections, and
-the shadow point is Y = Yp + smat(N theta), N the orthonormal null-space
-basis: exactly symmetric by construction.
+for a Farkas pair.  The shadow point Y = Yp + smat(N theta), N the
+orthonormal null-space basis, is exactly symmetric by construction.
 """
 
 from __future__ import annotations
@@ -247,11 +242,7 @@ def frequency_response(sys: StateSpace, grid: FrequencyGrid | None = None,
     marks the ill-conditioned ones "near-pole".
     """
     grid = grid or default_grid()
-    eigs = np.linalg.eigvals(sys.A)
-    mag = np.maximum(1.0, np.abs(eigs))
-    origin = bool(np.any(np.abs(eigs) <= tol_axis * max(1.0, float(np.linalg.norm(sys.A, 2)))))
-    rhp = bool(np.any(eigs.real > tol_axis * mag))
-    pole_ws = np.sort(eigs.imag[(np.abs(eigs.real) <= tol_axis * mag) & (eigs.imag > 0)])
+    origin, rhp, pole_ws, _ = sys.pole_classes(tol_axis)
     omegas = grid.omegas()
     excluded = np.any(np.abs(omegas[:, np.newaxis] - pole_ws)
                       <= grid.exclusion_radius * np.maximum(1.0, pole_ws), axis=1)
@@ -336,8 +327,7 @@ def positive_real_check(resp: FrequencyResponse, tol: float = DEFAULT_TOL) -> Fr
     half plane, and PSD Hermitian residues on the axis (the residues of F at
     j w0 coincide with the NI residue matrices of G).
     """
-    A = resp.sys.A
-    if min_singular_value(A) <= tol * max(1.0, float(np.linalg.norm(A, 2))):
+    if resp.sys.singular_a(tol):
         raise SingularAError("A is numerically singular; F(s) = s(G(s) - D) is undefined at 0")
     s = 1j * resp.omegas[resp.status == "ok"]
     F = s[:, np.newaxis, np.newaxis] * (resp.G - resp.sys.D)
@@ -387,8 +377,8 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None) -> NI
     tol = opts.tol
     n, m = sys.n, sys.m
     A, B, C = sys.A, sys.B, sys.C
-    norm_a = float(np.linalg.norm(A, 2))
-    if min_singular_value(A) <= tol * max(1.0, norm_a):
+    norm_a = sys.norm2
+    if sys.singular_a(tol):
         raise SingularAError("A is numerically singular; the NI certificate requires det(A) != 0")
     d_asym = float(np.linalg.norm(sys.D - sys.D.T, "fro"))
     if d_asym > tol * max(1.0, float(np.linalg.norm(sys.D, "fro"))):
@@ -557,7 +547,7 @@ def _assemble_certificate(sys: StateSpace, Y: np.ndarray, iterations: int,
     # same eigendecomposition square root as psd_factor, with the clamp band
     # widened to the solver's certified tolerance (relative to ||A||)
     eig_w = np.linalg.eigvalsh(W)
-    thr = tol * max(1.0, float(np.linalg.norm(A, 2)), float(np.abs(eig_w).max()))
+    thr = tol * max(1.0, sys.norm2, float(np.abs(eig_w).max()))
     w, U = np.linalg.eigh(W)
     keep = w > thr
     L = np.sqrt(w[keep])[:, np.newaxis] * U[:, keep].T
@@ -614,8 +604,7 @@ def sni_rank_condition(sys: StateSpace, cert: NICertificate,
         pencil[:, :n, n:] = sys.B
         pencil[:, n:] = np.hstack([L @ P, -(L @ sys.C.T)])
         min_sv = float(min_singular_value(pencil).min())
-    eigs = np.linalg.eigvals(sys.A)
-    hurwitz = bool(np.all(eigs.real < -tol_axis * np.maximum(1.0, np.abs(eigs))))
+    *_, hurwitz = sys.pole_classes(tol_axis)
     cert.rank_condition_min_sv = min_sv
     cert.strict = min_sv > tol and hurwitz
     return min_sv
@@ -695,7 +684,7 @@ def random_ni_system(seed: int, n: int, m: int, strict: bool = False,
         sys = StateSpace(A, B, C, D, label=f"random-ni-{seed}")
         if not is_minimal(sys):
             continue
-        if strict and np.linalg.eigvals(A).real.max() >= -TOL_AXIS:
+        if strict and sys.eig[0].real.max() >= -TOL_AXIS:
             continue
         cert = certificate_from_y(sys, Y)
         if strict:

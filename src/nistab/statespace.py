@@ -1,12 +1,13 @@
 """LTI state-space systems: transfer evaluation, poles, residues, minimality.
 
 A system is the quadruple (A, B, C, D) with square transfer matrix
-G(s) = C (sI - A)^{-1} B + D.  Systems are immutable value objects; every
-operation here is a pure function of its arguments.
+G(s) = C (sI - A)^{-1} B + D.  Systems are immutable value objects that cache
+read-only spectral data of A on first use, which every operation here reads.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -24,8 +25,7 @@ from .linalg import DEFAULT_TOL, min_singular_value
 
 #: an eigenvalue counts as "on the imaginary axis" when |Re| <= TOL_AXIS * max(1, |lambda|)
 TOL_AXIS = 1e-7
-#: resolvent guard: evaluation fails when sigma_min(sI - A) < TOL_POLE * max(1, |s|, ||A||_2);
-#: the SVD runs only at points that the Bauer-Fike bound of eval_tf_stack cannot clear
+#: resolvent guard: evaluation fails when sigma_min(sI - A) < TOL_POLE * max(1, |s|, ||A||_2)
 TOL_POLE = 1e-12
 
 
@@ -40,7 +40,7 @@ def _matrix(x, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Immutable state-space realization of a square LTI system."""
+    """Immutable state-space realization of a square LTI system; caches spectral data of A."""
 
     A: np.ndarray
     B: np.ndarray
@@ -77,6 +77,44 @@ class StateSpace:
     @property
     def m(self) -> int:
         return self.B.shape[1]
+
+    @functools.cached_property
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(lam, V)`` with A V = V diag(lam), from one eig(A); both read-only."""
+        lam, V = np.linalg.eig(self.A)
+        lam.setflags(write=False)
+        V.setflags(write=False)
+        return lam, V
+
+    _svals = functools.cached_property(lambda self: np.linalg.svd(self.A, compute_uv=False))
+    norm2 = property(lambda self: float(self._svals.max()), doc="||A||_2")
+    sigma_min = property(lambda self: float(self._svals.min()), doc="sigma_min(A)")
+
+    @functools.cached_property
+    def bauer_fike(self) -> tuple[float, float] | None:
+        """``(cond_2(V), ||R||_2 ||V^-1||_2)`` for ``(lam, V) = eig`` and R = A V - V diag(lam),
+        the constants of the resolvent bound in ``eval_tf_stack``; None when V is singular."""
+        try:
+            lam, V = self.eig
+            inv_norm = np.linalg.norm(np.linalg.inv(V), 2)
+        except np.linalg.LinAlgError:
+            return None
+        return np.linalg.norm(V, 2) * inv_norm, np.linalg.norm(self.A @ V - V * lam, 2) * inv_norm
+
+    def pole_classes(self, tol_axis: float = TOL_AXIS) -> tuple[bool, bool, np.ndarray, bool]:
+        """``(origin, rhp, axis_frequencies, hurwitz)``: a pole within tol_axis max(1, ||A||_2)
+        of 0, one right of the band |Re| <= tol_axis max(1, |lam|), the ascending Im > 0 of
+        those in the band, and whether all lie left of it."""
+        lam = self.eig[0]
+        band = tol_axis * np.maximum(1.0, np.abs(lam))
+        return (bool(np.any(np.abs(lam) <= tol_axis * max(1.0, self.norm2))),
+                bool(np.any(lam.real > band)),
+                np.sort(lam.imag[(np.abs(lam.real) <= band) & (lam.imag > 0)]),
+                bool(np.all(lam.real < -band)))
+
+    def singular_a(self, tol: float = DEFAULT_TOL) -> bool:
+        """A is numerically singular: sigma_min(A) <= tol * max(1, ||A||_2)."""
+        return self.sigma_min <= tol * max(1.0, self.norm2)
 
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
@@ -117,27 +155,23 @@ def eval_tf_stack(sys: StateSpace, points, tol_pole: float = TOL_POLE):
     """G(s) = C (sI - A)^{-1} B + D at each point by one stacked solve.
 
     Returns ``(G, guarded)``; ``guarded`` marks the points failing the resolvent
-    guard sigma_min(sI - A) < tol_pole * max(1, |s|, ||A||_2), where G is NaN.
-    With A V = V diag(lam) + R, sigma_min(sI - A) >= dist(s, lam) / cond_2(V) -
-    ||R||_2 ||V^-1||_2; a stacked SVD decides only the points where this is below
-    twice the guard (all of them when V is singular).  Non-finite points raise DimensionError.
+    guard sigma_min(sI - A) < tol_pole * max(1, |s|, ||A||_2), where G is NaN.  Only
+    the points the Bauer-Fike bound below cannot clear take an SVD (all of them when V
+    is singular).  Non-finite points raise DimensionError.
     """
     s = np.asarray(points).reshape(-1)
     if not np.all(np.isfinite(s)):
         raise DimensionError("evaluation points must be finite")
     res = s[:, np.newaxis, np.newaxis] * np.eye(sys.n) - sys.A
-    bound = tol_pole * np.maximum(np.maximum(1.0, np.abs(s)), float(np.linalg.norm(sys.A, 2)))
+    bound = tol_pole * np.maximum(np.maximum(1.0, np.abs(s)), sys.norm2)
     # Bauer-Fike: with R = A V - V diag(lam), sI - A = V (sI - diag(lam)) V^-1 - R V^-1, so
     # sigma_min(sI - A) >= min|s - lam| / cond_2(V) - ||R||_2 ||V^-1||_2 = lower.  Where
     # lower >= 2 * bound the guard cannot fail, with room for rounding; a NaN lower takes the SVD.
-    try:
-        lam, V = np.linalg.eig(sys.A)
-        inv_norm = np.linalg.norm(np.linalg.inv(V), 2)
-        lower = (np.abs(s[:, np.newaxis] - lam).min(axis=1) / (np.linalg.norm(V, 2) * inv_norm)
-                 - np.linalg.norm(sys.A @ V - V * lam, 2) * inv_norm)
-        unclear = ~(lower >= 2 * bound)
-    except np.linalg.LinAlgError:
-        unclear = np.ones(s.size, dtype=bool)
+    unclear = np.ones(s.size, dtype=bool)
+    if sys.bauer_fike is not None:
+        cond_v, defect = sys.bauer_fike
+        dist = np.abs(s[:, np.newaxis] - sys.eig[0]).min(axis=1)
+        unclear = ~(dist / cond_v - defect >= 2 * bound)
     guarded = np.zeros(s.size, dtype=bool)
     guarded[unclear] = min_singular_value(res[unclear]) < bound[unclear]
     G = np.full((s.size, sys.m, sys.m), np.nan, dtype=complex)
@@ -154,8 +188,7 @@ def eval_tf(sys: StateSpace, s: complex, tol_pole: float = TOL_POLE) -> np.ndarr
     """
     G, guarded = eval_tf_stack(sys, [s], tol_pole)
     if guarded[0]:
-        eigs = np.linalg.eigvals(sys.A)
-        worst = eigs[np.argmin(np.abs(eigs - s))]
+        worst = poles(sys)[np.argmin(np.abs(poles(sys) - s))]
         raise NearPoleError(
             f"evaluation point {s} is within the resolvent guard of pole {worst}", worst
         )
@@ -163,14 +196,14 @@ def eval_tf(sys: StateSpace, s: complex, tol_pole: float = TOL_POLE) -> np.ndarr
 
 
 def poles(sys: StateSpace) -> np.ndarray:
-    """Eigenvalues of A (the poles of G for a minimal realization)."""
-    return np.linalg.eigvals(sys.A)
+    """Eigenvalues of A (the poles of G for a minimal realization), read-only."""
+    return sys.eig[0]
 
 
 def is_minimal(sys: StateSpace, tol: float = DEFAULT_TOL) -> MinimalityReport:
     """PBH controllability/observability test at every eigenvalue of A, one stacked SVD each."""
-    scale = tol * max(1.0, float(np.linalg.norm(sys.A, 2)))
-    lams = np.linalg.eigvals(sys.A)
+    scale = tol * max(1.0, sys.norm2)
+    lams = sys.eig[0]
     shifted = sys.A - lams[:, np.newaxis, np.newaxis] * np.eye(sys.n)
     sv_c = min_singular_value(np.concatenate(
         [shifted, np.broadcast_to(sys.B, (sys.n, sys.n, sys.m))], axis=2))
@@ -184,11 +217,9 @@ def is_minimal(sys: StateSpace, tol: float = DEFAULT_TOL) -> MinimalityReport:
 
 def dc_gain(sys: StateSpace, tol: float = DEFAULT_TOL) -> np.ndarray:
     """G(0) = D - C A^{-1} B; requires A nonsingular (no pole at the origin)."""
-    sigma = min_singular_value(sys.A)
-    if sigma <= tol * max(1.0, float(np.linalg.norm(sys.A, 2))):
-        raise SingularAError(
-            f"A is numerically singular (sigma_min {sigma:.3e}); G has a pole at the origin"
-        )
+    if sys.singular_a(tol):
+        raise SingularAError(f"A is numerically singular (sigma_min {sys.sigma_min:.3e}); "
+                             "G has a pole at the origin")
     G0 = sys.D - sys.C @ np.linalg.solve(sys.A, sys.B)
     asym = float(np.linalg.norm(G0 - G0.T, "fro"))
     if asym > tol * max(1.0, float(np.linalg.norm(G0, "fro"))):
@@ -209,7 +240,7 @@ def residue_at_pole(sys: StateSpace, omega0: float, tol: float = TOL_AXIS) -> Re
     if omega0 <= 0:
         raise NotAPoleError("omega0 must be positive (axis poles are taken as +j omega0)")
     target = 1j * omega0
-    eigs, V = np.linalg.eig(sys.A)
+    eigs, V = sys.eig
     scale = max(1.0, omega0)
     dist = np.abs(eigs - target)
     cluster = np.flatnonzero(dist <= tol * scale)
@@ -223,7 +254,7 @@ def residue_at_pole(sys: StateSpace, omega0: float, tol: float = TOL_AXIS) -> Re
         )
     # defectiveness guard: a simple pole leaves sI - A with a 1-dim kernel
     kernel_dim = int(np.sum(np.linalg.svd(sys.A - target * np.eye(sys.n), compute_uv=False)
-                            <= tol * max(1.0, float(np.linalg.norm(sys.A, 2)))))
+                            <= tol * max(1.0, sys.norm2)))
     if kernel_dim > 1:
         raise NotSimplePoleError(f"eigenvalue j*{omega0} is defective (kernel dim {kernel_dim})")
     idx = int(cluster[0])

@@ -11,6 +11,8 @@ Transfer functions and their realizations used across the suite:
 * ``s_over_s2``   G(s) = s/(s^2 + 1)   non-Hermitian residue at the axis pole
 """
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,18 @@ def frequency_response_calls(monkeypatch) -> list:
     for mod in (nistab.cli, nistab.interconnect, nistab.nicert, nistab.selftest):
         monkeypatch.setattr(mod, "frequency_response", counted)
     return calls
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch) -> collections.Counter:
+    """Calls made through ``np.linalg.<name>`` from here on, counted by name."""
+    counts = collections.Counter()
+    for name in ("eig", "eigvals", "eigh", "eigvalsh", "svd", "norm"):
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
 
 
 def random_spd(rng, n, lo=0.5, hi=2.0):

@@ -1,12 +1,15 @@
 """CLI: file parsing, exit codes, report determinism, offline re-validation."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nistab import random_ni_system
 from nistab.cli import main
+
+GOLDEN_SYSTEMS = Path(__file__).resolve().parent / "golden" / "systems.json"
 
 SYSTEMS = {
     "schema_version": "1",
@@ -64,6 +67,13 @@ class TestCertify:
         assert report["results"]["lmi"]["strict"] is True
         assert report["results"]["frequency_sni"]["verdict"] == "SNI"
         assert report["results"]["w_transfer_zeros"]["passed"] is True
+
+    def test_sni_certify_takes_one_spectrum(self, linalg_calls, capsys):
+        # every route of the run reads the cached eigendecomposition of A
+        code = main(["certify", str(GOLDEN_SYSTEMS), "ctrl_half", "--property", "sni"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["certified"] is True
+        assert (linalg_calls["eig"], linalg_calls["eigvals"]) == (1, 0)
 
     def test_oscillator_not_sni(self, system_file, capsys):
         code = main(["certify", system_file, "osc", "--property", "sni"])

@@ -1,55 +1,15 @@
-"""Kernels: Hermitian spectra, PSD factors, exponentials, singular values."""
+"""Kernels: symmetric minimum eigenvalue, PSD factors, exponentials, singular values."""
 
 import numpy as np
 import pytest
 
-from nistab.exceptions import DimensionError, NotHermitianError, NotPSDError
+from nistab.exceptions import DimensionError, NotPSDError
 from nistab.linalg import (
-    hermitian_eigenvalues,
     matrix_exponential,
     min_eig_sym,
     min_singular_value,
     psd_factor,
 )
-
-
-class TestHermitianEigenvalues:
-    def test_scalar(self):
-        assert hermitian_eigenvalues(np.array([[2.0]])) == pytest.approx([2.0])
-
-    def test_pauli_type(self):
-        M = np.array([[0, 1j], [-1j, 0]])
-        np.testing.assert_allclose(hermitian_eigenvalues(M), [-1.0, 1.0], atol=1e-12)
-
-    def test_two_by_two(self):
-        # char poly (2-l)^2 - 1 = 0 -> l in {1, 3}
-        M = np.array([[2.0, 1.0], [1.0, 2.0]])
-        np.testing.assert_allclose(hermitian_eigenvalues(M), [1.0, 3.0], atol=1e-12)
-
-    def test_sorted_ascending(self):
-        rng = np.random.default_rng(0)
-        A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        M = A + A.conj().T
-        w = hermitian_eigenvalues(M)
-        assert np.all(np.diff(w) >= 0)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionError):
-            hermitian_eigenvalues(np.zeros((2, 3)))
-
-    def test_trace_identity(self):
-        # sum of eigenvalues equals the (real) trace
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            n = int(rng.integers(1, 8))
-            A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            M = A + A.conj().T
-            w = hermitian_eigenvalues(M)
-            assert abs(w.sum() - np.trace(M).real) <= 1e-10 * max(1.0, abs(np.trace(M).real))
 
 
 class TestMinEigSym:

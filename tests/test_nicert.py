@@ -285,31 +285,19 @@ def _smat(s, n):
 
 
 class TestDrIteration:
-    @staticmethod
-    def count_eig_calls(monkeypatch):
-        counts = {"eigh": 0, "eigvalsh": 0}
-        for name in counts:
-            def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
-                counts[_name] += 1
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counted)
-        return counts
-
-    def test_one_stacked_call_per_half_step(self, monkeypatch):
+    def test_one_stacked_call_per_half_step(self, linalg_calls):
         # each iteration: one eigh for both cone blocks, one eigvalsh for both
         # residual spectra and the witness blocks; the exit reuses the last check
-        counts = self.count_eig_calls(monkeypatch)
         cert = lmi_ni_certificate(notch(3.3))
         assert cert.verdict is CertStatus.INFEASIBLE
-        assert counts == {"eigh": cert.iterations, "eigvalsh": cert.iterations}
+        assert linalg_calls["eigh"] == linalg_calls["eigvalsh"] == cert.iterations
 
-    def test_residuals_checked_once_without_iterations(self, monkeypatch):
-        counts = self.count_eig_calls(monkeypatch)
+    def test_residuals_checked_once_without_iterations(self, linalg_calls):
         cert = lmi_ni_certificate(notch(3.3), SolverOptions(max_iterations=0))
         assert cert.verdict is CertStatus.MAX_ITERATIONS
         assert cert.iterations == 0
         assert np.isfinite(cert.lyap_residual) and np.isfinite(cert.coupling_residual)
-        assert counts == {"eigh": 0, "eigvalsh": 1}
+        assert (linalg_calls["eigh"], linalg_calls["eigvalsh"]) == (0, 1)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_index_maps_are_stacked_smat_and_svec(self, n):

@@ -188,6 +188,69 @@ class TestPoles:
                 1.0, np.abs(p1).max())
 
 
+class TestSpectralCache:
+    def test_matches_a_direct_computation_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 5, 12):
+            A = rng.standard_normal((n, n))
+            sys = StateSpace(A, np.ones((n, 1)), np.ones((1, n)), [[0.0]])
+            lam, V = np.linalg.eig(A)
+            np.testing.assert_array_equal(sys.eig[0], lam)
+            np.testing.assert_array_equal(sys.eig[1], V)
+            np.testing.assert_array_equal(poles(sys), np.linalg.eigvals(A))
+            assert sys.norm2 == float(np.linalg.norm(A, 2))
+            assert sys.sigma_min == min_singular_value(A)
+
+    def test_cached_arrays_are_read_only(self, osc):
+        lam, V = osc.eig
+        with pytest.raises(ValueError):
+            lam[0] = 5.0
+        with pytest.raises(ValueError):
+            V[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            poles(osc)[0] = 5.0
+        np.testing.assert_allclose(np.sort_complex(poles(osc)), [-1j, 1j], atol=1e-12)
+
+    def test_each_system_keeps_its_own_cache(self, first_order):
+        twice = StateSpace(2 * first_order.A, first_order.B, first_order.C, first_order.D)
+        for sys in (first_order, twice):  # fill both caches before reading either
+            sys.eig, sys.bauer_fike, sys.norm2
+        np.testing.assert_array_equal(poles(first_order), [-1.0])
+        np.testing.assert_array_equal(poles(twice), [-2.0])
+        assert (first_order.norm2, twice.norm2) == (1.0, 2.0)
+        assert first_order.eig[1] is not twice.eig[1]
+        np.testing.assert_allclose(eval_tf(twice, 0.0), [[0.5]], atol=1e-14)
+        np.testing.assert_allclose(eval_tf(first_order, 0.0), [[1.0]], atol=1e-14)
+
+    def test_pole_classes(self, osc, first_order):
+        origin, rhp, axis, hurwitz = osc.pole_classes()
+        assert (origin, rhp, hurwitz) == (False, False, False)
+        np.testing.assert_allclose(axis, [1.0], atol=1e-12)
+        assert first_order.pole_classes()[3]
+        origin, rhp, axis, hurwitz = StateSpace([[1.0, 0.0], [0.0, 0.0]], np.ones((2, 1)),
+                                                np.ones((1, 2)), [[0.0]]).pole_classes()
+        assert (origin, rhp, hurwitz, axis.size) == (True, True, False, 0)
+        # the band is relative: -1e-3 +/- j is on the axis at tol_axis 1e-2, not at 1e-7
+        damped = StateSpace([[-1e-3, 1.0], [-1.0, -1e-3]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+        assert damped.pole_classes()[3] and damped.pole_classes()[2].size == 0
+        assert damped.pole_classes(1e-2)[2].size == 1
+
+    def test_singular_a(self, first_order):
+        assert not first_order.singular_a()
+        assert StateSpace([[0.0]], [[1.0]], [[1.0]], [[0.0]]).singular_a()
+        assert StateSpace([[-1e-9]], [[1.0]], [[1.0]], [[0.0]]).singular_a(1e-8)
+
+    def test_repeated_eval_tf_takes_one_eig(self, linalg_calls):
+        # a drawn system has already filled its cache: evaluate a new object
+        drawn = random_ni_system(3, 12, 2)[0]
+        sys = StateSpace(drawn.A, drawn.B, drawn.C, drawn.D)
+        linalg_calls.clear()
+        for k in range(100):
+            eval_tf(sys, 1j * (k + 0.5))
+        assert linalg_calls["eig"] == 1
+        assert linalg_calls["eigvals"] == 0
+
+
 class TestIsMinimal:
     def test_siso_first_order(self, first_order):
         assert is_minimal(first_order)
