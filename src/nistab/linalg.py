@@ -1,14 +1,14 @@
 """Dense matrix kernels: symmetric spectra, PSD factors, exponentials, SVD ranks.
 
-Eigen/SVD work is delegated to LAPACK via numpy/scipy; the verdict logic
-(PSD bands, rank cuts) lives here with explicit tolerances so results are
+Eigen/SVD work is delegated to LAPACK via numpy; the verdict logic (PSD
+bands, rank cuts) lives here with explicit tolerances so results are
 reproducible.  All functions are pure and accept/return plain ndarrays.
+scipy is imported only on the first call of ``matrix_exponential``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import DimensionError, NotPSDError
 
@@ -51,7 +51,9 @@ def psd_factor(M: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def matrix_exponential(M: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """e^{M t} by scaling-and-squaring with Pade approximants (scipy.linalg.expm)."""
+    """e^{M t} by scaling-and-squaring with Pade (scipy.linalg.expm, imported on first use)."""
+    import scipy.linalg
+
     M = _as_square(np.asarray(M, dtype=float), "matrix_exponential")
     if t == 0.0:
         return np.eye(M.shape[0])

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, cumulative_trapezoid
 
 from .exceptions import DimensionError, FeedthroughError, NIStabError, NotCertifiedError
 from .interconnect import ClosedLoop, dc_gain_condition
@@ -271,8 +270,10 @@ def dissipation_integral_check(trace, tol_int: float = 1e-6) -> DissipationRepor
     (the plain trapezoid value is reported as well, but its O(dt^2) bias is
     too coarse for the bound when the plant is lossless and the inequality
     is tight).  The integrand is nonnegative, so the cumulative maximum is
-    attained at the final time.
+    attained at the final time.  scipy.integrate is imported on first use.
     """
+    from scipy.integrate import cumulative_simpson, cumulative_trapezoid
+
     f = np.asarray(trace.ytilde2_normsq, dtype=float)
     t = np.asarray(trace.times, dtype=float)
     if f.shape != t.shape:

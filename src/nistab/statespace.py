@@ -38,7 +38,7 @@ def _matrix(x, name: str) -> np.ndarray:
     return M
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpace:
     """Immutable state-space realization of a square LTI system; caches spectral data of A."""
 

@@ -1,6 +1,10 @@
 """CLI: file parsing, exit codes, report determinism, offline re-validation."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +13,8 @@ import pytest
 from nistab import random_ni_system
 from nistab.cli import main
 
-GOLDEN_SYSTEMS = Path(__file__).resolve().parent / "golden" / "systems.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_SYSTEMS = GOLDEN / "systems.json"
 
 SYSTEMS = {
     "schema_version": "1",
@@ -443,3 +448,49 @@ class TestParserBuiltOnce:
         assert loaded == [system_file]
         info = nistab.cli.build_parser.cache_info()
         assert (info.misses, info.hits) == (1, 4)
+
+
+# Run in a fresh interpreter: calls nistab.cli.main on each argv of argv[1] (JSON),
+# then prints the exit codes and the scipy modules loaded by the end as its last line.
+COLD_START = """
+import json, sys
+import nistab, nistab.cli
+codes = [nistab.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def _cold_run(*argvs):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(argvs)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    return result["codes"], set(result["scipy"])
+
+
+class TestColdStart:
+    """scipy is loaded by ``simulate`` only, and only when a fresh interpreter needs it."""
+
+    def test_certify_analyze_selftest_load_no_scipy(self, tmp_path):
+        digests = json.loads((GOLDEN / "digests.json").read_text())
+        codes, scipy = _cold_run(
+            ["certify", str(GOLDEN_SYSTEMS), "ctrl_half", "--property", "sni",
+             "--out", str(tmp_path / "certify.json")],
+            ["analyze", str(GOLDEN_SYSTEMS), "osc", "ctrl_half",
+             "--out", str(tmp_path / "analyze.json")],
+            ["selftest", "--cases", "2"])
+        assert codes == [digests["certify-sni-ctrl_half"]["exit_code"],
+                         digests["analyze-osc-ctrl_half"]["exit_code"], 0]
+        assert scipy == set()
+
+    def test_simulate_imports_scipy_on_first_use(self, tmp_path):
+        expected = json.loads((GOLDEN / "digests.json").read_text())["simulate-osc-ctrl_half"]
+        csv = tmp_path / "trace.csv"
+        codes, scipy = _cold_run(["simulate", str(GOLDEN_SYSTEMS), "osc", "ctrl_half",
+                                  "--x0=1,-0.5,0.25", "--out", str(csv)])
+        assert codes == [expected["exit_code"]]
+        digest = hashlib.sha256(csv.read_text(encoding="utf-8").encode("utf-8")).hexdigest()
+        assert digest == expected["csv_sha256"]
+        assert {"scipy.linalg", "scipy.integrate"} <= scipy

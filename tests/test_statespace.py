@@ -37,6 +37,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             first_order.A[0, 0] = 5.0
 
+    def test_identity_equality_and_hashing(self, osc):
+        lam = osc.eig[0]
+        copy = StateSpace(osc.A, osc.B, osc.C, osc.D, label=osc.label)
+        assert osc == osc and not (osc != osc)
+        assert osc != copy and not (osc == copy)
+        keyed = {osc: "a", copy: "b"}
+        assert (keyed[osc], keyed[copy]) == ("a", "b")
+        assert len({osc, copy, osc}) == 2
+        assert osc.eig[0] is lam
+        np.testing.assert_array_equal(copy.eig[0], lam)
+
 
 class TestEvalTf:
     def test_dc_value(self, first_order):
