@@ -110,7 +110,10 @@ def dumps_canonical(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        rendered = [dumps_canonical(v, indent + 1) for v in obj]
+        if all(type(v) is float for v in obj):  # the per-point arrays, from tolist()
+            rendered = [_fmt_float(v) for v in obj]
+        else:
+            rendered = [dumps_canonical(v, indent + 1) for v in obj]
         if all(len(r) < 24 and "\n" not in r for r in rendered):
             return "[" + ", ".join(rendered) + "]"
         return "[\n" + ",\n".join(pad_in + r for r in rendered) + f"\n{pad}]"

@@ -10,11 +10,10 @@ collapses to -||ytilde1||^2 - ||ytilde2||^2 with
 ytilde_i = L_i P_i x_i - L_i C_i^T u_i; that identity is verified
 numerically here rather than re-deriving the intermediate algebra.
 
-Loop outputs are solved once at state construction (u1 = y2, u2 = y1); both
-evaluations of the storage function use those outputs.  The difference
-between x^T Q x and V1 + V2 - 2 y1^T y2 is exactly the feedthrough
+Loop outputs are solved once at state construction (u1 = y2, u2 = y1).  At
+such a state x^T Q x equals V1 + V2 - 2 y1^T y2 plus the feedthrough
 correction y1^T D2 y1 + y2^T D1 y2, which vanishes for strictly proper
-blocks; the identity including the correction is asserted unconditionally.
+blocks.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, FeedthroughError, NIStabError, NotCertifiedError
+from .exceptions import DimensionError, FeedthroughError, NotCertifiedError
 from .interconnect import ClosedLoop, dc_gain_condition
 from .linalg import DEFAULT_TOL
 from .nicert import NICertificate
@@ -63,14 +62,6 @@ class InterconnectState:
     @property
     def x(self) -> np.ndarray:
         return np.concatenate([self.x1, self.x2], axis=-1)
-
-
-@dataclass
-class ValueReport:
-    value: float                    # x^T Q x
-    alternative: float              # V1 + V2 - 2 y1^T y2
-    feedthrough_correction: float   # y1^T D2 y1 + y2^T D1 y2
-    residual: float                 # |value - alternative - correction|
 
 
 @dataclass
@@ -190,35 +181,6 @@ def gram_dc_equivalence(plant: StateSpace, controller: StateSpace,
         min_eig_Q=cert.min_eig_Q,
         lambda_max=lam_max,
     )
-
-
-def lyapunov_value(state: InterconnectState, cert: LyapunovCertificate,
-                   tol: float = 1e-10) -> ValueReport:
-    """Evaluate the storage function both ways and check they coincide.
-
-    The block quadratic form x^T Q x equals V1 + V2 - 2 y1^T y2 plus the
-    feedthrough correction y1^T D2 y1 + y2^T D1 y2 whenever the outputs
-    satisfy the loop constraint; a residual above ``tol`` (scaled) means the
-    state was not produced by ``make_state`` for this interconnection.
-    """
-    x = state.x
-    if x.shape != (cert.Q.shape[0],):
-        raise DimensionError("state dimension does not match the certificate")
-    value = float(x @ cert.Q @ x)
-    alt = (float(state.x1 @ cert.P1 @ state.x1)
-           + float(state.x2 @ cert.P2 @ state.x2)
-           - 2.0 * float(state.y1 @ state.y2))
-    correction = (float(state.y1 @ cert.controller.D @ state.y1)
-                  + float(state.y2 @ cert.plant.D @ state.y2))
-    residual = abs(value - alt - correction)
-    scale = max(1.0, float(x @ x) * max(1.0, float(np.linalg.norm(cert.Q, 2))))
-    if residual > tol * scale:
-        raise NIStabError(
-            f"storage-function evaluations disagree (residual {residual:.3e}); "
-            "state outputs do not satisfy the loop constraint"
-        )
-    return ValueReport(value=value, alternative=alt,
-                       feedthrough_correction=correction, residual=residual)
 
 
 def lyapunov_derivative(state: InterconnectState, cl: ClosedLoop,

@@ -162,7 +162,11 @@ def eval_tf_stack(sys: StateSpace, points, tol_pole: float = TOL_POLE):
     s = np.asarray(points).reshape(-1)
     if not np.all(np.isfinite(s)):
         raise DimensionError("evaluation points must be finite")
-    res = s[:, np.newaxis, np.newaxis] * np.eye(sys.n) - sys.A
+    # sI - A with the bits of s * I - A, signed zeros included, without the stacked
+    # multiply: s * 0 - A off the diagonal and s * 1 - A on it
+    diag = np.arange(sys.n)
+    res = (s * 0.0)[:, np.newaxis, np.newaxis] - sys.A
+    res[:, diag, diag] = (s * 1.0)[:, np.newaxis] - sys.A[diag, diag]
     bound = tol_pole * np.maximum(np.maximum(1.0, np.abs(s)), sys.norm2)
     # Bauer-Fike: with R = A V - V diag(lam), sI - A = V (sI - diag(lam)) V^-1 - R V^-1, so
     # sigma_min(sI - A) >= min|s - lam| / cond_2(V) - ||R||_2 ||V^-1||_2 = lower.  Where

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from nistab import random_ni_system
-from nistab.cli import main
+from nistab.cli import dumps_canonical, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_SYSTEMS = GOLDEN / "systems.json"
@@ -448,6 +448,22 @@ class TestParserBuiltOnce:
         assert loaded == [system_file]
         info = nistab.cli.build_parser.cache_info()
         assert (info.misses, info.hits) == (1, 4)
+
+
+class TestDumpsCanonical:
+    FLOATS = [0.5, -0.0, float("nan"), float("inf"), 1e-300, -1.2345678901234567e-308, 3.0]
+
+    @pytest.mark.parametrize("values", [FLOATS[:2], FLOATS[2:4], FLOATS[:4] + [3.0], FLOATS])
+    def test_float_lists_render_as_items_one_by_one(self, values):
+        # a list of Python floats skips the per-item dispatch; numpy scalars take it
+        fast = dumps_canonical({"a": [values]})
+        assert fast == dumps_canonical({"a": [[np.float64(v) for v in values]]})
+        assert fast == dumps_canonical({"a": [np.array(values)]})
+
+    def test_long_float_breaks_the_line(self):
+        assert dumps_canonical([0.5, -1.2345678901234567e-308]) == (
+            "[\n  0.5,\n  -1.2345678901234567e-308\n]")
+        assert dumps_canonical([0.5, float("nan"), 2.0]) == "[0.5, null, 2]"
 
 
 # Run in a fresh interpreter: calls nistab.cli.main on each argv of argv[1] (JSON),

@@ -2,9 +2,14 @@
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import nistab.nicert
 
 from nistab import (
     CertStatus,
@@ -12,6 +17,7 @@ from nistab import (
     SolverOptions,
     StateSpace,
     Verdict,
+    default_grid,
     eval_tf,
     eval_tf_stack,
     freq_ni_test,
@@ -551,6 +557,19 @@ def per_point_rank(sys, cert, grid):
         for w in grid.omegas())
 
 
+def full_stack_rank(sys, cert, grid):
+    """Reference for sni_rank_condition: the minimum of one SVD stack over every grid point."""
+    L, P = cert.L, cert.P
+    if L.shape[0] < sys.m:
+        return 0.0
+    omegas = grid.omegas()
+    top = np.concatenate([sys.A - 1j * omegas[:, np.newaxis, np.newaxis] * np.eye(sys.n),
+                          np.broadcast_to(sys.B, (omegas.size, sys.n, sys.m))], axis=2)
+    lower = np.broadcast_to(np.hstack([L @ P, -(L @ sys.C.T)]),
+                            (omegas.size, L.shape[0], sys.n + sys.m))
+    return float(min_singular_value(np.concatenate([top, lower], axis=1)).min())
+
+
 def per_point_w(sys, cert, grid, tol=1e-8):
     """Reference for w_transfer_zero_check: one solve and one SVD per grid point;
     None where the solve raises."""
@@ -619,6 +638,54 @@ class TestStackedStrictnessChecks:
                 assert report.passed is (not flagged)
                 masked += int(none.sum())
         assert masked > 0  # w = 1 on the linear grid is an exact pole of MIXED
+
+    # one point, two points, twelve decades, and a linear grid that starts on the poles
+    # +-j of MIXED; a grid is anything with omegas()
+    HARD_GRIDS = (SimpleNamespace(omegas=lambda: np.array([0.7])),
+                  FrequencyGrid(points=2),
+                  FrequencyGrid(omega_min=1e-6, omega_max=1e6),
+                  FrequencyGrid(omega_min=1.0, omega_max=2.0, points=11, spacing="linear"))
+
+    @pytest.mark.parametrize("gain", [1e-3, 1.0, 1e3])
+    def test_rank_matches_per_point_reference_on_hard_cases(self, gain):
+        # G -> gain G keeps the certificate with Y -> gain Y, and scales the pencil's rows
+        for sys, cert in _certified_systems():
+            scaled = StateSpace(sys.A, gain * sys.B, sys.C, gain * sys.D, label=sys.label)
+            cert = certificate_from_y(scaled, gain * cert.Y)
+            for grid in self.GRIDS + self.HARD_GRIDS:
+                rank = sni_rank_condition(scaled, cert, grid)
+                assert np.float64(rank).tobytes() == np.float64(
+                    per_point_rank(scaled, cert, grid)).tobytes()
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 8), m=st.integers(1, 3),
+           strict=st.booleans(), gain=st.sampled_from([1e-3, 1e-1, 1.0, 10.0, 1e3]),
+           lo=st.floats(-6, 1), decades=st.floats(0.1, 12), points=st.integers(2, 400),
+           spacing=st.sampled_from(["logarithmic", "linear"]))
+    def test_pruned_minimum_is_the_full_stack_minimum(self, seed, n, m, strict, gain, lo,
+                                                      decades, points, spacing):
+        sys, cert = random_ni_system(seed, n, min(n, m), strict=strict)
+        sys = StateSpace(sys.A, gain * sys.B, sys.C, gain * sys.D)
+        cert = certificate_from_y(sys, gain * cert.Y)
+        grid = FrequencyGrid(omega_min=10.0 ** lo, omega_max=10.0 ** (lo + decades),
+                             points=points, spacing=spacing)
+        assert np.float64(sni_rank_condition(sys, cert, grid)).tobytes() == np.float64(
+            full_stack_rank(sys, cert, grid)).tobytes()
+
+    def test_most_pencils_take_no_svd(self, monkeypatch):
+        sys, cert = random_ni_system(3, 12, 2, strict=True)
+        pencils = []
+
+        def counted(M):
+            pencils.append(M.shape[0])
+            return min_singular_value(M)
+
+        monkeypatch.setattr(nistab.nicert, "min_singular_value", counted)
+        rank = sni_rank_condition(sys, cert)
+        assert 0 < sum(pencils) < default_grid().points
+        assert cert.strict
+        monkeypatch.undo()
+        assert rank == full_stack_rank(sys, cert, default_grid())
 
     def test_origin_value_skips_a_masked_point(self):
         cert = lmi_ni_certificate(MIXED)

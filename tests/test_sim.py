@@ -16,7 +16,7 @@ from nistab import (
 from nistab.exceptions import DimensionError
 from nistab.linalg import matrix_exponential
 from nistab.selftest import random_certified_pair
-from nistab.sim import SimulationTrace
+from nistab.sim import _CSV_BLOCK, SimulationTrace
 
 
 @pytest.fixture
@@ -149,3 +149,16 @@ class TestTraceCsv:
         trace = simulate(cl, np.array([1.0, 0.0, 0.0]), 0.1, 1e-2)
         text = trace_to_csv(trace)
         assert ",nan,nan" in text.split("\n")[1]
+
+    @pytest.mark.parametrize("rows", [1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1,
+                                      2 * _CSV_BLOCK + 1])
+    def test_matches_one_row_at_a_time(self, rows):
+        # rows are formatted a block at a time; the bytes are those of one % per row
+        rng = np.random.default_rng(rows)
+        x = rng.standard_normal((rows, 2)) * 10.0 ** rng.integers(-20, 20, (rows, 2))
+        x[0] = [-0.0, np.inf]
+        trace = SimulationTrace(times=np.arange(rows) * 1e-2, x=x, V=np.full(rows, np.nan),
+                                ytilde2_normsq=rng.random(rows), dt=1e-2, method="expm_exact")
+        table = np.column_stack([trace.times, x, trace.V, trace.ytilde2_normsq])
+        expected = "".join(",".join("%.12g" % v for v in row.tolist()) + "\n" for row in table)
+        assert trace_to_csv(trace) == "t,x1,x2,V,ytilde2sq\n" + expected
