@@ -290,7 +290,7 @@ def cmd_certify(args) -> int:
         results["frequency_sni"] = _freq_dict(freq_sni_test(resp, tol))
         if cert is not None and cert.certified:
             sni_rank_condition(sys_, cert, grid, tol, args.tol_axis)
-            wz = w_transfer_zero_check(sys_, cert, grid, tol)
+            wz = w_transfer_zero_check(resp, cert, tol)
             results["lmi"] = _cert_dict(cert)
             results["w_transfer_zeros"] = {
                 "passed": wz.passed,

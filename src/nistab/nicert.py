@@ -57,9 +57,9 @@ from .statespace import (
     TOL_AXIS,
     TOL_POLE,
     StateSpace,
-    eval_tf_stack,
     is_minimal,
     residue_at_pole,
+    resolvent_stack,
 )
 
 SIGN_CONVENTION = "A@Y + Y@A.T == -L.T@L with Y == inv(P)"
@@ -113,23 +113,25 @@ class GridPoint:
 
 @dataclass(frozen=True)
 class FrequencyResponse:
-    """G(j omega) at the "ok" grid points (``status`` is "ok", "excluded" or
-    "near-pole" per point) and the pole data every frequency route reads."""
+    """G(j omega) = C X + D and X = (j omega I - A)^{-1} B at the "ok" grid points (``status``
+    is "ok", "excluded" or "near-pole" per point), and the pole data every route reads."""
 
     sys: StateSpace
     grid: FrequencyGrid
     omegas: np.ndarray
     status: np.ndarray
     G: np.ndarray
+    X: np.ndarray
     origin_pole: bool
     rhp_pole: bool
     axis_pole_frequencies: list[float]
     pole_findings: list
     pole_problems: list[str]
 
-    def ni_matrices(self) -> np.ndarray:
-        """j(G - G*) at every "ok" point."""
-        return 1j * (self.G - self.G.conj().swapaxes(-1, -2))
+    @functools.cached_property
+    def ni_min_eig(self) -> np.ndarray:
+        """min eig j(G - G*) at every "ok" point, computed once for the NI and SNI sweeps."""
+        return _min_eig_hermitian(1j * (self.G - self.G.conj().swapaxes(-1, -2)))
 
 
 @dataclass
@@ -238,15 +240,16 @@ def frequency_response(sys: StateSpace, grid: FrequencyGrid | None = None,
     """Evaluate G(j omega) once over the grid and classify the poles of G.
 
     Points inside the exclusion radius of an imaginary-axis pole are skipped
-    first; the rest go through one stacked evaluation, whose resolvent guard
-    marks the ill-conditioned ones "near-pole".
+    first; the rest go through one stacked resolvent solve, whose guard marks
+    the ill-conditioned ones "near-pole".  Its X is kept for ``w_transfer_zero_check``.
     """
     grid = grid or default_grid()
     origin, rhp, pole_ws, _ = sys.pole_classes(tol_axis)
     omegas = grid.omegas()
     excluded = np.any(np.abs(omegas[:, np.newaxis] - pole_ws)
                       <= grid.exclusion_radius * np.maximum(1.0, pole_ws), axis=1)
-    G, guarded = eval_tf_stack(sys, 1j * omegas[~excluded], tol_pole)
+    X, guarded = resolvent_stack(sys, 1j * omegas[~excluded], tol_pole)
+    X = X[~guarded]
     status = np.where(excluded, "excluded", "ok").astype("<U9")
     status[np.flatnonzero(~excluded)[guarded]] = "near-pole"
     findings, problems = [], []
@@ -255,18 +258,22 @@ def frequency_response(sys: StateSpace, grid: FrequencyGrid | None = None,
             findings.append(residue_at_pole(sys, w0, tol_axis))
         except Exception as exc:  # NotSimple / Degenerate / NotAPole borderline
             problems.append(f"pole at j*{w0:.6g}: {exc}")
-    return FrequencyResponse(sys, grid, omegas, status, G[~guarded], origin, rhp,
+    return FrequencyResponse(sys, grid, omegas, status, sys.C @ X + sys.D, X, origin, rhp,
                              pole_ws.tolist(), findings, problems)
 
 
-def _report(resp: FrequencyResponse, M: np.ndarray, tol: float, notes: list[str],
+def _min_eig_hermitian(M: np.ndarray) -> np.ndarray:
+    """min eig (M + M*)/2 per matrix of the stack, from one stacked eigvalsh."""
+    return np.linalg.eigvalsh((M + M.conj().swapaxes(-1, -2)) / 2).min(axis=-1)
+
+
+def _report(resp: FrequencyResponse, values: np.ndarray, tol: float, notes: list[str],
             pole_failure: bool, origin_pole: bool | None, pole_findings: list,
             strict: bool = False, no_points: str = "no usable grid points") -> FrequencyReport:
-    """The verdict rule shared by the routes, on min eig (M + M*)/2 per "ok" point.
+    """The verdict rule shared by the routes, on the per-"ok"-point minimum eigenvalues.
 
     Pole failures decide NotNI, then a sweep minimum below -tol does; the
     strict (SNI) rule also answers Inconclusive inside the +/-tol band."""
-    values = np.linalg.eigvalsh((M + M.conj().swapaxes(-1, -2)) / 2).min(axis=-1)
     worst = float(values.min()) if values.size else None
     if pole_failure:
         verdict = Verdict.NOT_NI
@@ -301,7 +308,7 @@ def freq_ni_test(resp: FrequencyResponse, tol: float = DEFAULT_TOL) -> Frequency
         warnings.warn(f"{resp.sys.label or 'system'}: realization is not minimal", stacklevel=2)
     notes.extend(resp.pole_problems)
     pole_failure = resp.origin_pole or resp.rhp_pole or _residues_fail(resp, tol)
-    return _report(resp, resp.ni_matrices(), tol, notes, pole_failure, resp.origin_pole,
+    return _report(resp, resp.ni_min_eig, tol, notes, pole_failure, resp.origin_pole,
                    resp.pole_findings,
                    no_points="no usable grid points (all excluded or ill-conditioned)")
 
@@ -316,7 +323,7 @@ def freq_sni_test(resp: FrequencyResponse, tol: float = DEFAULT_TOL) -> Frequenc
     pole_failure = resp.rhp_pole or resp.origin_pole or bool(resp.axis_pole_frequencies)
     if pole_failure:
         notes.append("poles outside the open left half plane")
-    return _report(resp, resp.ni_matrices(), tol, notes, pole_failure, resp.origin_pole, [],
+    return _report(resp, resp.ni_min_eig, tol, notes, pole_failure, resp.origin_pole, [],
                    strict=True)
 
 
@@ -332,8 +339,8 @@ def positive_real_check(resp: FrequencyResponse, tol: float = DEFAULT_TOL) -> Fr
     s = 1j * resp.omegas[resp.status == "ok"]
     F = s[:, np.newaxis, np.newaxis] * (resp.G - resp.sys.D)
     pole_failure = resp.rhp_pole or _residues_fail(resp, tol)
-    return _report(resp, F + F.conj().swapaxes(-1, -2), tol, list(resp.pole_problems),
-                   pole_failure, None, resp.pole_findings)
+    return _report(resp, _min_eig_hermitian(F + F.conj().swapaxes(-1, -2)), tol,
+                   list(resp.pole_problems), pole_failure, None, resp.pole_findings)
 
 
 # ---------------------------------------------------------------------------
@@ -659,30 +666,35 @@ def sni_rank_condition(sys: StateSpace, cert: NICertificate,
     return min_sv
 
 
-def w_transfer_zero_check(sys: StateSpace, cert: NICertificate,
-                          grid: FrequencyGrid | None = None,
+def w_transfer_zero_check(resp: FrequencyResponse, cert: NICertificate,
                           tol: float = DEFAULT_TOL) -> WZeroReport:
-    """Zeros of W(jw) = L P (jwI - A)^{-1} B - L C^T for w > 0.
+    """Zeros of W(jw) = L P (jwI - A)^{-1} B - L C^T for w > 0, on the grid of ``resp``.
 
-    W(s) = s M(s) vanishes at the origin by construction, so the value at the
-    low end of the grid is recorded without being flagged.
+    W reads ``resp.X`` at the "ok" points; only the others take their own solve
+    (NaN where jwI - A is exactly singular).  W(s) = s M(s) vanishes at the origin
+    by construction, so the value at the low end of the grid is recorded unflagged.
     """
     if not cert.certified:
         raise NotCertifiedError("w_transfer_zero_check requires a certified system")
-    grid = grid or default_grid()
+    sys, omegas = resp.sys, resp.omegas
     L = cert.L
-    omegas = grid.omegas()
     if L.shape[0] == 0:
         min_sv = np.zeros(omegas.size)
         flagged = omegas.tolist()
     else:
-        res = 1j * omegas[:, np.newaxis, np.newaxis] * np.eye(sys.n) - sys.A
-        # a zero LU pivot: exactly the points where solve would raise
-        solvable = np.linalg.slogdet(res)[0] != 0
-        X = np.linalg.solve(res[solvable], sys.B.astype(complex)[np.newaxis])
-        W = L @ cert.P @ X - L @ sys.C.T
+        solved = resp.status == "ok"
+        X = np.empty((omegas.size, sys.n, sys.m), dtype=complex)
+        X[solved] = resp.X
+        rest = np.flatnonzero(~solved)
+        if rest.size:
+            res = 1j * omegas[rest, np.newaxis, np.newaxis] * np.eye(sys.n) - sys.A
+            # a zero LU pivot: exactly the points where solve would raise
+            solvable = np.linalg.slogdet(res)[0] != 0
+            X[rest[solvable]] = np.linalg.solve(res[solvable], sys.B.astype(complex)[np.newaxis])
+            solved[rest[solvable]] = True
+        W = L @ cert.P @ X[solved] - L @ sys.C.T
         min_sv = np.full(omegas.size, np.nan)
-        min_sv[solvable] = min_singular_value(W) if L.shape[0] >= sys.m else 0.0
+        min_sv[solved] = min_singular_value(W) if L.shape[0] >= sys.m else 0.0
         flagged = omegas[(min_sv < tol) & (omegas > omegas[0])].tolist()
     known = min_sv[~np.isnan(min_sv)]
     origin_value = float(known[0]) if known.size else 0.0

@@ -93,7 +93,7 @@ class StateSpace:
     @functools.cached_property
     def bauer_fike(self) -> tuple[float, float] | None:
         """``(cond_2(V), ||R||_2 ||V^-1||_2)`` for ``(lam, V) = eig`` and R = A V - V diag(lam),
-        the constants of the resolvent bound in ``eval_tf_stack``; None when V is singular."""
+        the constants of the resolvent bound in ``resolvent_stack``; None when V is singular."""
         try:
             lam, V = self.eig
             inv_norm = np.linalg.norm(np.linalg.inv(V), 2)
@@ -151,11 +151,11 @@ class MinimalityReport:
         return self.minimal
 
 
-def eval_tf_stack(sys: StateSpace, points, tol_pole: float = TOL_POLE):
-    """G(s) = C (sI - A)^{-1} B + D at each point by one stacked solve.
+def resolvent_stack(sys: StateSpace, points, tol_pole: float = TOL_POLE):
+    """X = (sI - A)^{-1} B at each point by one stacked solve.
 
-    Returns ``(G, guarded)``; ``guarded`` marks the points failing the resolvent
-    guard sigma_min(sI - A) < tol_pole * max(1, |s|, ||A||_2), where G is NaN.  Only
+    Returns ``(X, guarded)``; ``guarded`` marks the points failing the resolvent
+    guard sigma_min(sI - A) < tol_pole * max(1, |s|, ||A||_2), where X is NaN.  Only
     the points the Bauer-Fike bound below cannot clear take an SVD (all of them when V
     is singular).  Non-finite points raise DimensionError.
     """
@@ -178,9 +178,17 @@ def eval_tf_stack(sys: StateSpace, points, tol_pole: float = TOL_POLE):
         unclear = ~(dist / cond_v - defect >= 2 * bound)
     guarded = np.zeros(s.size, dtype=bool)
     guarded[unclear] = min_singular_value(res[unclear]) < bound[unclear]
-    G = np.full((s.size, sys.m, sys.m), np.nan, dtype=complex)
+    X = np.full((s.size, sys.n, sys.m), np.nan, dtype=complex)
     B = sys.B.astype(complex)[np.newaxis]  # a stack of one (n, m) matrix, on numpy 1.x too
-    G[~guarded] = sys.C @ np.linalg.solve(res[~guarded], B) + sys.D
+    X[~guarded] = np.linalg.solve(res[~guarded], B)
+    return X, guarded
+
+
+def eval_tf_stack(sys: StateSpace, points, tol_pole: float = TOL_POLE):
+    """``(G, guarded)``: G(s) = C X + D at each point, NaN where ``resolvent_stack`` guards X."""
+    X, guarded = resolvent_stack(sys, points, tol_pole)
+    G = np.full((guarded.size, sys.m, sys.m), np.nan, dtype=complex)
+    G[~guarded] = sys.C @ X[~guarded] + sys.D
     return G, guarded
 
 

@@ -82,7 +82,7 @@ def frequency_response_calls(monkeypatch) -> list:
 def linalg_calls(monkeypatch) -> collections.Counter:
     """Calls made through ``np.linalg.<name>`` from here on, counted by name."""
     counts = collections.Counter()
-    for name in ("eig", "eigvals", "eigh", "eigvalsh", "svd", "norm"):
+    for name in ("eig", "eigvals", "eigh", "eigvalsh", "svd", "norm", "solve", "slogdet"):
         def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)

@@ -80,6 +80,15 @@ class TestCertify:
         assert json.loads(capsys.readouterr().out)["certified"] is True
         assert (linalg_calls["eig"], linalg_calls["eigvals"]) == (1, 0)
 
+    def test_sni_certify_solves_the_resolvent_once(self, linalg_calls, capsys):
+        # the W(jw) zero check reads the X of the sweep, and the NI and SNI sweeps
+        # share one eigvalsh; the other solve is DR's A^-1 B
+        code = main(["certify", str(GOLDEN_SYSTEMS), "ctrl_half", "--property", "sni"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["certified"] is True
+        counts = linalg_calls["solve"], linalg_calls["slogdet"], linalg_calls["eigvalsh"]
+        assert counts == (2, 0, 4)
+
     def test_oscillator_not_sni(self, system_file, capsys):
         code = main(["certify", system_file, "osc", "--property", "sni"])
         report = json.loads(capsys.readouterr().out)

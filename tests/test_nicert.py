@@ -523,7 +523,7 @@ class TestWTransferZeroCheck:
     def test_magnitude_formula(self, ctrl_half):
         # W(jw) = -jw/(jw + 1), |W| = w / sqrt(1 + w^2)
         cert = lmi_ni_certificate(ctrl_half)
-        report = w_transfer_zero_check(ctrl_half, cert, GRID)
+        report = w_transfer_zero_check(frequency_response(ctrl_half, GRID), cert)
         assert report.passed
         for w, sv in zip(report.omegas[::20], report.min_sv[::20]):
             assert sv == pytest.approx(w / np.sqrt(1 + w**2), rel=1e-9)
@@ -531,12 +531,12 @@ class TestWTransferZeroCheck:
     def test_value_at_unit_frequency(self, ctrl_half):
         cert = lmi_ni_certificate(ctrl_half)
         grid = FrequencyGrid(omega_min=1.0, omega_max=2.0, points=2)
-        report = w_transfer_zero_check(ctrl_half, cert, grid)
+        report = w_transfer_zero_check(frequency_response(ctrl_half, grid), cert)
         assert report.min_sv[0] == pytest.approx(1 / np.sqrt(2.0), rel=1e-9)
 
     def test_zero_factor_flagged_everywhere(self, osc):
         cert = lmi_ni_certificate(osc)
-        report = w_transfer_zero_check(osc, cert, GRID)
+        report = w_transfer_zero_check(frequency_response(osc, GRID), cert)
         assert not report.passed
         assert len(report.flagged) == GRID.points
 
@@ -626,18 +626,39 @@ class TestStackedStrictnessChecks:
                 rank = sni_rank_condition(sys, cert, grid)
                 assert np.float64(rank).tobytes() == np.float64(
                     per_point_rank(sys, cert, grid)).tobytes()
-                values, flagged, origin = per_point_w(sys, cert, grid)
-                report = w_transfer_zero_check(sys, cert, grid)
-                assert np.array_equal(report.omegas, grid.omegas())
-                none = np.array([v is None for v in values])
-                np.testing.assert_array_equal(np.isnan(report.min_sv), none)
-                kept = np.array([v for v in values if v is not None], dtype=float)
-                assert report.min_sv[~none].tobytes() == kept.tobytes()
-                assert report.flagged == flagged
-                assert report.origin_value == origin
-                assert report.passed is (not flagged)
-                masked += int(none.sum())
+                masked += self.assert_matches_per_point_w(frequency_response(sys, grid), cert)
         assert masked > 0  # w = 1 on the linear grid is an exact pole of MIXED
+
+    @staticmethod
+    def assert_matches_per_point_w(resp, cert):
+        """w_transfer_zero_check on ``resp`` equals per_point_w bit for bit; returns
+        the number of masked points."""
+        values, flagged, origin = per_point_w(resp.sys, cert, resp.grid)
+        report = w_transfer_zero_check(resp, cert)
+        assert np.array_equal(report.omegas, resp.grid.omegas())
+        none = np.array([v is None for v in values])
+        np.testing.assert_array_equal(np.isnan(report.min_sv), none)
+        kept = np.array([v for v in values if v is not None], dtype=float)
+        assert report.min_sv[~none].tobytes() == kept.tobytes()
+        assert report.flagged == flagged
+        assert report.origin_value == origin
+        assert report.passed is (not flagged)
+        return int(none.sum())
+
+    # MIXED, not osc: the empty L of osc never reads X
+    @pytest.mark.parametrize("grid, tol_pole, statuses", [
+        # w = 0.99 is excluded but solvable; w = 1 is an exact pole
+        (FrequencyGrid(0.9, 1.1, 21, "linear"), 1e-12, ["excluded", "excluded"]),
+        (FrequencyGrid(), 0.05, ["near-pole", "near-pole"]),
+        (FrequencyGrid(1.0, 2.0, 11, "linear"), 1e-12, ["excluded"]),
+    ])
+    def test_non_ok_points_match_per_point_reference(self, grid, tol_pole, statuses):
+        cert = lmi_ni_certificate(MIXED)
+        assert cert.L.shape[0] > 0
+        resp = frequency_response(MIXED, grid, tol_pole=tol_pole)
+        assert resp.status[resp.status != "ok"].tolist() == statuses
+        masked = self.assert_matches_per_point_w(resp, cert)
+        assert masked == int(1.0 in grid.omegas())  # only the exact pole is masked
 
     # one point, two points, twelve decades, and a linear grid that starts on the poles
     # +-j of MIXED; a grid is anything with omegas()
@@ -691,7 +712,7 @@ class TestStackedStrictnessChecks:
         cert = lmi_ni_certificate(MIXED)
         grid = FrequencyGrid(omega_min=1.0, omega_max=2.0, points=11, spacing="linear")
         values, flagged, origin = per_point_w(MIXED, cert, grid)
-        report = w_transfer_zero_check(MIXED, cert, grid)
+        report = w_transfer_zero_check(frequency_response(MIXED, grid), cert)
         assert values[0] is None and np.isnan(report.min_sv[0])
         assert report.origin_value == origin == values[1]
         assert report.flagged == flagged
