@@ -29,9 +29,16 @@ of the relaxed cone sets with shifted trace up to R lies in the family.  To
 re-check (Z_Y, Z_W) from (A, B, C): Z_Y - (A^T Z_W + Z_W A) annihilates every
 symmetric N with N C^T = 0, and at any symmetric Y with Y C^T = -A^{-1} B,
 <Z_Y, Y - eps/2 I> + <Z_W, -(A Y + Y A^T) + tol_lyap/2 I> = s (eps and
-tol_lyap as in lmi_ni_certificate).  Failing that, it stops Infeasible when
-the best residual gap of a stall window fails to improve on the previous
-window's, and MaxIterations at the iteration limit.  ``infeasibility_witness``
+tol_lyap as in lmi_ni_certificate).  A candidate with s < 0 that fails the
+test at iteration 8 or a later power of two is polished by 20 DR steps on the
+alternative system, {Z orthogonal to range(Gmap), <Z, f0 - floors> = -1}
+against PSD x PSD, started from the candidate scaled onto that affine set; each
+step's normalized affine projection of its cone point goes through the same
+test, and the first that passes ends the search as a Farkas exit.  Otherwise
+the search goes on from where it was, so a Certified run keeps its iterates.
+Failing all that, it stops Infeasible when the best residual gap of a stall
+window fails to improve on the previous window's, and MaxIterations at the
+iteration limit.  ``infeasibility_witness``
 is (n, m) for a coupling equation with no symmetric solution and (2, n, n)
 for a Farkas pair.  The shadow point Y = Yp + smat(N theta), N the
 orthonormal null-space basis, is exactly symmetric by construction.
@@ -111,10 +118,12 @@ class GridPoint:
     status: str  # "ok" | "excluded" | "near-pole"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyResponse:
     """G(j omega) = C X + D and X = (j omega I - A)^{-1} B at the "ok" grid points (``status``
-    is "ok", "excluded" or "near-pole" per point), and the pole data every route reads."""
+    is "ok", "excluded" or "near-pole" per point), and the pole data every route reads.
+
+    Equality and hashing are by identity, as for ``StateSpace``: the fields hold arrays."""
 
     sys: StateSpace
     grid: FrequencyGrid
@@ -349,6 +358,11 @@ def positive_real_check(resp: FrequencyResponse, tol: float = DEFAULT_TOL) -> Fr
 
 _SQRT2 = np.sqrt(2.0)
 
+#: lmi_ni_certificate polishes a failed Farkas candidate at iteration _POLISH_FIRST
+#: and every later power of two, for _POLISH_STEPS dual DR steps each time
+_POLISH_FIRST = 8
+_POLISH_STEPS = 20
+
 
 @functools.cache
 def _sym_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -376,9 +390,10 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None) -> NI
     L^T L = -(A Y + Y A^T), and the three residuals that make it checkable
     by direct matrix arithmetic.  An empty affine constraint set yields an
     ``Infeasible`` verdict with a separating-functional witness (n, m); a
-    Farkas pair (2, n, n) that separates the family from the cone sets does
-    too, and failing both infeasibility is declared when the projection gap
-    stagnates.
+    Farkas pair (2, n, n) that separates the family from the cone sets, found
+    by the iteration itself or by a short dual search polishing its candidate,
+    does too, and failing both infeasibility is declared when the projection
+    gap stagnates.
     """
     opts = opts or SolverOptions()
     tol = opts.tol
@@ -441,7 +456,7 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None) -> NI
     tol_lyap = tol * max(1.0, norm_a)
     floors = np.array([[-eps / 2], [-tol_lyap / 2]])
 
-    def psd_clamp(z):
+    def psd_clamp(z, floors):
         # both cone blocks in one stacked eigh, mapped through _sym_maps
         w, U = np.linalg.eigh(z[gather] / div)
         clamped = (U * np.maximum(w, floors)[:, np.newaxis, :]) @ U.swapaxes(-1, -2)
@@ -479,6 +494,37 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None) -> NI
     slack = f0 - svec2(floors[:, :, np.newaxis] * eye)
     radius = max(1.0, float(np.linalg.norm(f0))) / np.sqrt(tol)
 
+    def separates(sep, eigs):
+        # the exit test, on the ascending spectra of the two witness blocks
+        return sep < 0 and sep <= min(0.0, float(eigs[:, 0].min())) * radius
+
+    # Polish: a candidate w with sep < 0 that fails the test is pushed toward
+    # a witness by a short DR run on the alternative system, the affine set
+    # {Z orthogonal to range(Gmap), <Z, slack> = -1} against PSD x PSD.  A
+    # point of both passes the test with lambda_min = 0.  Each step's
+    # candidate, the affine projection of its cone point, is normalized and
+    # put through the same test, so a polished witness proves what the exit
+    # above proves.  The projection is that onto range(Gmap)^perp (the same
+    # two products as the main iteration) plus a step along slack_perp, the
+    # part of slack in that complement
+    zero_floors = np.zeros_like(floors)
+
+    def polish(w):
+        slack_perp = slack - (slack @ pinv_t) @ gmap_t
+        slack_sq = float(slack_perp @ slack_perp)
+        zd = w / -float(w @ slack)
+        for _ in range(_POLISH_STEPS):
+            pc = psd_clamp(zd, zero_floors)
+            rows = np.stack([2.0 * pc - zd, pc])
+            rows -= (rows @ pinv_t) @ gmap_t
+            rows -= ((1.0 + rows @ slack_perp) / slack_sq)[:, np.newaxis] * slack_perp
+            zd = zd + opts.step * (rows[0] - pc)
+            cand = rows[1] / np.sqrt(rows[1] @ rows[1])
+            blocks = cand[gather] / div
+            if separates(float(cand @ slack), np.linalg.eigvalsh(blocks)):
+                return blocks
+        return None
+
     # Douglas-Rachford splitting between the affine family and the product
     # cone; the shadow point (cone projection pulled back to the family) is
     # the candidate checked each iteration.  Plain alternating projections
@@ -495,7 +541,7 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None) -> NI
     res = witness = None
     iterations = opts.max_iterations
     for it in range(1, opts.max_iterations + 1):
-        pc = psd_clamp(z)
+        pc = psd_clamp(z, floors)
         np.multiply(pc, 2.0, out=shifts[0])
         shifts[0] -= z
         shifts[0] -= f0
@@ -516,9 +562,12 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None) -> NI
             status = CertStatus.CERTIFIED
             iterations = it
             break
-        if sep < 0 and sep <= min(0.0, float(eig_w[:, 0].min())) * radius:
-            status = CertStatus.INFEASIBLE
+        if separates(sep, eig_w):
             witness = stack[2:].copy()
+        elif sep < 0 and it >= _POLISH_FIRST and it & (it - 1) == 0:
+            witness = polish(w)
+        if witness is not None:
+            status = CertStatus.INFEASIBLE
             iterations = it
             break
         window_best = min(window_best, gap)

@@ -70,14 +70,14 @@ CASES.update({
                                       "--out", "{csv}"],
     "simulate-osc-ctrl_half-zero": ["simulate", "osc", "ctrl_half", "--out", "{csv}"],
     # the three non-certified exits of the DR certificate search: the Farkas
-    # witness exit (neg_rand6, Infeasible after 10 iterations), the stall exit
+    # witness exit (neg_rand6, Infeasible after 8 iterations), the stall exit
     # (notch3, Infeasible after 400) and the iteration limit (notch57,
     # MaxIterations after 5,000)
     "certify-ni-neg_rand6": ["certify", "neg_rand6", "--property", "ni"],
     "certify-sni-notch3": ["certify", "notch3", "--property", "sni"],
     "certify-sni-notch57": ["certify", "notch57", "--property", "sni"],
     # n = 20: the DR search has 170 free directions (Gmap is 420 x 170); the
-    # witness exit fires after 384 iterations
+    # polished witness exit fires after 64 iterations
     "certify-ni-neg_rand20": ["certify", "neg_rand20", "--property", "ni"],
 })
 

@@ -37,7 +37,7 @@ from nistab.exceptions import (
     SingularAError,
 )
 from nistab.linalg import min_singular_value
-from nistab.nicert import _sym_maps, certificate_from_y
+from nistab.nicert import _POLISH_FIRST, _POLISH_STEPS, _sym_maps, certificate_from_y
 
 GRID = FrequencyGrid(points=120)
 
@@ -87,6 +87,19 @@ class TestFrequencyResponse:
             F = 1j * p_pr.omega * (G - sys.D)
             M = F + F.conj().T
             assert p_pr.min_eig == float(np.linalg.eigvalsh((M + M.conj().T) / 2).min())
+
+    def test_identity_equality_and_hashing(self, ctrl_half):
+        grid = FrequencyGrid(points=4)
+        resp = frequency_response(ctrl_half, grid)
+        min_eig = resp.ni_min_eig
+        copy = frequency_response(ctrl_half, grid)
+        assert resp == resp and not (resp != resp)
+        assert resp != copy and not (resp == copy)
+        keyed = {resp: "a", copy: "b"}
+        assert (keyed[resp], keyed[copy]) == ("a", "b")
+        assert len({resp, copy, resp}) == 2
+        assert resp.ni_min_eig is min_eig
+        np.testing.assert_array_equal(copy.ni_min_eig, min_eig)
 
     def test_one_response_serves_every_route(self, osc):
         resp = frequency_response(osc, GRID)
@@ -293,10 +306,23 @@ def _smat(s, n):
 class TestDrIteration:
     def test_one_stacked_call_per_half_step(self, linalg_calls):
         # each iteration: one eigh for both cone blocks, one eigvalsh for both
-        # residual spectra and the witness blocks; the exit reuses the last check
+        # residual spectra and the witness blocks; the exit reuses the last
+        # check.  Each polish step adds one of each: this notch polishes at
+        # iterations 8, 16, ..., 256, six times in full, and finds no witness
         cert = lmi_ni_certificate(notch(3.3))
         assert cert.verdict is CertStatus.INFEASIBLE
-        assert linalg_calls["eigh"] == linalg_calls["eigvalsh"] == cert.iterations
+        assert cert.infeasibility_witness is None
+        assert (linalg_calls["eigh"] == linalg_calls["eigvalsh"]
+                == cert.iterations + 6 * _POLISH_STEPS)
+
+    def test_one_stacked_call_per_polish_step(self, linalg_calls):
+        # neg_rand6 fails the exit test at iteration 8, and its polish passes
+        # it at the second step
+        s = json.loads((GOLDEN / "dr_exits.json").read_text())["systems"]["neg_rand6"]
+        cert = lmi_ni_certificate(StateSpace(s["A"], s["B"], s["C"], s["D"]))
+        assert (cert.verdict, cert.iterations) == (CertStatus.INFEASIBLE, _POLISH_FIRST)
+        assert cert.infeasibility_witness.shape == (2, 6, 6)
+        assert linalg_calls["eigh"] == linalg_calls["eigvalsh"] == _POLISH_FIRST + 2
 
     def test_residuals_checked_once_without_iterations(self, linalg_calls):
         cert = lmi_ni_certificate(notch(3.3), SolverOptions(max_iterations=0))
@@ -385,11 +411,11 @@ class TestInfeasibilityWitness:
         rand6, _ = random_ni_system(6, 6, 2, strict=True, with_feedthrough=True)
         sys = negated(rand6)
         cert = lmi_ni_certificate(sys)
-        assert cert.iterations == 10
+        assert cert.iterations == 8
         self.check(sys, cert)
 
     def test_negated_draws(self):
-        # n = 1..12, with and without D; two of the 24 draws end at the stall exit
+        # n = 1..12, with and without D; all 24 draws end at a witness
         exits = []
         for k in range(24):
             n = 1 + k % 12
@@ -402,8 +428,24 @@ class TestInfeasibilityWitness:
                 continue
             self.check(sys, cert)
             exits.append(("witness", cert.iterations))
-        assert [k for k, (kind, _) in enumerate(exits) if kind == "stall"] == [6, 9]
+        assert [k for k, (kind, _) in enumerate(exits) if kind == "stall"] == []
         assert all(its < 400 for kind, its in exits if kind == "witness")
+
+    def test_former_stall_draw_ends_at_a_polished_witness(self):
+        # the stall exit took this draw to 400 iterations before the polish
+        g, _ = random_ni_system(306, 7, 1)
+        sys = negated(g)
+        cert = lmi_ni_certificate(sys)
+        assert cert.iterations == 128
+        self.check(sys, cert)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 10), m=st.integers(1, 3),
+           feedthrough=st.booleans(), gain=st.sampled_from([1.0, 1e3]))
+    def test_negated_draws_end_at_rechecked_witnesses(self, seed, n, m, feedthrough, gain):
+        g, _ = random_ni_system(seed, n, min(n, m), with_feedthrough=feedthrough)
+        sys = StateSpace(g.A, -gain * g.B, g.C, -gain * g.D)
+        self.check(sys, lmi_ni_certificate(sys))
 
 
 class TestNoFalseWitnessExit:
@@ -443,8 +485,8 @@ class TestPinnedDrRuns:
 
     # the dr_exits.json notches are the notches at w0 = 3.3 and 57
     DR_EXITS = {
-        "neg_rand6": ("Infeasible", 10, (2, 6, 6)),
-        "neg_rand20": ("Infeasible", 384, (2, 20, 20)),
+        "neg_rand6": ("Infeasible", 8, (2, 6, 6)),
+        "neg_rand20": ("Infeasible", 64, (2, 20, 20)),
         "notch3": ("Infeasible", 400, None),
         "notch57": ("MaxIterations", 5000, None),
     }
@@ -457,13 +499,13 @@ class TestPinnedDrRuns:
         3: (5, ("Infeasible", 1, (2, 3, 3))),
         4: (5, ("Infeasible", 7, (2, 4, 4))),
         5: (4, ("Infeasible", 6, (2, 5, 5))),
-        6: (5, ("Infeasible", 389, (2, 6, 6))),
-        7: (7, ("Infeasible", 213, (2, 7, 7))),
-        8: (10, ("Infeasible", 40, (2, 8, 8))),
-        9: (5, ("Infeasible", 411, (2, 9, 9))),
-        10: (6, ("Infeasible", 300, (2, 10, 10))),
-        11: (5, ("Infeasible", 94, (2, 11, 11))),
-        12: (7, ("Infeasible", 168, (2, 12, 12))),
+        6: (5, ("Infeasible", 64, (2, 6, 6))),
+        7: (7, ("Infeasible", 8, (2, 7, 7))),
+        8: (10, ("Infeasible", 8, (2, 8, 8))),
+        9: (5, ("Infeasible", 128, (2, 9, 9))),
+        10: (6, ("Infeasible", 64, (2, 10, 10))),
+        11: (5, ("Infeasible", 8, (2, 11, 11))),
+        12: (7, ("Infeasible", 64, (2, 12, 12))),
     }
 
     @staticmethod
