@@ -38,6 +38,7 @@ from .nicert import (
     FrequencyReport,
     NICertificate,
     SolverOptions,
+    Verdict,
     freq_ni_test,
     freq_sni_test,
     frequency_response,
@@ -280,9 +281,12 @@ def cmd_certify(args) -> int:
         results["positive_real"] = _freq_dict(positive_real_check(resp, tol))
     except NIStabError as exc:
         results["positive_real"] = {"verdict": "NotNI", "error": str(exc)}
+    # a NotNI sweep hands DR its worst point, where a frequency witness may end the search
+    worst = freq.worst_point() if freq.verdict is Verdict.NOT_NI else None
     cert = None
     try:
-        cert = lmi_ni_certificate(sys_, SolverOptions(tol=tol))
+        cert = lmi_ni_certificate(sys_, SolverOptions(tol=tol),
+                                   None if worst is None else worst.omega)
         results["lmi"] = _cert_dict(cert)
     except NIStabError as exc:
         results["lmi"] = {"verdict": "Infeasible", "error": str(exc)}

@@ -1,6 +1,8 @@
 """Negative-imaginary certification of LTI systems.
 
-Three independent routes are provided (the first two read one FrequencyResponse):
+Three routes are provided (the first two read one FrequencyResponse); as
+functions they are independent, and the CLI's ``certify`` hands the worst
+point of a NotNI sweep to the third as a candidate frequency witness:
 
 * a frequency sweep of the Hermitian matrix j(G(jw) - G(jw)*) together with
   pole/residue screening (definition-level test),
@@ -38,10 +40,13 @@ test, and the first that passes ends the search as a Farkas exit.  Otherwise
 the search goes on from where it was, so a Certified run keeps its iterates.
 Failing all that, it stops Infeasible when the best residual gap of a stall
 window fails to improve on the previous window's, and MaxIterations at the
-iteration limit.  ``infeasibility_witness``
-is (n, m) for a coupling equation with no symmetric solution and (2, n, n)
-for a Farkas pair.  The shadow point Y = Yp + smat(N theta), N the
-orthonormal null-space basis, is exactly symmetric by construction.
+iteration limit.  ``infeasibility_witness`` is (n, m) for a coupling equation
+with no symmetric solution, (2, n, n) for a Farkas pair and (3,) for a
+frequency witness (omega, lambda_min, bound): at a candidate omega,
+lambda_min j(G - G*) < -bound rules out every Y that the Certified test
+accepts, and the search ends before it starts.  The shadow point
+Y = Yp + smat(N theta), N the orthonormal null-space basis, is exactly
+symmetric by construction.
 """
 
 from __future__ import annotations
@@ -189,6 +194,7 @@ class NICertificate:
     strict: bool = False
     rank_condition_min_sv: float = float("nan")
     iterations: int = 0
+    polish_steps: int = 0  # dual DR steps of the Farkas polish; not in any report
     convention: str = SIGN_CONVENTION
     infeasibility_witness: np.ndarray | None = None
     system_label: str = ""
@@ -383,7 +389,8 @@ def _sym_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
             np.concatenate([flat, flat + n * n]), np.tile(div.reshape(-1)[flat], 2))
 
 
-def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None) -> NICertificate:
+def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None,
+                       omega_hint: float | None = None) -> NICertificate:
     """Search for Y = Y^T > 0 with A Y + Y A^T <= 0 and A Y C^T = -B.
 
     On success the certificate carries P = Y^{-1}, the factor L with
@@ -394,6 +401,11 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None) -> NI
     by the iteration itself or by a short dual search polishing its candidate,
     does too, and failing both infeasibility is declared when the projection
     gap stagnates.
+
+    ``omega_hint`` is a candidate frequency, such as the worst point of a
+    NotNI sweep.  A hint that passes ``_frequency_witness`` ends the search
+    before its set-up: ``Infeasible``, 0 iterations, no Y, and the witness
+    (omega, lambda_min, bound).  Any other hint is ignored, bit for bit.
     """
     opts = opts or SolverOptions()
     tol = opts.tol
@@ -405,6 +417,13 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None) -> NI
     d_asym = float(np.linalg.norm(sys.D - sys.D.T, "fro"))
     if d_asym > tol * max(1.0, float(np.linalg.norm(sys.D, "fro"))):
         raise AsymmetricDError(f"D is not symmetric (defect {d_asym:.3e})")
+    tol_lyap = tol * max(1.0, norm_a)
+    scale_b = max(1.0, float(np.linalg.norm(B, "fro")))
+    if omega_hint is not None:
+        witness = _frequency_witness(sys, omega_hint, tol_lyap, tol * scale_b, d_asym)
+        if witness is not None:
+            return NICertificate(verdict=CertStatus.INFEASIBLE, infeasibility_witness=witness,
+                                 system_label=sys.label)
 
     nsym = n * (n + 1) // 2
     gather, div, scatter, mult = _sym_maps(n)
@@ -453,7 +472,6 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None) -> NI
     # feasible point is then interior to the relaxed sets, which turns the
     # tangential (sublinear) approach on thin feasible slivers into a
     # linear-rate one, while the certified residuals stay within tolerance
-    tol_lyap = tol * max(1.0, norm_a)
     floors = np.array([[-eps / 2], [-tol_lyap / 2]])
 
     def psd_clamp(z, floors):
@@ -467,7 +485,6 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None) -> NI
     stack = np.empty((4, n, n))
     Y = stack[1]
     Y[...] = Yp
-    scale_b = max(1.0, float(np.linalg.norm(B, "fro")))
 
     def residuals(k):
         # k = 4 when the witness blocks ride along
@@ -508,12 +525,15 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None) -> NI
     # two products as the main iteration) plus a step along slack_perp, the
     # part of slack in that complement
     zero_floors = np.zeros_like(floors)
+    polish_steps = 0
 
     def polish(w):
+        nonlocal polish_steps
         slack_perp = slack - (slack @ pinv_t) @ gmap_t
         slack_sq = float(slack_perp @ slack_perp)
         zd = w / -float(w @ slack)
         for _ in range(_POLISH_STEPS):
+            polish_steps += 1
             pc = psd_clamp(zd, zero_floors)
             rows = np.stack([2.0 * pc - zd, pc])
             rows -= (rows @ pinv_t) @ gmap_t
@@ -588,10 +608,60 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None) -> NI
             lyap_residual=lyap_min,
             coupling_residual=coupling,
             iterations=iterations,
+            polish_steps=polish_steps,
             infeasibility_witness=witness,
             system_label=sys.label,
         )
-    return _assemble_certificate(sys, Y.copy(), iterations, tol)
+    cert = _assemble_certificate(sys, Y.copy(), iterations, tol)
+    cert.polish_steps = polish_steps
+    return cert
+
+
+def _frequency_witness(sys: StateSpace, omega: float, tol_lyap: float, tol_coupling: float,
+                       d_asym: float) -> np.ndarray | None:
+    """(omega, lambda_min, bound) when lambda_min j(G(j omega) - G(j omega)*) < -bound.
+
+    Proof.  Let Y be symmetric with E = A Y C^T + B, ||E||_F <= tol_coupling,
+    and W = -(A Y + Y A^T) >= -tol_lyap I: every Y that passes the search's
+    Certified test is one (its clamp floor, W >= -tol_lyap/2 I, lies inside).
+    With R = (j omega I - A)^{-1}, R A = j omega R - I turns
+    C R B = -C R A Y C^T + C R E into C Y C^T - j omega C R Y C^T + C R E, and
+    R Y + Y R* = R W R*, since Y (R*)^{-1} + R^{-1} Y = Y (-j omega I - A^T)
+    + (j omega I - A) Y = W.  Hence
+    j(G - G*) = omega C R W R* C^T + j(C R E - E* R* C^T) + j(D - D^T), and
+
+        lambda_min j(G - G*) >= -omega tol_lyap ||C R||_2^2 - 2 ||C R||_2 tol_coupling
+                                - ||D - D^T||_F.
+
+    ``bound`` is that sum plus an allowance for the rounding of the solve and
+    of G (the condition number of j omega I - A times the size of C R B and D).
+    No symmetric Y, positive definite or not, then passes the test, so the
+    search could only end Infeasible or at its iteration limit.  One solve
+    gives R; G = (C R) B + D.  None when omega is not finite and positive or
+    j omega I - A is singular: the hint proves nothing there.
+    """
+    omega = float(omega)
+    if not 0 < omega < np.inf:
+        return None
+    n, m = sys.n, sys.m
+    shifted = 1j * omega * np.eye(n) - sys.A
+    try:
+        R = np.linalg.solve(shifted, np.eye(n))
+    except np.linalg.LinAlgError:
+        return None
+    CR = sys.C @ R
+    G = CR @ sys.B + sys.D
+    lam = float(_min_eig_hermitian(1j * (G - G.conj().T)))
+    norm_cr = float(np.linalg.norm(CR, 2))
+    norm_r = float(np.linalg.norm(R))
+    kappa = float(np.linalg.norm(shifted)) * norm_r
+    rounding = 64 * (n + m) * np.finfo(float).eps * (
+        (1.0 + kappa) * float(np.linalg.norm(sys.C)) * norm_r * float(np.linalg.norm(sys.B))
+        + float(np.linalg.norm(sys.D)))
+    bound = omega * tol_lyap * norm_cr ** 2 + 2 * norm_cr * tol_coupling + d_asym + rounding
+    if not lam < -bound:
+        return None
+    return np.array([omega, lam, bound])
 
 
 def _assemble_certificate(sys: StateSpace, Y: np.ndarray, iterations: int,

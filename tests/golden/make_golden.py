@@ -69,15 +69,15 @@ CASES.update({
     "simulate-first_order-ctrl_two": ["simulate", "first_order", "ctrl_two", "--x0=1,-0.5",
                                       "--out", "{csv}"],
     "simulate-osc-ctrl_half-zero": ["simulate", "osc", "ctrl_half", "--out", "{csv}"],
-    # the three non-certified exits of the DR certificate search: the Farkas
-    # witness exit (neg_rand6, Infeasible after 8 iterations), the stall exit
-    # (notch3, Infeasible after 400) and the iteration limit (notch57,
-    # MaxIterations after 5,000)
+    # the non-certified exits of the DR certificate search: the frequency
+    # witness at the NotNI sweep's worst point (neg_rand6, Infeasible after 0
+    # iterations), the stall exit (notch3, Infeasible after 400) and the
+    # iteration limit (notch57, MaxIterations after 5,000)
     "certify-ni-neg_rand6": ["certify", "neg_rand6", "--property", "ni"],
     "certify-sni-notch3": ["certify", "notch3", "--property", "sni"],
     "certify-sni-notch57": ["certify", "notch57", "--property", "sni"],
-    # n = 20: the DR search has 170 free directions (Gmap is 420 x 170); the
-    # polished witness exit fires after 64 iterations
+    # n = 20: the frequency witness ends the search before its set-up, so no
+    # product with the 420 x 170 Gmap enters the report
     "certify-ni-neg_rand20": ["certify", "neg_rand20", "--property", "ni"],
 })
 

@@ -9,7 +9,9 @@ numpy/LAPACK build they were recorded with.
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -84,36 +86,61 @@ def test_check_mode_writes_nothing_on_an_unchanged_tree(capsys):
     assert {p: p.read_bytes() for p in before} == before
 
 
+def test_check_mode_passes_on_one_blas_thread():
+    # the references were recorded at the host's default thread count; a
+    # fresh interpreter is the only way to fix OpenBLAS at one thread
+    src = str(GOLDEN.parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, str(GOLDEN / "make_golden.py"), "--check"], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.splitlines()[-1] == f"0 of {len(CASES)} case(s) differ"
+
+
 def test_check_mode_names_the_changed_fields(tmp_path, monkeypatch, capsys):
     import make_golden
 
     copy = tmp_path / "golden"
     shutil.copytree(GOLDEN, copy, ignore=shutil.ignore_patterns("__pycache__"))
-    name, csv_case = "certify-ni-neg_rand6", "certify-ni-osc"
-    path = copy / "reports" / f"{name}.json"
-    report = json.loads(path.read_text())
-    lmi = report["results"]["lmi"]
-    y00 = lmi["Y"][0][0]
-    lmi["Y"][0][0] *= 1 + 1e-9
-    iterations = lmi["iterations"]
-    lmi["iterations"] += 1
-    lmi["infeasibility_witness"] = lmi["infeasibility_witness"][:1]
-    path.write_text(json.dumps(report, indent=2) + "\n")
+    # neg_rand6 ends at a frequency witness and has no Y; the certified rand6 has one
+    name, float_case, csv_case = "certify-ni-neg_rand6", "certify-ni-rand6", "certify-ni-osc"
+
+    def edit(case, change):
+        path = copy / "reports" / f"{case}.json"
+        report = json.loads(path.read_text())
+        change(report["results"]["lmi"])
+        path.write_text(json.dumps(report, indent=2) + "\n")
+
+    def bump_y(lmi):
+        lmi["Y"][0][0] *= 1 + 1e-9
+
+    def bump_count_and_cut_witness(lmi):
+        lmi["iterations"] += 1
+        lmi["infeasibility_witness"] = lmi["infeasibility_witness"][:1]
+
+    lmi = json.loads((GOLDEN / "reports" / f"{name}.json").read_text())["results"]["lmi"]
+    iterations, witness = lmi["iterations"], lmi["infeasibility_witness"]
+    y = json.loads((GOLDEN / "reports" / f"{float_case}.json").read_text())["results"]["lmi"]["Y"]
+    edit(name, bump_count_and_cut_witness)
+    edit(float_case, bump_y)
     digests = json.loads((copy / "digests.json").read_text())
     digests[name]["exit_code"] = 0
     digests[csv_case]["csv_sha256"] = "0" * 64
     (copy / "digests.json").write_text(json.dumps(digests, indent=1) + "\n")
     monkeypatch.setattr(make_golden, "HERE", copy)
-    assert make_golden.main(["--check", name, csv_case, "certify-ni-s_over"]) == 1
+    assert make_golden.main(["--check", name, float_case, csv_case, "certify-ni-s_over"]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == f"{name}: differs"
-    assert out[1] == "  exit_code: CHANGED 0 -> 1"
+    assert out[:4] == [
+        f"{name}: differs",
+        "  exit_code: CHANGED 0 -> 1",
+        f"  results.lmi.iterations: CHANGED {iterations + 1} -> {iterations}",
+        f"  results.lmi.infeasibility_witness: "
+        f"CHANGED shape {np.shape(witness[:1])} -> shape {np.shape(witness)}"]
+    assert out[4] == f"{float_case}: differs"
     # relative to the largest entry of Y
-    head, rel = out[2].rsplit(" ", 1)
+    head, rel = out[5].rsplit(" ", 1)
     assert head == "  results.lmi.Y: float, max rel diff"
-    assert float(rel) == pytest.approx(1e-9 * abs(y00) / np.abs(lmi["Y"]).max(), rel=1e-2)
-    assert out[3] == f"  results.lmi.iterations: CHANGED {iterations + 1} -> {iterations}"
-    assert out[4] == ("  results.lmi.infeasibility_witness: "
-                      "CHANGED shape (1, 6, 6) -> shape (2, 6, 6)")
-    assert out[5:] == [f"{csv_case}: differs", "  csv: CHANGED sha256",
-                       "certify-ni-s_over: identical", "2 of 3 case(s) differ"]
+    assert float(rel) == pytest.approx(1e-9 * abs(y[0][0]) / np.abs(y).max(), rel=1e-2)
+    assert out[6:] == [f"{csv_case}: differs", "  csv: CHANGED sha256",
+                       "certify-ni-s_over: identical", "3 of 4 case(s) differ"]

@@ -40,6 +40,12 @@ from nistab.linalg import min_singular_value
 from nistab.nicert import _POLISH_FIRST, _POLISH_STEPS, _sym_maps, certificate_from_y
 
 GRID = FrequencyGrid(points=120)
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def dr_exit_system(name):
+    s = json.loads((GOLDEN / "dr_exits.json").read_text())["systems"][name]
+    return StateSpace(s["A"], s["B"], s["C"], s["D"], label=name)
 
 
 class TestFrequencyResponse:
@@ -312,16 +318,17 @@ class TestDrIteration:
         cert = lmi_ni_certificate(notch(3.3))
         assert cert.verdict is CertStatus.INFEASIBLE
         assert cert.infeasibility_witness is None
+        assert cert.polish_steps == 6 * _POLISH_STEPS
         assert (linalg_calls["eigh"] == linalg_calls["eigvalsh"]
-                == cert.iterations + 6 * _POLISH_STEPS)
+                == cert.iterations + cert.polish_steps)
 
     def test_one_stacked_call_per_polish_step(self, linalg_calls):
         # neg_rand6 fails the exit test at iteration 8, and its polish passes
         # it at the second step
-        s = json.loads((GOLDEN / "dr_exits.json").read_text())["systems"]["neg_rand6"]
-        cert = lmi_ni_certificate(StateSpace(s["A"], s["B"], s["C"], s["D"]))
+        cert = lmi_ni_certificate(dr_exit_system("neg_rand6"))
         assert (cert.verdict, cert.iterations) == (CertStatus.INFEASIBLE, _POLISH_FIRST)
         assert cert.infeasibility_witness.shape == (2, 6, 6)
+        assert cert.polish_steps == 2
         assert linalg_calls["eigh"] == linalg_calls["eigvalsh"] == _POLISH_FIRST + 2
 
     def test_residuals_checked_once_without_iterations(self, linalg_calls):
@@ -386,8 +393,109 @@ def recheck_farkas_witness(sys, witness, tol=1e-8, eps_scale=1e-6):
     return orth, sep, lam, radius
 
 
+def recheck_frequency_witness(sys, witness, tol=1e-8):
+    """Re-check an (omega, lambda_min, bound) witness from (A, B, C, D) alone.
+
+    Returns lambda_min j(G - G*) at omega from G = C (j omega I - A)^{-1} B + D,
+    and the bound below which no symmetric Y with ||A Y C' + B||_F <= tc and
+    -(A Y + Y A') >= -tl I can take it, tl = tol max(1, ||A||_2) and
+    tc = tol max(1, ||B||_F): omega tl ||C R||^2 + 2 ||C R|| tc + ||D - D'||_F,
+    with R = (j omega I - A)^{-1}, plus the rounding allowance the README states."""
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    n, m = sys.n, sys.m
+    omega = float(witness[0])
+    shifted = 1j * omega * np.eye(n) - A
+    R = np.linalg.inv(shifted)
+    G = C @ np.linalg.solve(shifted, B.astype(complex)) + D
+    H = 1j * (G - G.conj().T)
+    lam = float(np.linalg.eigvalsh((H + H.conj().T) / 2)[0])
+    cr = float(np.linalg.svd(C @ R, compute_uv=False)[0])
+    tol_lyap = tol * max(1.0, float(np.linalg.norm(A, 2)))
+    tol_coupling = tol * max(1.0, float(np.linalg.norm(B)))
+    kappa = float(np.linalg.norm(shifted) * np.linalg.norm(R))  # Frobenius, as in the README
+    rounding = 64 * (n + m) * np.finfo(float).eps * (
+        (1 + kappa) * float(np.linalg.norm(C) * np.linalg.norm(R) * np.linalg.norm(B))
+        + float(np.linalg.norm(D)))
+    bound = (omega * tol_lyap * cr ** 2 + 2 * cr * tol_coupling
+             + float(np.linalg.norm(D - D.T)) + rounding)
+    return lam, bound
+
+
 def negated(sys):
     return StateSpace(sys.A, sys.B, -sys.C, -sys.D, label=f"-{sys.label}")
+
+
+def sweep_hint(sys):
+    """The worst grid point of a NotNI sweep, as `certify` passes it to DR."""
+    report = freq_ni_test(frequency_response(sys))
+    assert report.verdict is Verdict.NOT_NI
+    return report.worst_point().omega
+
+
+def same_run(a, b):
+    """Two certificates of the same search: verdict, counts and every array bit."""
+    assert (a.verdict, a.iterations, a.polish_steps) == (b.verdict, b.iterations, b.polish_steps)
+    for name in ("Y", "P", "L", "infeasibility_witness"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    for name in ("lyap_residual", "coupling_residual", "factor_residual"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
+
+
+class TestFrequencyWitness:
+    def check(self, sys, cert, hint):
+        assert (cert.verdict, cert.iterations, cert.polish_steps) == (CertStatus.INFEASIBLE, 0, 0)
+        assert cert.Y is None
+        witness = cert.infeasibility_witness
+        assert witness.shape == (3,) and witness[0] == hint
+        lam, bound = recheck_frequency_witness(sys, witness)
+        assert lam < -bound
+        assert witness[1] == pytest.approx(lam, rel=1e-9, abs=1e-12)
+        assert witness[2] == pytest.approx(bound, rel=1e-6)
+
+    @pytest.mark.parametrize("name", ["neg_rand6", "neg_rand20"])
+    def test_dr_exit_draws_end_at_the_sweep_witness(self, name):
+        sys = dr_exit_system(name)
+        hint = sweep_hint(sys)
+        self.check(sys, lmi_ni_certificate(sys, omega_hint=hint), hint)
+
+    def test_s_over(self, s_over):
+        hint = sweep_hint(s_over)
+        self.check(s_over, lmi_ni_certificate(s_over, omega_hint=hint), hint)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 12), m=st.integers(1, 3),
+           feedthrough=st.booleans(), gain=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_negated_draws_end_at_rechecked_witnesses(self, seed, n, m, feedthrough, gain):
+        g, _ = random_ni_system(seed, n, min(n, m), with_feedthrough=feedthrough)
+        sys = StateSpace(g.A, -gain * g.B, g.C, -gain * g.D)
+        hint = sweep_hint(sys)
+        self.check(sys, lmi_ni_certificate(sys, omega_hint=hint), hint)
+
+    # a hint that is not finite and positive is ignored too: at w < 0 the
+    # spectrum of j(G - G*) flips sign, so this SNI draw shows a negative
+    # eigenvalue there, and no proof holds
+    @pytest.mark.parametrize("hint", [0.37, 1.0, 25.0, float("nan"), float("inf"),
+                                      -float("inf"), 0.0, -0.0, -1.0])
+    def test_certified_system_ignores_the_hint(self, hint):
+        g, _ = random_ni_system(6, 6, 2, strict=True, with_feedthrough=True)
+        cert = lmi_ni_certificate(g, omega_hint=hint)
+        assert cert.certified
+        same_run(cert, lmi_ni_certificate(g))
+
+    def test_hint_on_an_axis_pole_is_ignored(self, osc):
+        # j I - A is exactly singular: the hint proves nothing
+        same_run(lmi_ni_certificate(osc, omega_hint=1.0), lmi_ni_certificate(osc))
+
+    @pytest.mark.parametrize("name", ["neg_rand6", "neg_rand20"])
+    def test_harmless_hint_runs_the_search_unchanged(self, name):
+        # near w = 0 the defect of j(G - G*) is about w, far below the bound
+        sys = dr_exit_system(name)
+        cert = lmi_ni_certificate(sys, omega_hint=1e-12)
+        assert cert.iterations > 0
+        same_run(cert, lmi_ni_certificate(sys))
 
 
 class TestInfeasibilityWitness:
@@ -475,9 +583,6 @@ class TestNoFalseWitnessExit:
         assert got == iterations
 
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
-
-
 class TestPinnedDrRuns:
     """Verdict, iteration count and witness shape of DR runs: a rewrite of
     the iteration that keeps the algorithm and moves only rounding bits
@@ -517,8 +622,17 @@ class TestPinnedDrRuns:
 
     @pytest.mark.parametrize("name", list(DR_EXITS))
     def test_dr_exit_systems(self, name):
-        s = json.loads((GOLDEN / "dr_exits.json").read_text())["systems"][name]
-        assert self.outcome(StateSpace(s["A"], s["B"], s["C"], s["D"])) == self.DR_EXITS[name]
+        assert self.outcome(dr_exit_system(name)) == self.DR_EXITS[name]
+
+    # polish steps of the hint-free runs: six full polishes (iterations 8 to
+    # 256) before the stall exit at 400, two (at 2,048 and 4,096) before the
+    # limit, and two steps to the witness at iteration 8
+    POLISH_STEPS = {"notch3": 6 * _POLISH_STEPS, "notch57": 2 * _POLISH_STEPS, "neg_rand6": 2}
+
+    @pytest.mark.parametrize("name", list(POLISH_STEPS))
+    def test_polish_steps(self, name):
+        cert = lmi_ni_certificate(dr_exit_system(name))
+        assert cert.polish_steps == self.POLISH_STEPS[name]
 
     @pytest.mark.parametrize("w0", list(NOTCHES))
     def test_notches(self, w0):
