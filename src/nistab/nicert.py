@@ -5,7 +5,9 @@ functions they are independent, and the CLI's ``certify`` hands the worst
 point of a NotNI sweep to the third as a candidate frequency witness:
 
 * a frequency sweep of the Hermitian matrix j(G(jw) - G(jw)*) together with
-  pole/residue screening (definition-level test),
+  pole/residue screening (definition-level test); when the grid shows no
+  negative point, one point in each interval between the frequencies where
+  the sign can change (``StateSpace.crossings``) can still show one,
 * a positive-real reduction that sweeps F(jw) = jw (G(jw) - D) instead
   (cross-validation route; F + F* equals w * j(G - G*) analytically),
 * a state-space certificate search for a symmetric Y > 0 with
@@ -54,6 +56,7 @@ from __future__ import annotations
 import enum
 import functools
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,13 +123,14 @@ class FrequencyGrid:
 class GridPoint:
     omega: float
     min_eig: float | None
-    status: str  # "ok" | "excluded" | "near-pole"
+    status: str  # "ok" | "excluded" | "near-pole", or "crossing" off the grid
 
 
 @dataclass(frozen=True, eq=False)
 class FrequencyResponse:
     """G(j omega) = C X + D and X = (j omega I - A)^{-1} B at the "ok" grid points (``status``
-    is "ok", "excluded" or "near-pole" per point), and the pole data every route reads.
+    is "ok", "excluded" or "near-pole" per point), and the pole data every route reads;
+    ``tol_pole`` is the resolvent guard the grid was evaluated with.
 
     Equality and hashing are by identity, as for ``StateSpace``: the fields hold arrays."""
 
@@ -141,17 +145,49 @@ class FrequencyResponse:
     axis_pole_frequencies: list[float]
     pole_findings: list
     pole_problems: list[str]
+    hurwitz: bool
+    tol_pole: float
 
     @functools.cached_property
     def ni_min_eig(self) -> np.ndarray:
         """min eig j(G - G*) at every "ok" point, computed once for the NI and SNI sweeps."""
         return _min_eig_hermitian(1j * (self.G - self.G.conj().swapaxes(-1, -2)))
 
+    @functools.cached_property
+    def crossing_minimum(self) -> tuple[float, float, np.ndarray] | None:
+        """``(omega, min eig j(G - G*), G(j omega))`` at the lowest of one point per interval
+        of (0, inf) that ``StateSpace.crossings`` cuts: the midpoints between consecutive
+        crossings, half the first and twice the last (omega = 1 when there is none).
+
+        No eigenvalue of j(G - G*) changes sign inside an interval, so a negative one
+        shows at its point however narrow it is, and one that holds a grid point with a
+        positive minimum is positive throughout and is skipped.  None when A is not
+        Hurwitz, the crossings are undecided, or no point is left that the resolvent
+        guard lets through."""
+        w = self.sys.crossings
+        if not self.hurwitz or w is None:
+            return None
+        points = (np.concatenate([w[:1] / 2, (w[:-1] + w[1:]) / 2, w[-1:] * 2]) if w.size
+                  else np.ones(1))
+        covered = np.zeros(points.size, dtype=bool)
+        covered[np.searchsorted(w, self.omegas[self.status == "ok"][self.ni_min_eig > 0])] = True
+        points = points[~covered]
+        if not points.size:
+            return None
+        X, guarded = resolvent_stack(self.sys, 1j * points, self.tol_pole)
+        if guarded.all():
+            return None
+        points, G = points[~guarded], self.sys.C @ X[~guarded] + self.sys.D
+        values = _min_eig_hermitian(1j * (G - G.conj().swapaxes(-1, -2)))
+        k = int(np.argmin(values))
+        return float(points[k]), float(values[k]), G[k]
+
 
 @dataclass
 class FrequencyReport:
     """One route's verdict and per-point minimum eigenvalues (NaN where not "ok");
-    ``origin_pole`` is None for the positive-real route, which does not test it."""
+    ``origin_pole`` is None for the positive-real route, which does not test it, and
+    ``crossing`` is the off-grid point that decided NotNI, if one did."""
 
     grid: FrequencyGrid
     omegas: np.ndarray
@@ -162,6 +198,7 @@ class FrequencyReport:
     rhp_pole: bool
     verdict: Verdict
     warnings: list[str] = field(default_factory=list)
+    crossing: GridPoint | None = None
 
     @property
     def passed(self) -> bool:
@@ -173,6 +210,9 @@ class FrequencyReport:
                 for w, st, v in zip(self.omegas, self.status, self.min_eig)]
 
     def worst_point(self) -> GridPoint | None:
+        """The deciding crossing point, else the lowest "ok" grid point (None if there is none)."""
+        if self.crossing is not None:
+            return self.crossing
         ok = np.flatnonzero(self.status == "ok")
         if ok.size == 0:
             return None
@@ -259,7 +299,7 @@ def frequency_response(sys: StateSpace, grid: FrequencyGrid | None = None,
     the ill-conditioned ones "near-pole".  Its X is kept for ``w_transfer_zero_check``.
     """
     grid = grid or default_grid()
-    origin, rhp, pole_ws, _ = sys.pole_classes(tol_axis)
+    origin, rhp, pole_ws, hurwitz = sys.pole_classes(tol_axis)
     omegas = grid.omegas()
     excluded = np.any(np.abs(omegas[:, np.newaxis] - pole_ws)
                       <= grid.exclusion_radius * np.maximum(1.0, pole_ws), axis=1)
@@ -274,7 +314,7 @@ def frequency_response(sys: StateSpace, grid: FrequencyGrid | None = None,
         except Exception as exc:  # NotSimple / Degenerate / NotAPole borderline
             problems.append(f"pole at j*{w0:.6g}: {exc}")
     return FrequencyResponse(sys, grid, omegas, status, sys.C @ X + sys.D, X, origin, rhp,
-                             pole_ws.tolist(), findings, problems)
+                             pole_ws.tolist(), findings, problems, hurwitz, tol_pole)
 
 
 def _min_eig_hermitian(M: np.ndarray) -> np.ndarray:
@@ -282,21 +322,34 @@ def _min_eig_hermitian(M: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((M + M.conj().swapaxes(-1, -2)) / 2).min(axis=-1)
 
 
+def _pr_min_eig(omegas: np.ndarray, G: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """min eig F + F* per point of the stack, F(j omega) = j omega (G(j omega) - D)."""
+    F = (1j * omegas)[:, np.newaxis, np.newaxis] * (G - D)
+    return _min_eig_hermitian(F + F.conj().swapaxes(-1, -2))
+
+
 def _report(resp: FrequencyResponse, values: np.ndarray, tol: float, notes: list[str],
             pole_failure: bool, origin_pole: bool | None, pole_findings: list,
-            strict: bool = False, no_points: str = "no usable grid points") -> FrequencyReport:
+            strict: bool = False, no_points: str = "no usable grid points",
+            at_crossing: Callable[[float, np.ndarray], float] | None = None) -> FrequencyReport:
     """The verdict rule shared by the routes, on the per-"ok"-point minimum eigenvalues.
 
-    Pole failures decide NotNI, then a sweep minimum below -tol does; the
-    strict (SNI) rule also answers Inconclusive inside the +/-tol band."""
+    Pole failures decide NotNI, then a sweep minimum below -tol does, then
+    ``resp.crossing_minimum`` below -tol does, as the report's ``crossing`` with
+    the route's own value there (``at_crossing(omega, G)``; the NI value when
+    None); the strict (SNI) rule also answers Inconclusive inside the +/-tol band."""
     worst = float(values.min()) if values.size else None
-    if pole_failure:
+    crossing = None
+    if pole_failure or (worst is not None and worst < -tol):
         verdict = Verdict.NOT_NI
+    elif (cross := resp.crossing_minimum) is not None and cross[1] < -tol:
+        verdict = Verdict.NOT_NI
+        omega, value, G = cross
+        crossing = GridPoint(omega, value if at_crossing is None else at_crossing(omega, G),
+                             "crossing")
     elif worst is None:
         verdict = Verdict.INCONCLUSIVE
         notes.append(no_points)
-    elif worst < -tol:
-        verdict = Verdict.NOT_NI
     elif not strict:
         verdict = Verdict.NI
     elif worst <= tol:
@@ -307,7 +360,7 @@ def _report(resp: FrequencyResponse, values: np.ndarray, tol: float, notes: list
     min_eig = np.full(resp.omegas.shape, np.nan)
     min_eig[resp.status == "ok"] = values
     return FrequencyReport(resp.grid, resp.omegas, resp.status, min_eig, pole_findings,
-                           origin_pole, resp.rhp_pole, verdict, notes)
+                           origin_pole, resp.rhp_pole, verdict, notes, crossing)
 
 
 def _residues_fail(resp: FrequencyResponse, tol: float) -> bool:
@@ -316,7 +369,7 @@ def _residues_fail(resp: FrequencyResponse, tol: float) -> bool:
 
 def freq_ni_test(resp: FrequencyResponse, tol: float = DEFAULT_TOL) -> FrequencyReport:
     """Definition-level NI test: pole locations, residues, and the grid sweep
-    of the minimum eigenvalue of j(G(jw) - G(jw)*)."""
+    of the minimum eigenvalue of j(G(jw) - G(jw)*), then its crossing points."""
     notes = []
     if not is_minimal(resp.sys):
         notes.append("realization is not minimal; pole-based conditions may be spurious")
@@ -332,7 +385,8 @@ def freq_sni_test(resp: FrequencyResponse, tol: float = DEFAULT_TOL) -> Frequenc
     """Strict test: all poles in the open left half plane, sweep strictly positive.
 
     A grid cannot prove strictness on all of (0, inf); margins inside the
-    tolerance band therefore yield ``Inconclusive`` rather than ``SNI``.
+    tolerance band therefore yield ``Inconclusive`` rather than ``SNI``.  A
+    negative crossing point still decides ``NotNI``.
     """
     notes = []
     pole_failure = resp.rhp_pole or resp.origin_pole or bool(resp.axis_pole_frequencies)
@@ -345,17 +399,18 @@ def freq_sni_test(resp: FrequencyResponse, tol: float = DEFAULT_TOL) -> Frequenc
 def positive_real_check(resp: FrequencyResponse, tol: float = DEFAULT_TOL) -> FrequencyReport:
     """NI via positive realness of F(s) = s (G(s) - D).
 
-    Checks F(jw) + F(jw)* >= 0 on the grid, pole locations in the closed left
-    half plane, and PSD Hermitian residues on the axis (the residues of F at
-    j w0 coincide with the NI residue matrices of G).
+    Checks F(jw) + F(jw)* >= 0 on the grid and at a negative crossing point,
+    pole locations in the closed left half plane, and PSD Hermitian residues on
+    the axis (the residues of F at j w0 coincide with the NI residue matrices of G).
     """
     if resp.sys.singular_a(tol):
         raise SingularAError("A is numerically singular; F(s) = s(G(s) - D) is undefined at 0")
-    s = 1j * resp.omegas[resp.status == "ok"]
-    F = s[:, np.newaxis, np.newaxis] * (resp.G - resp.sys.D)
+    D = resp.sys.D
     pole_failure = resp.rhp_pole or _residues_fail(resp, tol)
-    return _report(resp, _min_eig_hermitian(F + F.conj().swapaxes(-1, -2)), tol,
-                   list(resp.pole_problems), pole_failure, None, resp.pole_findings)
+    return _report(resp, _pr_min_eig(resp.omegas[resp.status == "ok"], resp.G, D), tol,
+                   list(resp.pole_problems), pole_failure, None, resp.pole_findings,
+                   at_crossing=lambda omega, G: float(_pr_min_eig(np.array([omega]),
+                                                                  G[np.newaxis], D)[0]))
 
 
 # ---------------------------------------------------------------------------

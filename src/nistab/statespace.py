@@ -27,6 +27,9 @@ from .linalg import DEFAULT_TOL, min_singular_value
 TOL_AXIS = 1e-7
 #: resolvent guard: evaluation fails when sigma_min(sI - A) < TOL_POLE * max(1, |s|, ||A||_2)
 TOL_POLE = 1e-12
+#: StateSpace.crossings: lam is imaginary when |Re| <= _CROSSING_BAND max(1, |lam|), and in
+#: the w = 0 cluster when Im lam <= _CROSSING_BAND max(1, ||A||_2)
+_CROSSING_BAND = 1e-6
 
 
 def _matrix(x, name: str) -> np.ndarray:
@@ -101,15 +104,50 @@ class StateSpace:
             return None
         return np.linalg.norm(V, 2) * inv_norm, np.linalg.norm(self.A @ V - V * lam, 2) * inv_norm
 
+    @functools.cached_property
+    def crossings(self) -> np.ndarray | None:
+        """Ascending w > 0 where F(jw) + F(jw)* turns singular, read-only.
+
+        F(s) = s (G(s) - D), so F(jw) + F(jw)* = w j(G(jw) - G(jw)*) for symmetric D.  F
+        has the realization (A, B, CA, CB), so with R = CB + B'C'
+        invertible these jw are the imaginary eigenvalues of the 2n x 2n Hamiltonian
+        [[A - B R^-1 CA, -B R^-1 B'], [(CA)' R^-1 CA, -A' + (CA)' R^-1 B']], from one eig.
+        They are all the sign changes of j(G - G*) on (0, inf) only when A is Hurwitz, which
+        the caller checks in its own axis band.  Those with w <= _CROSSING_BAND max(1, ||A||_2)
+        are the cluster of F(0) = 0 and are dropped; the band is narrow, since an extra
+        crossing only splits an interval, while a missing one can merge two.
+        None when cond(R) exceeds 1 / DEFAULT_TOL or eig fails.
+        """
+        CA, CB = self.C @ self.A, self.C @ self.B
+        R = CB + CB.T
+        svals = np.linalg.svd(R, compute_uv=False)
+        if not svals[-1] > DEFAULT_TOL * svals[0]:
+            return None
+        try:
+            RiCA, RiB = np.split(np.linalg.solve(R, np.hstack([CA, self.B.T])), 2, axis=1)
+            lam = np.linalg.eigvals(np.block([[self.A - self.B @ RiCA, -self.B @ RiB],
+                                              [CA.T @ RiCA, CA.T @ RiB - self.A.T]]))
+        except np.linalg.LinAlgError:
+            return None
+        on_axis = ((np.abs(lam.real) <= _CROSSING_BAND * np.maximum(1.0, np.abs(lam)))
+                   & (lam.imag > _CROSSING_BAND * max(1.0, self.norm2)))
+        omegas = np.sort(lam.imag[on_axis])
+        omegas.setflags(write=False)
+        return omegas
+
     def pole_classes(self, tol_axis: float = TOL_AXIS) -> tuple[bool, bool, np.ndarray, bool]:
         """``(origin, rhp, axis_frequencies, hurwitz)``: a pole within tol_axis max(1, ||A||_2)
         of 0, one right of the band |Re| <= tol_axis max(1, |lam|), the ascending Im > 0 of
-        those in the band, and whether all lie left of it."""
+        those in the band, one per pole (a repeated eigenvalue, its copies within the band of
+        each other, is listed once), and whether all lie left of it."""
         lam = self.eig[0]
         band = tol_axis * np.maximum(1.0, np.abs(lam))
+        axis = np.sort(lam.imag[(np.abs(lam.real) <= band) & (lam.imag > 0)])
+        first = np.ones(axis.size, dtype=bool)
+        first[1:] = np.diff(axis) > tol_axis * np.maximum(1.0, axis[1:])
         return (bool(np.any(np.abs(lam) <= tol_axis * max(1.0, self.norm2))),
                 bool(np.any(lam.real > band)),
-                np.sort(lam.imag[(np.abs(lam.real) <= band) & (lam.imag > 0)]),
+                axis[first],
                 bool(np.all(lam.real < -band)))
 
     def singular_a(self, tol: float = DEFAULT_TOL) -> bool:

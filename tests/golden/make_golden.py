@@ -69,10 +69,12 @@ CASES.update({
     "simulate-first_order-ctrl_two": ["simulate", "first_order", "ctrl_two", "--x0=1,-0.5",
                                       "--out", "{csv}"],
     "simulate-osc-ctrl_half-zero": ["simulate", "osc", "ctrl_half", "--out", "{csv}"],
-    # the non-certified exits of the DR certificate search: the frequency
-    # witness at the NotNI sweep's worst point (neg_rand6, Infeasible after 0
-    # iterations), the stall exit (notch3, Infeasible after 400) and the
-    # iteration limit (notch57, MaxIterations after 5,000)
+    # the frequency-witness exit of the DR certificate search, Infeasible after
+    # 0 iterations: at the NotNI sweep's worst grid point (neg_rand6) and at
+    # the crossing point between grid points that finds each notch's dip
+    # (notch3, notch57).  The stall exit and the iteration limit, which these
+    # notches took without a hint, are pinned by the dr_exits.json runs of
+    # tests/test_nicert.py only
     "certify-ni-neg_rand6": ["certify", "neg_rand6", "--property", "ni"],
     "certify-sni-notch3": ["certify", "notch3", "--property", "sni"],
     "certify-sni-notch57": ["certify", "notch57", "--property", "sni"],

@@ -10,11 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nistab import random_ni_system
+from test_nicert import recheck_frequency_witness
+
+from nistab import FrequencyResponse, StateSpace, random_ni_system
 from nistab.cli import dumps_canonical, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_SYSTEMS = GOLDEN / "systems.json"
+DR_EXITS = GOLDEN / "dr_exits.json"
 
 SYSTEMS = {
     "schema_version": "1",
@@ -74,20 +77,23 @@ class TestCertify:
         assert report["results"]["w_transfer_zeros"]["passed"] is True
 
     def test_sni_certify_takes_one_spectrum(self, linalg_calls, capsys):
-        # every route of the run reads the cached eigendecomposition of A
+        # every route of the run reads the cached eigendecomposition of A, and
+        # the crossing frequencies the cached spectrum of one Hamiltonian
         code = main(["certify", str(GOLDEN_SYSTEMS), "ctrl_half", "--property", "sni"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["certified"] is True
-        assert (linalg_calls["eig"], linalg_calls["eigvals"]) == (1, 0)
+        assert (linalg_calls["eig"], linalg_calls["eigvals"]) == (1, 1)
 
     def test_sni_certify_solves_the_resolvent_once(self, linalg_calls, capsys):
         # the W(jw) zero check reads the X of the sweep, and the NI and SNI sweeps
-        # share one eigvalsh; the other solve is DR's A^-1 B
+        # share one eigvalsh; the other solves are DR's A^-1 B and the crossing
+        # Hamiltonian's R^-1 [CA, B'] (no crossing, and the grid shows the one
+        # interval positive, so no point is evaluated there)
         code = main(["certify", str(GOLDEN_SYSTEMS), "ctrl_half", "--property", "sni"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["certified"] is True
         counts = linalg_calls["solve"], linalg_calls["slogdet"], linalg_calls["eigvalsh"]
-        assert counts == (2, 0, 4)
+        assert counts == (3, 0, 4)
 
     def test_oscillator_not_sni(self, system_file, capsys):
         code = main(["certify", system_file, "osc", "--property", "sni"])
@@ -160,6 +166,51 @@ class TestAxisPolesAreNotStrict:
         assert code == 1
         assert report["verdict"] == "HypothesisViolated"
         assert report["violated_hypotheses"] == ["controller_sni"]
+
+
+class TestCrossingWitness:
+    """The notch dips fall between grid points; the crossing points find them."""
+
+    @pytest.mark.parametrize("name", ["notch3", "notch57"])
+    def test_sni_certify_ends_dr_at_the_crossing_witness(self, name, capsys):
+        code = main(["certify", str(DR_EXITS), name, "--property", "sni"])
+        report = json.loads(capsys.readouterr().out)
+        res = report["results"]
+        assert code == 1 and report["certified"] is False
+        assert [res[k]["verdict"] for k in ("frequency_ni", "positive_real", "frequency_sni")] \
+            == ["NotNI"] * 3
+        lmi = res["lmi"]
+        assert (lmi["verdict"], lmi["iterations"], lmi["Y"]) == ("Infeasible", 0, None)
+        witness = np.array(lmi["infeasibility_witness"])
+        assert witness.shape == (3,)
+        assert witness[0] == res["frequency_ni"]["worst_point"]["omega"]
+        s = report["systems"][name]
+        lam, bound = recheck_frequency_witness(StateSpace(s["A"], s["B"], s["C"], s["D"]),
+                                               witness)
+        assert lam < -bound
+
+    # singular R = CB + B'C' (osc, and a notch next to a relative-degree-two
+    # channel) or poles on the axis (mixed): no crossing point, the grid decides alone
+    @pytest.mark.parametrize("name", ["osc", "mixed", "notch_and_lag2"])
+    def test_undecided_systems_keep_the_grid_report(self, name, tmp_path, monkeypatch,
+                                                    capsys):
+        notch = json.loads(DR_EXITS.read_text())["systems"]["notch3"]
+        systems = dict(SYSTEMS["systems"])
+        A = np.zeros((5, 5))
+        A[:3, :3], A[3:, 3:] = notch["A"], [[0.0, 1.0], [-1.0, -1.0]]
+        B, C = np.zeros((5, 2)), np.zeros((2, 5))
+        B[:3, 0], B[4, 1], C[0, :3], C[1, 3] = np.ravel(notch["B"]), 1.0, notch["C"][0], 1.0
+        systems["notch_and_lag2"] = {"A": A.tolist(), "B": B.tolist(), "C": C.tolist(),
+                                     "D": np.zeros((2, 2)).tolist()}
+        path = tmp_path / "systems.json"
+        path.write_text(json.dumps({"schema_version": "1", "systems": systems}))
+        argv = ["certify", str(path), name, "--property", "sni"]
+        code = main(argv)
+        report = capsys.readouterr().out
+        monkeypatch.setattr(FrequencyResponse, "crossing_minimum", property(lambda self: None))
+        assert (main(argv), capsys.readouterr().out) == (code, report)
+        if name == "notch_and_lag2":  # the grid still misses the dip of the notch channel
+            assert json.loads(report)["results"]["frequency_ni"]["verdict"] == "NI"
 
 
 class TestTolerancesReachTheRoutes:
@@ -505,9 +556,15 @@ class TestColdStart:
              "--out", str(tmp_path / "certify.json")],
             ["analyze", str(GOLDEN_SYSTEMS), "osc", "ctrl_half",
              "--out", str(tmp_path / "analyze.json")],
-            ["selftest", "--cases", "2"])
+            ["selftest", "--cases", "2"],
+            # the crossing frequencies decide this one
+            ["certify", str(DR_EXITS), "notch3", "--property", "sni",
+             "--out", str(tmp_path / "notch3.json")])
         assert codes == [digests["certify-sni-ctrl_half"]["exit_code"],
-                         digests["analyze-osc-ctrl_half"]["exit_code"], 0]
+                         digests["analyze-osc-ctrl_half"]["exit_code"], 0,
+                         digests["certify-sni-notch3"]["exit_code"]]
+        report = json.loads((tmp_path / "notch3.json").read_text())
+        assert report["results"]["frequency_ni"]["verdict"] == "NotNI"
         assert scipy == set()
 
     def test_simulate_imports_scipy_on_first_use(self, tmp_path):

@@ -146,6 +146,18 @@ class TestFreqNiTest:
         excluded = [p.omega for p in report.per_point if p.status == "excluded"]
         assert any(abs(w - 1.0) <= 1e-2 for w in excluded)
 
+    def test_repeated_axis_pole_gives_one_finding(self):
+        # I2/(s^2 + 1) as two oscillators: one pole at j, so one problem and one
+        # warning; the double eigenvalue itself still fails the residue test
+        two = StateSpace(np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]),
+                         np.kron(np.eye(2), [[0.0], [1.0]]), np.kron(np.eye(2), [[1.0, 0.0]]),
+                         np.zeros((2, 2)))
+        resp = frequency_response(two, GRID)
+        assert len(resp.axis_pole_frequencies) == 1 and resp.pole_findings == []
+        report = freq_ni_test(resp)
+        assert len([w for w in report.warnings if w.startswith("pole at j*1")]) == 1
+        assert report.verdict is Verdict.NOT_NI
+
     def test_non_hermitian_residue_rejected(self, s_over_s2):
         assert freq_ni_test(frequency_response(s_over_s2, GRID)).verdict is Verdict.NOT_NI
 
@@ -496,6 +508,71 @@ class TestFrequencyWitness:
         cert = lmi_ni_certificate(sys, omega_hint=1e-12)
         assert cert.iterations > 0
         same_run(cert, lmi_ni_certificate(sys))
+
+
+NOTCH_OMEGAS = (0.47, 3.3, 12.9, 57.0)
+
+
+class TestCrossingWitness:
+    """NotNI off the grid, at a point between Hamiltonian crossing frequencies."""
+
+    @pytest.mark.parametrize("w0", NOTCH_OMEGAS)
+    def test_every_route_finds_the_notch_dip(self, w0):
+        sys = notch(w0)
+        resp = frequency_response(sys)
+        assert resp.ni_min_eig.min() > 0  # the 400-point grid misses the dip
+        ni, pr, sni = freq_ni_test(resp), positive_real_check(resp), freq_sni_test(resp)
+        assert (ni.verdict, pr.verdict, sni.verdict) == (Verdict.NOT_NI,) * 3
+        worst = ni.worst_point()
+        assert worst.status == "crossing" and sni.worst_point() == worst
+        lo, hi = sys.crossings
+        assert lo == pytest.approx(w0, rel=1e-4) and worst.omega == (lo + hi) / 2
+        # one direct evaluation of G(jw) at the reported frequency
+        G = sys.C @ np.linalg.solve(1j * worst.omega * np.eye(3) - sys.A, sys.B) + sys.D
+        H = 1j * (G - G.conj().T)
+        value = float(np.linalg.eigvalsh((H + H.conj().T) / 2)[0])
+        assert value < -0.03
+        assert worst.min_eig == pytest.approx(value, rel=1e-9)
+        assert pr.worst_point().omega == worst.omega
+        assert pr.worst_point().min_eig == pytest.approx(worst.omega * value, rel=1e-9)
+        # the per-point arrays stay those of the grid
+        for report in (ni, sni):
+            np.testing.assert_array_equal(report.min_eig, resp.ni_min_eig)
+        # as certify's hint, it ends the search before its set-up
+        cert = lmi_ni_certificate(sys, omega_hint=worst.omega)
+        assert (cert.verdict, cert.iterations, cert.polish_steps) == (CertStatus.INFEASIBLE, 0, 0)
+        lam, bound = recheck_frequency_witness(sys, cert.infeasibility_witness)
+        assert lam < -bound
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 12), m=st.integers(1, 3),
+           strict=st.booleans(), feedthrough=st.booleans(),
+           gain=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_ni_draws_get_no_witness(self, seed, n, m, strict, feedthrough, gain):
+        g, _ = random_ni_system(seed, n, min(n, m), strict=strict, with_feedthrough=feedthrough)
+        sys = StateSpace(g.A, gain * g.B, g.C, gain * g.D)
+        resp = frequency_response(sys)
+        minimum = resp.crossing_minimum
+        assert minimum is None or minimum[1] >= -1e-8
+        for report in (freq_ni_test(resp), positive_real_check(resp), freq_sni_test(resp)):
+            assert report.crossing is None
+            assert report.worst_point() is None or report.worst_point().status == "ok"
+
+    def test_crossings_are_cached_and_read_only(self):
+        sys = notch(3.3)
+        assert sys.crossings is sys.crossings
+        with pytest.raises(ValueError):
+            sys.crossings[0] = 1.0
+
+    def test_undecided_without_invertible_r_or_hurwitz_a(self, osc):
+        # osc: CB = 0, so R = CB + B'C' is singular
+        assert osc.crossings is None
+        assert frequency_response(osc).crossing_minimum is None
+        # 1/(s^2 + 1) + 1/(s + 1): R = 2, but poles on the axis
+        mixed = StateSpace([[0, 1, 0], [-1, 0, 0], [0, 0, -1]], [[0], [1], [1]],
+                           [[1, 0, 1]], [[0]])
+        assert mixed.crossings is not None
+        assert frequency_response(mixed).crossing_minimum is None
 
 
 class TestInfeasibilityWitness:

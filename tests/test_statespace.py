@@ -246,6 +246,20 @@ class TestSpectralCache:
         assert damped.pole_classes()[3] and damped.pole_classes()[2].size == 0
         assert damped.pole_classes(1e-2)[2].size == 1
 
+    def test_repeated_axis_pole_is_listed_once(self):
+        # G = I2/(s^2 + 1) as two oscillators: j is a double eigenvalue of A
+        two = StateSpace(np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]),
+                         np.kron(np.eye(2), [[0.0], [1.0]]), np.kron(np.eye(2), [[1.0, 0.0]]),
+                         np.zeros((2, 2)))
+        assert np.sum(np.abs(two.eig[0] - 1j) < 1e-12) == 2
+        np.testing.assert_allclose(two.pole_classes()[2], [1.0], atol=1e-12)
+        # copies within the band merge, distinct poles do not
+        for gap, count in ((1e-9, 1), (1e-3, 2)):
+            A = np.zeros((4, 4))
+            A[:2, :2], A[2:, 2:] = [[0.0, 1.0], [-1.0, 0.0]], [[0.0, 1 + gap], [-1 - gap, 0.0]]
+            sys = StateSpace(A, np.ones((4, 1)), np.ones((1, 4)), [[0.0]])
+            assert sys.pole_classes()[2].size == count
+
     def test_singular_a(self, first_order):
         assert not first_order.singular_a()
         assert StateSpace([[0.0]], [[1.0]], [[1.0]], [[0.0]]).singular_a()
