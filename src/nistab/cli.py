@@ -38,7 +38,6 @@ from .nicert import (
     FrequencyReport,
     NICertificate,
     SolverOptions,
-    Verdict,
     freq_ni_test,
     freq_sni_test,
     frequency_response,
@@ -282,11 +281,9 @@ def cmd_certify(args) -> int:
     except NIStabError as exc:
         results["positive_real"] = {"verdict": "NotNI", "error": str(exc)}
     # a NotNI sweep hands DR its worst point, where a frequency witness may end the search
-    worst = freq.worst_point() if freq.verdict is Verdict.NOT_NI else None
     cert = None
     try:
-        cert = lmi_ni_certificate(sys_, SolverOptions(tol=tol),
-                                   None if worst is None else worst.omega)
+        cert = lmi_ni_certificate(sys_, SolverOptions(tol=tol), freq.omega_hint)
         results["lmi"] = _cert_dict(cert)
     except NIStabError as exc:
         results["lmi"] = {"verdict": "Infeasible", "error": str(exc)}

@@ -161,12 +161,15 @@ def check_hypotheses(plant: StateSpace, controller: StateSpace,
                      grid: FrequencyGrid | None = None,
                      tol: float = DEFAULT_TOL,
                      tol_axis: float = TOL_AXIS,
-                     hurwitz_tol: float = HURWITZ_TOL) -> LoopHypotheses:
+                     hurwitz_tol: float = HURWITZ_TOL,
+                     plant_hint: float | None = None,
+                     controller_hint: float | None = None) -> LoopHypotheses:
     """Stability hypotheses and closed loop of the positive-feedback interconnection.
 
     Certifies the plant (NI) and controller (SNI, including the rank
     condition on ``grid``), checks the feedthrough and DC-gain hypotheses,
-    and computes the closed-loop spectrum.  Nothing short-circuits:
+    and computes the closed-loop spectrum.  The hints are handed to the two
+    certificate searches as ``omega_hint``.  Nothing short-circuits:
     hypothesis violations are collected, and the spectrum is still reported
     when it is computable, so the prediction can be compared with the ground
     truth.
@@ -185,7 +188,7 @@ def check_hypotheses(plant: StateSpace, controller: StateSpace,
 
     plant_cert: NICertificate | None = None
     try:
-        plant_cert = lmi_ni_certificate(plant, solver)
+        plant_cert = lmi_ni_certificate(plant, solver, plant_hint)
         record("plant_ni", plant_cert.certified,
                f"certificate verdict {plant_cert.verdict.value}")
     except NIStabError as exc:
@@ -193,7 +196,7 @@ def check_hypotheses(plant: StateSpace, controller: StateSpace,
 
     controller_cert: NICertificate | None = None
     try:
-        controller_cert = lmi_ni_certificate(controller, solver)
+        controller_cert = lmi_ni_certificate(controller, solver, controller_hint)
         if controller_cert.certified:
             sni_rank_condition(controller, controller_cert, grid, tol, tol_axis)
         ok = controller_cert.certified and controller_cert.strict
@@ -265,11 +268,14 @@ def analyze(plant: StateSpace, controller: StateSpace,
             hurwitz_tol: float = HURWITZ_TOL) -> AnalysisResult:
     """``check_hypotheses`` plus the NI sweep of the plant and the SNI sweep
     of the controller; a plant sweep that contradicts a plant certificate is
-    noted first among the warnings."""
+    noted first among the warnings.  The sweeps run first, and a NotNI one
+    hands its certificate search its worst point, as ``certify`` does."""
+    _check_dims(plant, controller)
     grid = grid or default_grid()
-    checked = check_hypotheses(plant, controller, grid, tol, tol_axis, hurwitz_tol)
     plant_freq = freq_ni_test(frequency_response(plant, grid, tol_axis, tol_pole), tol)
     controller_freq = freq_sni_test(frequency_response(controller, grid, tol_axis, tol_pole), tol)
+    checked = check_hypotheses(plant, controller, grid, tol, tol_axis, hurwitz_tol,
+                               plant_freq.omega_hint, controller_freq.omega_hint)
     pc = checked.plant_certificate
     if pc is not None and pc.certified and plant_freq.verdict is Verdict.NOT_NI:
         checked.warnings.insert(

@@ -209,6 +209,13 @@ class FrequencyReport:
         return [GridPoint(float(w), None if st != "ok" else float(v), str(st))
                 for w, st, v in zip(self.omegas, self.status, self.min_eig)]
 
+    @property
+    def omega_hint(self) -> float | None:
+        """The worst point's omega when the verdict is NotNI, else None: a candidate
+        frequency witness for ``lmi_ni_certificate``."""
+        worst = self.worst_point() if self.verdict is Verdict.NOT_NI else None
+        return None if worst is None else worst.omega
+
     def worst_point(self) -> GridPoint | None:
         """The deciding crossing point, else the lowest "ok" grid point (None if there is none)."""
         if self.crossing is not None:
@@ -235,6 +242,9 @@ class NICertificate:
     rank_condition_min_sv: float = float("nan")
     iterations: int = 0
     polish_steps: int = 0  # dual DR steps of the Farkas polish; not in any report
+    # (omegas, lower bounds of sigma_min M(w) there) from the last sni_rank_condition,
+    # read by w_transfer_zero_check; not in any report
+    rank_bounds: tuple[np.ndarray, np.ndarray] | None = None
     convention: str = SIGN_CONVENTION
     infeasibility_witness: np.ndarray | None = None
     system_label: str = ""
@@ -248,8 +258,10 @@ class NICertificate:
 class WZeroReport:
     """Zeros of W(s) = L P (sI - A)^{-1} B - L C^T on the positive imaginary axis.
 
-    ``min_sv`` holds sigma_min W(j omega) per grid point, NaN where j omega I - A
-    is exactly singular (such points are never flagged)."""
+    ``min_sv`` holds sigma_min W(j omega) per grid point.  NaN means one of two
+    things: j omega I - A is exactly singular there, so W cannot be solved for, or
+    the rank condition of a strict certificate already proves sigma_min W(j omega)
+    >= tol there, so its SVD was skipped.  Neither kind of point is ever flagged."""
 
     omegas: np.ndarray
     min_sv: np.ndarray
@@ -776,18 +788,26 @@ def sni_rank_condition(sys: StateSpace, cert: NICertificate,
     The minimum is exact over the grid, but not every point takes an SVD.  A
     coarse subset goes first (every ``_RANK_STRIDE``-th point and the last);
     the nearest evaluated neighbour w_j on each side then bounds the others
-    from below, by the larger of
+    from below, with a = |w - w_j|, by the largest of
 
-        s_j - |w - w_j|                                   (||dM/dw||_2 = 1)
+        s_j - a                                           (||dM/dw||_2 = 1)
         min(w, 1) (s_j / max(w_j, 1) - ||[A; L P]||_F |1/w - 1/w_j|)
+        s_j - a min(1, (s_j + ||B||_F) / r_j)             (when r_j >= a)
 
     the second from M(w) = M~(w) diag(w I, I), where only the first block
-    column of M~(w) depends on w, as A/w and L P/w.  s_j is the computed value
+    column of M~(w) depends on w, as A/w and L P/w.  The third sees the gain:
+    r_j is half the Bauer-Fike lower bound of sigma_min(A - j w_j I) (see
+    ``resolvent_stack``; the bound is not used when V is singular), and a unit
+    vector [x; u] with ||x|| = xi has ||M(w) [x; u]|| >= max(s_j - a xi,
+    (r_j - a) xi - ||B||_F), whose minimum over xi in [0, 1] is at most at
+    xi = (s_j + ||B||_F) / r_j when r_j >= a.  s_j is the computed value
     less a rounding allowance delta_j = 64 (2n + p + m) eps (||M(0)||_F + w_j),
     p the rows of L; a point whose bound, less its own allowance, strictly
     exceeds the smallest computed value cannot hold the minimum and is skipped.
     The SVD of a matrix does not depend on the stack it sits in, so the result
-    is the one a full stacked SVD gives, bit for bit.
+    is the one a full stacked SVD gives, bit for bit.  The per-point lower
+    bounds are kept in ``cert.rank_bounds`` with the grid, for
+    ``w_transfer_zero_check``.
     """
     if not cert.certified:
         raise NotCertifiedError("sni_rank_condition requires a certified system")
@@ -795,6 +815,7 @@ def sni_rank_condition(sys: StateSpace, cert: NICertificate,
     n, m = sys.n, sys.m
     L, P = cert.L, cert.P
     p = L.shape[0]
+    cert.rank_bounds = None
     if p < m:
         min_sv = 0.0  # fewer rows than columns: full column rank impossible
     else:
@@ -819,21 +840,32 @@ def sni_rank_condition(sys: StateSpace, cert: NICertificate,
         best = values[done].min()
         top_sq = np.sum(sys.A ** 2) + np.sum(lower[:, :n] ** 2)  # ||[A; L P]||_F^2
         norm_top = np.sqrt(top_sq)
-        norm_m0 = np.sqrt(top_sq + np.sum(sys.B ** 2) + np.sum(lower[:, n:] ** 2))
+        norm_b = np.sqrt(np.sum(sys.B ** 2))
+        norm_m0 = np.sqrt(top_sq + norm_b ** 2 + np.sum(lower[:, n:] ** 2))
         delta = 64 * (2 * n + p + m) * np.finfo(float).eps * (norm_m0 + omegas)
         s = values - delta  # below the exact sigma_min at every evaluated point
+        r = np.full(omegas.size, -np.inf)  # never >= a: no gain bound
+        if sys.bauer_fike is not None:
+            cond_v, defect = sys.bauer_fike
+            r = (np.abs(1j * omegas[:, np.newaxis] - sys.eig[0]).min(axis=1) / cond_v
+                 - defect) / 2
 
         def bound(j):
-            wj = omegas[j]
-            return np.maximum(s[j] - np.abs(omegas - wj),
+            wj, a = omegas[j], np.abs(omegas - omegas[j])
+            reach = np.ones(omegas.size)  # the xi of the gain bound, 1 where it does not apply
+            np.divide(s[j] + norm_b, r[j], out=reach, where=(r[j] >= a) & (r[j] > 0))
+            return np.maximum(s[j] - a * np.minimum(reach, 1.0),
                               np.minimum(omegas, 1.0) * (s[j] / np.maximum(wj, 1.0)
                                                          - norm_top * np.abs(1 / omegas - 1 / wj)))
 
+        bounds = np.maximum(bound(left), bound(right))
         # a point's own computed value may sit delta below its exact one
-        rest = ~done & ~(np.maximum(bound(left), bound(right)) - delta > best)
+        rest = ~done & ~(bounds - delta > best)
         if rest.any():
             values[rest] = pencil_min_sv(idx[rest])
+            bounds[rest] = values[rest] - delta[rest]
         min_sv = float(values.min())
+        cert.rank_bounds = (omegas, bounds)
     *_, hurwitz = sys.pole_classes(tol_axis)
     cert.rank_condition_min_sv = min_sv
     cert.strict = min_sv > tol and hurwitz
@@ -847,12 +879,19 @@ def w_transfer_zero_check(resp: FrequencyResponse, cert: NICertificate,
     W reads ``resp.X`` at the "ok" points; only the others take their own solve
     (NaN where jwI - A is exactly singular).  W(s) = s M(s) vanishes at the origin
     by construction, so the value at the low end of the grid is recorded unflagged.
+
+    When ``sni_rank_condition`` found ``cert`` strict on the omegas of ``resp``, its
+    lower bounds of sigma_min M(w) bound sigma_min W(jw) from below too, and every
+    point where one clears tol plus a rounding allowance skips its SVD (``min_sv``
+    NaN there): it cannot be flagged.  The first solvable point always takes its
+    SVD, for ``origin_value``.  Any other certificate has every point evaluated.
     """
     if not cert.certified:
         raise NotCertifiedError("w_transfer_zero_check requires a certified system")
     sys, omegas = resp.sys, resp.omegas
     L = cert.L
-    if L.shape[0] == 0:
+    p = L.shape[0]
+    if p == 0:
         min_sv = np.zeros(omegas.size)
         flagged = omegas.tolist()
     else:
@@ -866,9 +905,32 @@ def w_transfer_zero_check(resp: FrequencyResponse, cert: NICertificate,
             solvable = np.linalg.slogdet(res)[0] != 0
             X[rest[solvable]] = np.linalg.solve(res[solvable], sys.B.astype(complex)[np.newaxis])
             solved[rest[solvable]] = True
-        W = L @ cert.P @ X[solved] - L @ sys.C.T
+        LP, LCt = L @ cert.P, L @ sys.C.T
+        X = X[solved]
+        at = np.flatnonzero(solved)
         min_sv = np.full(omegas.size, np.nan)
-        min_sv[solved] = min_singular_value(W) if L.shape[0] >= sys.m else 0.0
+        if p < sys.m:
+            min_sv[at] = 0.0
+        else:
+            take = np.ones(at.size, dtype=bool)
+            if (cert.strict and cert.rank_bounds is not None
+                    and np.array_equal(cert.rank_bounds[0], omegas)):
+                # Where A - jwI is invertible, x = -(A - jwI)^-1 B u gives M(w) [x; u] =
+                # [0; W u], and ||[x; u]|| >= ||u||, so ||W u|| >= sigma_min M(w) ||u||:
+                # sigma_min W(jw) >= sigma_min M(w).  Rounding: the computed X solves
+                # (jwI - A + E) X = B with ||E|| a few eps ||jwI - A||, so M [X u; u] =
+                # [E X u; W u]; with the product and the SVD, the computed sigma_min W(jw)
+                # falls short of sigma_min M(w) by a few eps ||M(w)||_F ||[X; I]||_F at
+                # most, charged 64 (2n + p + m) times like the pencil's delta
+                w = omegas[at]
+                norm_m = np.sqrt(np.sum(sys.A ** 2) + sys.n * w ** 2 + np.sum(sys.B ** 2)
+                                 + np.sum(LP ** 2) + np.sum(LCt ** 2))
+                norm_x = np.sqrt(sys.m + np.sum(X.real ** 2 + X.imag ** 2, axis=(1, 2)))
+                allowance = (64 * (2 * sys.n + p + sys.m) * np.finfo(float).eps
+                             * norm_m * norm_x)
+                take = ~(cert.rank_bounds[1][at] > tol + allowance)
+                take[:1] = True
+            min_sv[at[take]] = min_singular_value(LP @ X[take] - LCt)
         flagged = omegas[(min_sv < tol) & (omegas > omegas[0])].tolist()
     known = min_sv[~np.isnan(min_sv)]
     origin_value = float(known[0]) if known.size else 0.0

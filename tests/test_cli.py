@@ -189,6 +189,23 @@ class TestCrossingWitness:
                                                witness)
         assert lam < -bound
 
+    def test_analyze_ends_both_searches_at_the_crossing_witness(self, capsys):
+        # unhinted, the plant search runs to its 5,000-iteration limit and the
+        # controller search to its stall exit at 400
+        code = main(["analyze", str(DR_EXITS), "notch57", "notch3"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1 and report["verdict"] == "HypothesisViolated"
+        for role, name, sweep in (("plant", "notch57", "plant_ni"),
+                                  ("controller", "notch3", "controller_sni")):
+            cert = report["certificates"][role]
+            assert (cert["verdict"], cert["iterations"], cert["Y"]) == ("Infeasible", 0, None)
+            witness = np.array(cert["infeasibility_witness"])
+            assert witness[0] == report["frequency"][sweep]["worst_point"]["omega"]
+            s = report["systems"][name]
+            lam, bound = recheck_frequency_witness(StateSpace(s["A"], s["B"], s["C"], s["D"]),
+                                                   witness)
+            assert lam < -bound
+
     # singular R = CB + B'C' (osc, and a notch next to a relative-degree-two
     # channel) or poles on the axis (mixed): no crossing point, the grid decides alone
     @pytest.mark.parametrize("name", ["osc", "mixed", "notch_and_lag2"])

@@ -1,5 +1,6 @@
 """Certification routes: frequency sweep, positive-real reduction, LMI search."""
 
+import dataclasses
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -29,6 +30,7 @@ from nistab import (
     sni_rank_condition,
     w_transfer_zero_check,
 )
+from nistab.cli import main
 from nistab.exceptions import (
     AsymmetricDError,
     GenerationFailedError,
@@ -790,17 +792,24 @@ def per_point_rank(sys, cert, grid):
         for w in grid.omegas())
 
 
-def full_stack_rank(sys, cert, grid):
-    """Reference for sni_rank_condition: the minimum of one SVD stack over every grid point."""
+def full_stack_values(sys, cert, grid):
+    """sigma_min M(w) at every grid point from one SVD stack; None when L has fewer
+    than m rows."""
     L, P = cert.L, cert.P
     if L.shape[0] < sys.m:
-        return 0.0
+        return None
     omegas = grid.omegas()
     top = np.concatenate([sys.A - 1j * omegas[:, np.newaxis, np.newaxis] * np.eye(sys.n),
                           np.broadcast_to(sys.B, (omegas.size, sys.n, sys.m))], axis=2)
     lower = np.broadcast_to(np.hstack([L @ P, -(L @ sys.C.T)]),
                             (omegas.size, L.shape[0], sys.n + sys.m))
-    return float(min_singular_value(np.concatenate([top, lower], axis=1)).min())
+    return min_singular_value(np.concatenate([top, lower], axis=1))
+
+
+def full_stack_rank(sys, cert, grid):
+    """Reference for sni_rank_condition: the minimum of one SVD stack over every grid point."""
+    values = full_stack_values(sys, cert, grid)
+    return 0.0 if values is None else float(values.min())
 
 
 def per_point_w(sys, cert, grid, tol=1e-8):
@@ -847,6 +856,20 @@ def _certified_systems():
     return [(sys, cert or lmi_ni_certificate(sys)) for sys, cert in out]
 
 
+def counted_rows(monkeypatch, keep=lambda M: True):
+    """Rows of the stacks that nistab.nicert hands min_singular_value from here on,
+    those ``keep`` accepts."""
+    rows = []
+
+    def counted(M):
+        if keep(M):
+            rows.append(M.shape[0])
+        return min_singular_value(M)
+
+    monkeypatch.setattr(nistab.nicert, "min_singular_value", counted)
+    return rows
+
+
 class TestStackedStrictnessChecks:
     GRIDS = (FrequencyGrid(), GRID,
              FrequencyGrid(omega_min=0.5, omega_max=1.5, points=101, spacing="linear"))
@@ -864,10 +887,11 @@ class TestStackedStrictnessChecks:
 
     @staticmethod
     def assert_matches_per_point_w(resp, cert):
-        """w_transfer_zero_check on ``resp`` equals per_point_w bit for bit; returns
-        the number of masked points."""
+        """w_transfer_zero_check on ``resp`` equals per_point_w bit for bit on the full
+        path, which a certificate without rank bounds takes; returns the number of
+        masked points."""
         values, flagged, origin = per_point_w(resp.sys, cert, resp.grid)
-        report = w_transfer_zero_check(resp, cert)
+        report = w_transfer_zero_check(resp, dataclasses.replace(cert, rank_bounds=None))
         assert np.array_equal(report.omegas, resp.grid.omegas())
         none = np.array([v is None for v in values])
         np.testing.assert_array_equal(np.isnan(report.min_sv), none)
@@ -925,21 +949,94 @@ class TestStackedStrictnessChecks:
                              points=points, spacing=spacing)
         assert np.float64(sni_rank_condition(sys, cert, grid)).tobytes() == np.float64(
             full_stack_rank(sys, cert, grid)).tobytes()
+        values = full_stack_values(sys, cert, grid)
+        if values is not None:
+            # every point's bound, pruned or evaluated, is below its value, up to rounding
+            slack = 1e-11 * (1 + gain) * (1 + grid.omegas())
+            assert np.all(cert.rank_bounds[1] <= values + slack)
 
     def test_most_pencils_take_no_svd(self, monkeypatch):
         sys, cert = random_ni_system(3, 12, 2, strict=True)
-        pencils = []
-
-        def counted(M):
-            pencils.append(M.shape[0])
-            return min_singular_value(M)
-
-        monkeypatch.setattr(nistab.nicert, "min_singular_value", counted)
+        pencils = counted_rows(monkeypatch)
         rank = sni_rank_condition(sys, cert)
         assert 0 < sum(pencils) < default_grid().points
         assert cert.strict
         monkeypatch.undo()
         assert rank == full_stack_rank(sys, cert, default_grid())
+
+    def test_small_gain_bound_prunes_pencils(self, monkeypatch):
+        # 1e-2 G: the two gain-free bounds prune nothing here (400 pencils); the
+        # bound with ||B||_F and the Bauer-Fike radius r_j leaves 277
+        sys, cert = random_ni_system(5, 4, 1, strict=True)
+        sys = StateSpace(sys.A, 1e-2 * sys.B, sys.C, 1e-2 * sys.D)
+        cert = certificate_from_y(sys, 1e-2 * cert.Y)
+        pencils = counted_rows(monkeypatch)
+        rank = sni_rank_condition(sys, cert)
+        assert sum(pencils) <= 277
+        assert cert.strict
+        monkeypatch.undo()
+        assert rank == full_stack_rank(sys, cert, default_grid())
+
+    def test_skip_keeps_the_verdict(self):
+        # after a rank condition on the same grid, a strict certificate skips the W
+        # SVD at most points and a non-strict one at none; the verdict, flags and
+        # origin value are per_point_w's either way, and every value computed is
+        # the full path's, bit for bit
+        strict_skips = 0
+        for sys, cert in _certified_systems():
+            for grid in self.GRIDS:
+                sni_rank_condition(sys, cert, grid)
+                resp = frequency_response(sys, grid)
+                _, flagged, origin = per_point_w(sys, cert, grid)
+                report = w_transfer_zero_check(resp, cert)
+                assert (report.flagged, report.origin_value, report.passed) == (
+                    flagged, origin, not flagged)
+                full = w_transfer_zero_check(resp, dataclasses.replace(cert, rank_bounds=None))
+                computed = ~np.isnan(report.min_sv)
+                assert report.min_sv[computed].tobytes() == full.min_sv[computed].tobytes()
+                skipped = int((computed != ~np.isnan(full.min_sv)).sum())
+                if cert.strict:
+                    strict_skips += skipped
+                else:
+                    assert skipped == 0
+        assert strict_skips > 0
+
+    def test_points_without_a_clearing_bound_take_their_svd(self):
+        sys, cert = random_ni_system(3, 4, 2, strict=True)
+        grid = default_grid()
+        sni_rank_condition(sys, cert, grid)
+        omegas, bounds = cert.rank_bounds
+        weak = [0, 7, 200, 399]
+        bounds = bounds.copy()
+        bounds[weak[1:]] = 1e-8  # tol: proves nothing
+        report = w_transfer_zero_check(frequency_response(sys, grid),
+                                       dataclasses.replace(cert, rank_bounds=(omegas, bounds)))
+        assert np.flatnonzero(~np.isnan(report.min_sv)).tolist() == weak
+
+    def test_rank_condition_on_another_grid_evaluates_every_point(self, monkeypatch):
+        sys, cert = random_ni_system(3, 12, 2, strict=True)
+        sni_rank_condition(sys, cert, GRID)
+        assert cert.strict
+        resp = frequency_response(sys, default_grid())
+        rows = counted_rows(monkeypatch)
+        report = w_transfer_zero_check(resp, cert)
+        assert sum(rows) == default_grid().points
+        assert not np.isnan(report.min_sv).any()
+
+    def test_strict_certify_takes_one_w_svd(self, tmp_path, monkeypatch, capsys):
+        sys, _ = random_ni_system(3, 12, 2, strict=True)
+        path = tmp_path / "strict.json"
+        path.write_text(json.dumps({"schema_version": "1", "systems": {
+            "g": {k: getattr(sys, k).tolist() for k in "ABCD"}}}))
+        # W is p x m, the pencil (n + p) x (n + m)
+        w_rows = counted_rows(monkeypatch, lambda M: M.ndim == 3 and M.shape[-1] == sys.m)
+        assert main(["certify", str(path), "g", "--property", "sni"]) == 0
+        monkeypatch.undo()
+        assert sum(w_rows) == 1
+        lmi = json.loads(capsys.readouterr().out)["results"]["lmi"]
+        assert lmi["strict"] is True
+        assert lmi["rank_condition_min_sv"] == full_stack_rank(sys, lmi_ni_certificate(sys),
+                                                               default_grid())
 
     def test_origin_value_skips_a_masked_point(self):
         cert = lmi_ni_certificate(MIXED)
