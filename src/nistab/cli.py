@@ -37,7 +37,6 @@ from .nicert import (
     FrequencyGrid,
     FrequencyReport,
     NICertificate,
-    SolverOptions,
     freq_ni_test,
     freq_sni_test,
     frequency_response,
@@ -132,8 +131,13 @@ def load_system_file(path: str) -> tuple[dict[str, StateSpace], str]:
     data = json.loads(raw.decode("utf-8"))
     if not isinstance(data, dict) or str(data.get("schema_version")) != "1":
         raise ValueError("unrecognized schema_version (expected \"1\")")
+    entries = data.get("systems", {})
+    if not isinstance(entries, dict):
+        raise ValueError("\"systems\" must be a JSON object")
     systems = {}
-    for name, entry in data.get("systems", {}).items():
+    for name, entry in entries.items():
+        if not isinstance(entry, dict):
+            raise ValueError(f"system {name!r} must be a JSON object")
         systems[name] = StateSpace(
             np.array(entry["A"], dtype=float),
             np.array(entry["B"], dtype=float),
@@ -283,7 +287,7 @@ def cmd_certify(args) -> int:
     # a NotNI sweep hands DR its worst point, where a frequency witness may end the search
     cert = None
     try:
-        cert = lmi_ni_certificate(sys_, SolverOptions(tol=tol), freq.omega_hint)
+        cert = lmi_ni_certificate(sys_, tol, freq.omega_hint)
         results["lmi"] = _cert_dict(cert)
     except NIStabError as exc:
         results["lmi"] = {"verdict": "Infeasible", "error": str(exc)}

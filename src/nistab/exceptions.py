@@ -11,10 +11,6 @@ class DimensionError(NIStabError):
     """Matrix or vector dimensions are inconsistent with the operation."""
 
 
-class NotPSDError(NIStabError):
-    """Matrix has an eigenvalue below the negative tolerance band."""
-
-
 class NearPoleError(NIStabError):
     """Transfer-function evaluation point is too close to a pole.
 

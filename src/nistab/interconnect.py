@@ -33,9 +33,7 @@ from .nicert import (
     FrequencyGrid,
     FrequencyReport,
     NICertificate,
-    SolverOptions,
     Verdict,
-    default_grid,
     freq_ni_test,
     freq_sni_test,
     frequency_response,
@@ -175,8 +173,7 @@ def check_hypotheses(plant: StateSpace, controller: StateSpace,
     truth.
     """
     _check_dims(plant, controller)
-    grid = grid or default_grid()
-    solver = SolverOptions(tol=tol)
+    grid = grid or FrequencyGrid()
     notes: list[str] = []
     hypotheses: dict = {}
     violated: list[str] = []
@@ -188,7 +185,7 @@ def check_hypotheses(plant: StateSpace, controller: StateSpace,
 
     plant_cert: NICertificate | None = None
     try:
-        plant_cert = lmi_ni_certificate(plant, solver, plant_hint)
+        plant_cert = lmi_ni_certificate(plant, tol, plant_hint)
         record("plant_ni", plant_cert.certified,
                f"certificate verdict {plant_cert.verdict.value}")
     except NIStabError as exc:
@@ -196,7 +193,7 @@ def check_hypotheses(plant: StateSpace, controller: StateSpace,
 
     controller_cert: NICertificate | None = None
     try:
-        controller_cert = lmi_ni_certificate(controller, solver, controller_hint)
+        controller_cert = lmi_ni_certificate(controller, tol, controller_hint)
         if controller_cert.certified:
             sni_rank_condition(controller, controller_cert, grid, tol, tol_axis)
         ok = controller_cert.certified and controller_cert.strict
@@ -271,7 +268,7 @@ def analyze(plant: StateSpace, controller: StateSpace,
     noted first among the warnings.  The sweeps run first, and a NotNI one
     hands its certificate search its worst point, as ``certify`` does."""
     _check_dims(plant, controller)
-    grid = grid or default_grid()
+    grid = grid or FrequencyGrid()
     plant_freq = freq_ni_test(frequency_response(plant, grid, tol_axis, tol_pole), tol)
     controller_freq = freq_sni_test(frequency_response(controller, grid, tol_axis, tol_pole), tol)
     checked = check_hypotheses(plant, controller, grid, tol, tol_axis, hurwitz_tol,

@@ -35,12 +35,8 @@ class LyapunovCertificate:
     min_eig_Q: float
     P1: np.ndarray
     P2: np.ndarray
-    n1: int
-    n2: int
     plant: StateSpace
     controller: StateSpace
-    derivative_identity_residual: float = float("nan")
-    dissipation_bound_checked: bool = False
 
 
 @dataclass
@@ -80,16 +76,11 @@ class EquivalenceReport:
     min_eig_Q: float
     lambda_max: float
 
-    def __bool__(self) -> bool:
-        return self.agree
-
 
 @dataclass
 class DissipationReport:
     integral: float           # Simpson value of int ||ytilde2||^2 dt
-    integral_trapezoid: float
     v0: float
-    max_cumulative: float
     tol_int: float
     passed: bool
 
@@ -157,8 +148,7 @@ def block_gram(P1: np.ndarray, P2: np.ndarray,
     return LyapunovCertificate(
         Q=Q,
         min_eig_Q=float(np.linalg.eigvalsh(Q).min()),
-        P1=P1, P2=P2, n1=plant.n, n2=controller.n,
-        plant=plant, controller=controller,
+        P1=P1, P2=P2, plant=plant, controller=controller,
     )
 
 
@@ -185,7 +175,7 @@ def gram_dc_equivalence(plant: StateSpace, controller: StateSpace,
 
 def lyapunov_derivative(state: InterconnectState, cl: ClosedLoop,
                         certs: tuple[NICertificate, NICertificate],
-                        lyap_cert: LyapunovCertificate | None = None) -> DerivativeCheck:
+                        lyap_cert: LyapunovCertificate) -> DerivativeCheck:
     """Both sides of the dissipation identity at a stack of states.
 
     Computes x^T (A_cl^T Q + Q A_cl) x with A_cl taken from the caller's
@@ -196,8 +186,6 @@ def lyapunov_derivative(state: InterconnectState, cl: ClosedLoop,
     cert1, cert2 = certs
     if not (cert1.certified and cert2.certified):
         raise NotCertifiedError("lyapunov_derivative requires certified blocks")
-    if lyap_cert is None:
-        lyap_cert = block_gram(cert1.P, cert2.P, cl.plant, cl.controller)
     M = cl.A_cl.T @ lyap_cert.Q + lyap_cert.Q @ cl.A_cl
     vdot_quad = quadratic_form(state.x, M)
     yt1 = ytilde(cert1, cl.plant, state.x1, state.u1)
@@ -229,12 +217,12 @@ def dissipation_integral_check(trace, tol_int: float = 1e-6) -> DissipationRepor
     """Check int_0^t ||ytilde2||^2 ds <= V(0) + tol_int along a trace.
 
     The cumulative integral is evaluated with composite Simpson quadrature
-    (the plain trapezoid value is reported as well, but its O(dt^2) bias is
-    too coarse for the bound when the plant is lossless and the inequality
-    is tight).  The integrand is nonnegative, so the cumulative maximum is
-    attained at the final time.  scipy.integrate is imported on first use.
+    (the plain trapezoid rule's O(dt^2) bias is too coarse for the bound when
+    the plant is lossless and the inequality is tight).  The integrand is
+    nonnegative, so the cumulative maximum is attained at the final time.
+    scipy.integrate is imported on first use.
     """
-    from scipy.integrate import cumulative_simpson, cumulative_trapezoid
+    from scipy.integrate import cumulative_simpson
 
     f = np.asarray(trace.ytilde2_normsq, dtype=float)
     t = np.asarray(trace.times, dtype=float)
@@ -242,15 +230,11 @@ def dissipation_integral_check(trace, tol_int: float = 1e-6) -> DissipationRepor
         raise DimensionError("trace time and dissipation arrays differ in length")
     v0 = float(trace.V[0]) if len(trace.V) else 0.0
     if len(t) < 2:
-        return DissipationReport(0.0, 0.0, v0, 0.0, tol_int, passed=True)
+        return DissipationReport(0.0, v0, tol_int, passed=True)
     cum_simpson = cumulative_simpson(f, x=t, initial=0.0)
-    cum_trap = cumulative_trapezoid(f, t, initial=0.0)
-    max_cum = float(cum_simpson.max())
     return DissipationReport(
         integral=float(cum_simpson[-1]),
-        integral_trapezoid=float(cum_trap[-1]),
         v0=v0,
-        max_cumulative=max_cum,
         tol_int=tol_int,
-        passed=bool(max_cum <= v0 + tol_int),
+        passed=bool(cum_simpson.max() <= v0 + tol_int),
     )

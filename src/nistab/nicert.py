@@ -64,6 +64,7 @@ import numpy as np
 from .exceptions import (
     AsymmetricDError,
     GenerationFailedError,
+    NIStabError,
     NotCertifiedError,
     SingularAError,
 )
@@ -247,7 +248,6 @@ class NICertificate:
     rank_bounds: tuple[np.ndarray, np.ndarray] | None = None
     convention: str = SIGN_CONVENTION
     infeasibility_witness: np.ndarray | None = None
-    system_label: str = ""
 
     @property
     def certified(self) -> bool:
@@ -270,33 +270,6 @@ class WZeroReport:
     passed: bool
 
 
-@dataclass
-class SolverOptions:
-    tol: float = DEFAULT_TOL
-    eps_scale: float = 1e-6
-    max_iterations: int = 5000
-    stall_window: int = 200
-    stall_improvement: float = 1e-3
-    step: float = 1.0  # Douglas-Rachford step scale in (0, 2)
-
-    def __post_init__(self):
-        for name, value in (("tol", self.tol), ("eps_scale", self.eps_scale)):
-            if not 0 < value < np.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.max_iterations < 0:
-            raise ValueError(f"max_iterations must be nonnegative, got {self.max_iterations}")
-        if self.stall_window < 1:
-            raise ValueError(f"stall_window must be at least 1, got {self.stall_window}")
-        if not 0 <= self.stall_improvement < 1:
-            raise ValueError(f"stall_improvement must lie in [0, 1), got {self.stall_improvement}")
-        if not 0 < self.step < 2:
-            raise ValueError(f"step must lie in (0, 2), got {self.step}")
-
-
-def default_grid() -> FrequencyGrid:
-    return FrequencyGrid()
-
-
 # ---------------------------------------------------------------------------
 # frequency-domain certifiers
 
@@ -310,7 +283,7 @@ def frequency_response(sys: StateSpace, grid: FrequencyGrid | None = None,
     first; the rest go through one stacked resolvent solve, whose guard marks
     the ill-conditioned ones "near-pole".  Its X is kept for ``w_transfer_zero_check``.
     """
-    grid = grid or default_grid()
+    grid = grid or FrequencyGrid()
     origin, rhp, pole_ws, hurwitz = sys.pole_classes(tol_axis)
     omegas = grid.omegas()
     excluded = np.any(np.abs(omegas[:, np.newaxis] - pole_ws)
@@ -323,7 +296,7 @@ def frequency_response(sys: StateSpace, grid: FrequencyGrid | None = None,
     for w0 in pole_ws.tolist():
         try:
             findings.append(residue_at_pole(sys, w0, tol_axis))
-        except Exception as exc:  # NotSimple / Degenerate / NotAPole borderline
+        except (NIStabError, np.linalg.LinAlgError) as exc:  # NotSimple / Degenerate / NotAPole
             problems.append(f"pole at j*{w0:.6g}: {exc}")
     return FrequencyResponse(sys, grid, omegas, status, sys.C @ X + sys.D, X, origin, rhp,
                              pole_ws.tolist(), findings, problems, hurwitz, tol_pole)
@@ -435,6 +408,13 @@ _SQRT2 = np.sqrt(2.0)
 #: and every later power of two, for _POLISH_STEPS dual DR steps each time
 _POLISH_FIRST = 8
 _POLISH_STEPS = 20
+#: lmi_ni_certificate stops MaxIterations after _MAX_ITERATIONS, and Infeasible when
+#: the best gap of a _STALL_WINDOW-iteration window improves on the previous window's
+#: by less than the fraction _STALL_GAIN; the floor of Y is eps = _EPS_SCALE / max(1, ||A||)
+_MAX_ITERATIONS = 5000
+_STALL_WINDOW = 200
+_STALL_GAIN = 1e-3
+_EPS_SCALE = 1e-6
 
 
 @functools.cache
@@ -456,7 +436,7 @@ def _sym_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
             np.concatenate([flat, flat + n * n]), np.tile(div.reshape(-1)[flat], 2))
 
 
-def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None,
+def lmi_ni_certificate(sys: StateSpace, tol: float = DEFAULT_TOL,
                        omega_hint: float | None = None) -> NICertificate:
     """Search for Y = Y^T > 0 with A Y + Y A^T <= 0 and A Y C^T = -B.
 
@@ -474,8 +454,8 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None,
     before its set-up: ``Infeasible``, 0 iterations, no Y, and the witness
     (omega, lambda_min, bound).  Any other hint is ignored, bit for bit.
     """
-    opts = opts or SolverOptions()
-    tol = opts.tol
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     n, m = sys.n, sys.m
     A, B, C = sys.A, sys.B, sys.C
     norm_a = sys.norm2
@@ -489,8 +469,7 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None,
     if omega_hint is not None:
         witness = _frequency_witness(sys, omega_hint, tol_lyap, tol * scale_b, d_asym)
         if witness is not None:
-            return NICertificate(verdict=CertStatus.INFEASIBLE, infeasibility_witness=witness,
-                                 system_label=sys.label)
+            return NICertificate(verdict=CertStatus.INFEASIBLE, infeasibility_witness=witness)
 
     nsym = n * (n + 1) // 2
     gather, div, scatter, mult = _sym_maps(n)
@@ -516,14 +495,13 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None,
             verdict=CertStatus.INFEASIBLE,
             infeasibility_witness=affine_defect.reshape(n, m),
             coupling_residual=float(np.linalg.norm(A @ affine_defect.reshape(n, m))),
-            system_label=sys.label,
         )
 
     null_basis = Vt_k[rank_k:].T  # nsym x d, orthonormal
     Yp = s_particular[gather[0]] / div
     null_mats = null_basis.T[:, gather[0]] / div  # the free directions N_k
 
-    eps = opts.eps_scale / max(1.0, norm_a)
+    eps = _EPS_SCALE / max(1.0, norm_a)
     eye = np.eye(n)
 
     def lyap(Y):
@@ -605,7 +583,7 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None,
             rows = np.stack([2.0 * pc - zd, pc])
             rows -= (rows @ pinv_t) @ gmap_t
             rows -= ((1.0 + rows @ slack_perp) / slack_sq)[:, np.newaxis] * slack_perp
-            zd = zd + opts.step * (rows[0] - pc)
+            zd = zd + (rows[0] - pc)
             cand = rows[1] / np.sqrt(rows[1] @ rows[1])
             blocks = cand[gather] / div
             if separates(float(cand @ slack), np.linalg.eigvalsh(blocks)):
@@ -626,8 +604,8 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None,
     prev_window_best = np.inf
     status = CertStatus.MAX_ITERATIONS
     res = witness = None
-    iterations = opts.max_iterations
-    for it in range(1, opts.max_iterations + 1):
+    iterations = _MAX_ITERATIONS
+    for it in range(1, _MAX_ITERATIONS + 1):
         pc = psd_clamp(z, floors)
         np.multiply(pc, 2.0, out=shifts[0])
         shifts[0] -= z
@@ -635,7 +613,7 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None,
         np.subtract(pc, f0, out=shifts[1])
         theta = shifts @ pinv_t
         back = theta @ gmap_t
-        z = z + opts.step * (f0 + back[0] - pc)
+        z = z + (f0 + back[0] - pc)
         np.add(Yp, (null_basis @ theta[1])[gather[0]] / div, out=Y)
         w = shifts[1] - back[1]
         wn = w / (np.sqrt(w @ w) or 1.0)
@@ -658,8 +636,8 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None,
             iterations = it
             break
         window_best = min(window_best, gap)
-        if it % opts.stall_window == 0:
-            if (window_best > prev_window_best * (1 - opts.stall_improvement)
+        if it % _STALL_WINDOW == 0:
+            if (window_best > prev_window_best * (1 - _STALL_GAIN)
                     and window_best > 1e-7):
                 status = CertStatus.INFEASIBLE
                 iterations = it
@@ -668,7 +646,7 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None,
             window_best = np.inf
 
     if status is not CertStatus.CERTIFIED:
-        lyap_min, _, coupling, *_ = res or residuals(2)
+        lyap_min, _, coupling, *_ = res
         return NICertificate(
             verdict=status,
             Y=Y.copy(),
@@ -677,9 +655,10 @@ def lmi_ni_certificate(sys: StateSpace, opts: SolverOptions | None = None,
             iterations=iterations,
             polish_steps=polish_steps,
             infeasibility_witness=witness,
-            system_label=sys.label,
         )
-    cert = _assemble_certificate(sys, Y.copy(), iterations, tol)
+    # the shadow point is exactly symmetric, so certificate_from_y keeps its bits
+    cert = certificate_from_y(sys, Y, tol)
+    cert.iterations = iterations
     cert.polish_steps = polish_steps
     return cert
 
@@ -731,14 +710,15 @@ def _frequency_witness(sys: StateSpace, omega: float, tol_lyap: float, tol_coupl
     return np.array([omega, lam, bound])
 
 
-def _assemble_certificate(sys: StateSpace, Y: np.ndarray, iterations: int,
-                          tol: float) -> NICertificate:
-    """Build the checkable certificate (P, L, residuals) from a feasible Y."""
+def certificate_from_y(sys: StateSpace, Y: np.ndarray, tol: float = DEFAULT_TOL) -> NICertificate:
+    """The checkable certificate (P, L, residuals) of a feasible Y, symmetrized first."""
+    Y = (Y + Y.T) / 2
     A = sys.A
     W = -(A @ Y + Y @ A.T)
     W = (W + W.T) / 2
-    # same eigendecomposition square root as psd_factor, with the clamp band
-    # widened to the solver's certified tolerance (relative to ||A||)
+    # eigendecomposition square root, not Cholesky: W is routinely singular (W = 0
+    # for a lossless A).  Eigenvalues up to the band (the certified tolerance relative
+    # to ||A|| and ||W||) are dropped with their rows, so L has full row rank
     eig_w = np.linalg.eigvalsh(W)
     thr = tol * max(1.0, sys.norm2, float(np.abs(eig_w).max()))
     w, U = np.linalg.eigh(W)
@@ -754,14 +734,7 @@ def _assemble_certificate(sys: StateSpace, Y: np.ndarray, iterations: int,
         lyap_residual=float(eig_w.min()),
         coupling_residual=float(np.linalg.norm(sys.B + A @ Y @ sys.C.T, "fro")),
         factor_residual=float(np.linalg.norm(L.T @ L + A @ Y + Y @ A.T, "fro")),
-        iterations=iterations,
-        system_label=sys.label,
     )
-
-
-def certificate_from_y(sys: StateSpace, Y: np.ndarray, tol: float = DEFAULT_TOL) -> NICertificate:
-    """Certificate for a known feasible Y (used by constructive generation)."""
-    return _assemble_certificate(sys, (Y + Y.T) / 2, 0, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +784,7 @@ def sni_rank_condition(sys: StateSpace, cert: NICertificate,
     """
     if not cert.certified:
         raise NotCertifiedError("sni_rank_condition requires a certified system")
-    grid = grid or default_grid()
+    grid = grid or FrequencyGrid()
     n, m = sys.n, sys.m
     L, P = cert.L, cert.P
     p = L.shape[0]
@@ -941,9 +914,12 @@ def w_transfer_zero_check(resp: FrequencyResponse, cert: NICertificate,
 # constructive generation
 
 
+#: random_ni_system gives up after this many draws
+_GENERATION_DRAWS = 50
+
+
 def random_ni_system(seed: int, n: int, m: int, strict: bool = False,
-                     with_feedthrough: bool = False,
-                     max_retries: int = 50) -> tuple[StateSpace, NICertificate]:
+                     with_feedthrough: bool = False) -> tuple[StateSpace, NICertificate]:
     """Draw a random NI (or SNI) system with its by-construction certificate.
 
     Draws Y > 0, skew S and PSD W, sets A = (S - W/2) Y^{-1} so that
@@ -959,7 +935,7 @@ def random_ni_system(seed: int, n: int, m: int, strict: bool = False,
             "n rows, so the rank condition cannot hold")
     rng = np.random.default_rng(seed)
     grid = FrequencyGrid(points=120)
-    for _ in range(max_retries):
+    for _ in range(_GENERATION_DRAWS):
         Qm, _ = np.linalg.qr(rng.standard_normal((n, n)))
         Y = Qm @ np.diag(rng.uniform(0.5, 2.0, n)) @ Qm.T
         T = rng.standard_normal((n, n))
@@ -989,5 +965,5 @@ def random_ni_system(seed: int, n: int, m: int, strict: bool = False,
                 continue
         return sys, cert
     raise GenerationFailedError(
-        f"could not generate an {'SNI' if strict else 'NI'} system after {max_retries} draws"
+        f"could not generate an {'SNI' if strict else 'NI'} system after {_GENERATION_DRAWS} draws"
     )

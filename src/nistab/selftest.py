@@ -59,8 +59,7 @@ def _perturbed_non_ni(seed: int, n: int, m: int) -> StateSpace:
 
 
 def random_certified_pair(seed: int, lam_target: float,
-                          n1: int = 3, n2: int = 3, m: int = 1,
-                          controller_feedthrough: bool = True):
+                          n1: int = 3, n2: int = 3, m: int = 1):
     """An (NI plant, SNI controller) pair scaled to a DC-gain target.
 
     The plant is strictly proper (D1 = 0) so the feedthrough product vanishes;
@@ -72,7 +71,7 @@ def random_certified_pair(seed: int, lam_target: float,
 
     plant, pcert = random_ni_system(seed, n1, m, strict=False)
     ctrl0, ccert0 = random_ni_system(seed + 10_000, n2, m, strict=True,
-                                     with_feedthrough=controller_feedthrough)
+                                     with_feedthrough=True)
     lam0, _ = dc_gain_condition(plant, ctrl0)
     alpha = lam_target / lam0
     ctrl = StateSpace(ctrl0.A, alpha * ctrl0.B, ctrl0.C, alpha * ctrl0.D,
@@ -86,9 +85,7 @@ def random_certified_pair(seed: int, lam_target: float,
 def suite_three_way_agreement(seed: int, cases: int,
                               grid: FrequencyGrid | None = None) -> SuiteResult:
     """freq sweep vs positive-real reduction vs certificate search."""
-    from .nicert import default_grid
-
-    grid = grid or default_grid()
+    grid = grid or FrequencyGrid()
     res = SuiteResult("three_way_agreement")
     rng = np.random.default_rng(seed)
     for k in range(cases):

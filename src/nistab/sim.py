@@ -16,7 +16,7 @@ import numpy as np
 from .exceptions import DimensionError
 from .interconnect import ClosedLoop
 from .linalg import matrix_exponential
-from .lyapunov import LyapunovCertificate, block_gram, make_state, quadratic_form, ytilde
+from .lyapunov import block_gram, make_state, quadratic_form, ytilde
 from .nicert import NICertificate
 
 METHODS = ("expm_exact", "rk4")
@@ -38,8 +38,7 @@ class SimulationTrace:
 
 def simulate(cl: ClosedLoop, x0: np.ndarray, t_final: float, dt: float = 1e-2,
              method: str = "expm_exact",
-             certs: tuple[NICertificate, NICertificate] | None = None,
-             lyap_cert: LyapunovCertificate | None = None) -> SimulationTrace:
+             certs: tuple[NICertificate, NICertificate] | None = None) -> SimulationTrace:
     """Propagate x' = A_cl x from x0 on a uniform grid of spacing dt.
 
     ``expm_exact`` computes one matrix exponential and applies it to each
@@ -64,9 +63,6 @@ def simulate(cl: ClosedLoop, x0: np.ndarray, t_final: float, dt: float = 1e-2,
     steps = int(round(t_final / dt))
     times = np.arange(steps + 1) * dt
 
-    if certs is not None and lyap_cert is None:
-        lyap_cert = block_gram(certs[0].P, certs[1].P, cl.plant, cl.controller)
-
     n1 = cl.plant.n
     A = cl.A_cl
     X = np.empty((steps + 1, n))
@@ -86,8 +82,8 @@ def simulate(cl: ClosedLoop, x0: np.ndarray, t_final: float, dt: float = 1e-2,
         for k in range(steps):
             X[k + 1] = step(X[k])
     state = make_state(cl.plant, cl.controller, X[:, :n1], X[:, n1:])
-    V = (np.full(steps + 1, np.nan) if lyap_cert is None
-         else quadratic_form(X, lyap_cert.Q))
+    V = (np.full(steps + 1, np.nan) if certs is None
+         else quadratic_form(X, block_gram(certs[0].P, certs[1].P, cl.plant, cl.controller).Q))
     diss = (np.full(steps + 1, np.nan) if certs is None
             else quadratic_form(ytilde(certs[1], cl.controller, state.x2, state.u2)))
     return SimulationTrace(times=times, x=X, V=V,

@@ -128,6 +128,14 @@ class TestCertify:
         p.write_text('{"schema_version": "2", "systems": {}}')
         assert main(["certify", str(p), "x"]) == 2
 
+    @pytest.mark.parametrize("text", ['{"schema_version": "1", "systems": [1]}',
+                                      '{"schema_version": "1", "systems": {"g": 5}}'])
+    def test_systems_not_an_object(self, tmp_path, capsys, text):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        assert main(["certify", str(p), "g"]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid system file: ")
+
     def test_dimension_error_in_file(self, tmp_path, capsys):
         p = tmp_path / "dims.json"
         p.write_text(json.dumps({

@@ -1,15 +1,17 @@
-"""Kernels: symmetric minimum eigenvalue, PSD factors, exponentials, singular values."""
+"""Kernels: symmetric minimum eigenvalue, exponentials, singular values, and the PSD
+factor of a certificate."""
 
 import numpy as np
 import pytest
 
-from nistab.exceptions import DimensionError, NotPSDError
+from nistab import StateSpace
+from nistab.exceptions import DimensionError
 from nistab.linalg import (
     matrix_exponential,
     min_eig_sym,
     min_singular_value,
-    psd_factor,
 )
+from nistab.nicert import certificate_from_y
 
 
 class TestMinEigSym:
@@ -35,24 +37,31 @@ class TestMinEigSym:
 
 
 class TestPsdFactor:
-    def test_scalar(self):
-        L = psd_factor(np.array([[4.0]]))
-        np.testing.assert_allclose(L, [[2.0]])
+    """The factor L of ``certificate_from_y``: L^T L = W = -(A Y + Y A^T), one row per
+    eigenvalue of W above the band, on systems built around a chosen Y and W."""
 
-    def test_zero_matrix(self):
-        L = psd_factor(np.zeros((2, 2)))
-        assert L.shape == (0, 2)
-        np.testing.assert_allclose(L.T @ L, np.zeros((2, 2)))
+    @staticmethod
+    def certificate(A, Y, C):
+        A, Y, C = (np.asarray(M, dtype=float) for M in (A, Y, C))
+        m = C.shape[0]
+        return certificate_from_y(StateSpace(A, -A @ Y @ C.T, C, np.zeros((m, m))), Y)
+
+    def test_scalar(self):
+        # A = -2, Y = 1: W = 4
+        cert = self.certificate([[-2.0]], [[1.0]], [[1.0]])
+        np.testing.assert_allclose(cert.L, [[2.0]])
+
+    def test_zero_matrix(self, osc):
+        # A + A^T = 0, so Y = I gives W = 0
+        cert = certificate_from_y(osc, np.eye(2))
+        assert cert.L.shape == (0, 2)
+        np.testing.assert_allclose(cert.L.T @ cert.L, np.zeros((2, 2)))
 
     def test_rank_one(self):
-        M = np.array([[2.0, 0.0], [0.0, 0.0]])
-        L = psd_factor(M)
-        assert L.shape[0] == 1
-        np.testing.assert_allclose(L.T @ L, M, atol=1e-10)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPSDError):
-            psd_factor(np.array([[-1.0]]))
+        # A + A^T = -diag(2, 0), so Y = I gives W = diag(2, 0)
+        cert = self.certificate([[-1.0, 1.0], [-1.0, 0.0]], np.eye(2), [[1.0, 0.0]])
+        assert cert.L.shape[0] == 1
+        np.testing.assert_allclose(cert.L.T @ cert.L, np.diag([2.0, 0.0]), atol=1e-10)
 
     def test_reconstruction(self):
         rng = np.random.default_rng(3)
@@ -61,10 +70,15 @@ class TestPsdFactor:
             n = int(rng.integers(1, 7))
             r = int(rng.integers(0, n + 1))
             F = rng.standard_normal((n, r))
-            M = F @ F.T
-            L = psd_factor(M, tol)
-            err = np.linalg.norm(L.T @ L - M, "fro")
-            assert err <= 10 * tol * max(1.0, np.linalg.norm(M, "fro"))
+            W = F @ F.T
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            Y = Q @ np.diag(rng.uniform(0.5, 2.0, n)) @ Q.T
+            T = rng.standard_normal((n, n))
+            A = ((T - T.T) / 2 - W / 2) @ np.linalg.inv(Y)  # A Y + Y A^T = -W
+            cert = self.certificate(A, Y, rng.standard_normal((1, n)))
+            assert cert.L.shape[0] == r
+            err = np.linalg.norm(cert.L.T @ cert.L - W, "fro")
+            assert err <= 10 * tol * max(1.0, np.linalg.norm(A, 2), np.linalg.norm(W, "fro"))
 
 
 class TestMatrixExponential:

@@ -15,10 +15,8 @@ import nistab.nicert
 from nistab import (
     CertStatus,
     FrequencyGrid,
-    SolverOptions,
     StateSpace,
     Verdict,
-    default_grid,
     eval_tf,
     eval_tf_stack,
     freq_ni_test,
@@ -50,7 +48,23 @@ def dr_exit_system(name):
     return StateSpace(s["A"], s["B"], s["C"], s["D"], label=name)
 
 
+def test_public_names_resolve():
+    namespace = {}
+    exec("from nistab import *", namespace)
+    assert set(nistab.__all__) <= namespace.keys()
+    assert not {"SolverOptions", "default_grid"} & (namespace.keys() | set(dir(nistab)))
+
+
 class TestFrequencyResponse:
+    def test_residue_programming_error_propagates(self, osc, monkeypatch):
+        # only pole problems (nistab and LAPACK errors) become a NotNI note
+        def broken(*args):
+            raise TypeError("broken residue")
+
+        monkeypatch.setattr(nistab.nicert, "residue_at_pole", broken)
+        with pytest.raises(TypeError, match="broken residue"):
+            frequency_response(osc, GRID)
+
     def test_stack_matches_eval_tf_per_point(self, osc):
         # linear grid through the pole at j: 1.0 is excluded, and a wide
         # resolvent guard marks its neighbours near-pole
@@ -282,21 +296,21 @@ class TestLmiCertificate:
 
 
 class TestSolverOptions:
-    @pytest.mark.parametrize("field, value", [
-        ("tol", -1.0), ("tol", 0.0), ("tol", np.nan), ("tol", np.inf),
-        ("eps_scale", 0.0), ("eps_scale", -1e-6), ("eps_scale", np.nan), ("eps_scale", np.inf),
-        ("max_iterations", -1), ("stall_window", 0), ("stall_window", -5),
-        ("stall_improvement", -0.1), ("stall_improvement", 1.0), ("stall_improvement", np.nan),
-        ("step", 0.0), ("step", 2.0), ("step", -1.0), ("step", np.nan)])
-    def test_invalid_field_named(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must"):
-            SolverOptions(**{field: value})
+    """``tol`` is the one option of the certificate search, checked before anything else."""
+
+    # D is not symmetric, so a bad tol that got through would raise AsymmetricDError
+    ASYMMETRIC_D = StateSpace(np.diag([-1.0, -2.0]), np.eye(2), np.eye(2),
+                              [[0.0, 1.0], [0.0, 0.0]])
 
     @pytest.mark.parametrize("field, value", [
-        ("max_iterations", 0), ("stall_window", 1), ("stall_improvement", 0.0),
-        ("step", 1.9), ("tol", 1e-2), ("eps_scale", 1e-3)])
-    def test_edge_values_accepted(self, field, value):
-        assert getattr(SolverOptions(**{field: value}), field) == value
+        ("tol", -1.0), ("tol", 0.0), ("tol", np.nan), ("tol", np.inf)])
+    def test_invalid_field_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            lmi_ni_certificate(self.ASYMMETRIC_D, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [("tol", 1e-2)])
+    def test_edge_values_accepted(self, first_order, field, value):
+        assert lmi_ni_certificate(first_order, **{field: value}).certified
 
 
 def notch(w0, zeta=1e-4):
@@ -344,13 +358,6 @@ class TestDrIteration:
         assert cert.infeasibility_witness.shape == (2, 6, 6)
         assert cert.polish_steps == 2
         assert linalg_calls["eigh"] == linalg_calls["eigvalsh"] == _POLISH_FIRST + 2
-
-    def test_residuals_checked_once_without_iterations(self, linalg_calls):
-        cert = lmi_ni_certificate(notch(3.3), SolverOptions(max_iterations=0))
-        assert cert.verdict is CertStatus.MAX_ITERATIONS
-        assert cert.iterations == 0
-        assert np.isfinite(cert.lyap_residual) and np.isfinite(cert.coupling_residual)
-        assert (linalg_calls["eigh"], linalg_calls["eigvalsh"]) == (0, 1)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_index_maps_are_stacked_smat_and_svec(self, n):
@@ -656,7 +663,7 @@ class TestNoFalseWitnessExit:
         for alpha in (1e-3, 1.0, 1e3):
             for tol in (1e-8, 1e-2):
                 sys = StateSpace(g.A, alpha * g.B, g.C, alpha * g.D)
-                cert = lmi_ni_certificate(sys, SolverOptions(tol=tol))
+                cert = lmi_ni_certificate(sys, tol=tol)
                 assert cert.verdict is CertStatus.CERTIFIED
                 got.append(cert.iterations)
         assert got == iterations
@@ -959,10 +966,10 @@ class TestStackedStrictnessChecks:
         sys, cert = random_ni_system(3, 12, 2, strict=True)
         pencils = counted_rows(monkeypatch)
         rank = sni_rank_condition(sys, cert)
-        assert 0 < sum(pencils) < default_grid().points
+        assert 0 < sum(pencils) < FrequencyGrid().points
         assert cert.strict
         monkeypatch.undo()
-        assert rank == full_stack_rank(sys, cert, default_grid())
+        assert rank == full_stack_rank(sys, cert, FrequencyGrid())
 
     def test_small_gain_bound_prunes_pencils(self, monkeypatch):
         # 1e-2 G: the two gain-free bounds prune nothing here (400 pencils); the
@@ -975,7 +982,7 @@ class TestStackedStrictnessChecks:
         assert sum(pencils) <= 277
         assert cert.strict
         monkeypatch.undo()
-        assert rank == full_stack_rank(sys, cert, default_grid())
+        assert rank == full_stack_rank(sys, cert, FrequencyGrid())
 
     def test_skip_keeps_the_verdict(self):
         # after a rank condition on the same grid, a strict certificate skips the W
@@ -1003,7 +1010,7 @@ class TestStackedStrictnessChecks:
 
     def test_points_without_a_clearing_bound_take_their_svd(self):
         sys, cert = random_ni_system(3, 4, 2, strict=True)
-        grid = default_grid()
+        grid = FrequencyGrid()
         sni_rank_condition(sys, cert, grid)
         omegas, bounds = cert.rank_bounds
         weak = [0, 7, 200, 399]
@@ -1017,10 +1024,10 @@ class TestStackedStrictnessChecks:
         sys, cert = random_ni_system(3, 12, 2, strict=True)
         sni_rank_condition(sys, cert, GRID)
         assert cert.strict
-        resp = frequency_response(sys, default_grid())
+        resp = frequency_response(sys, FrequencyGrid())
         rows = counted_rows(monkeypatch)
         report = w_transfer_zero_check(resp, cert)
-        assert sum(rows) == default_grid().points
+        assert sum(rows) == FrequencyGrid().points
         assert not np.isnan(report.min_sv).any()
 
     def test_strict_certify_takes_one_w_svd(self, tmp_path, monkeypatch, capsys):
@@ -1036,7 +1043,7 @@ class TestStackedStrictnessChecks:
         lmi = json.loads(capsys.readouterr().out)["results"]["lmi"]
         assert lmi["strict"] is True
         assert lmi["rank_condition_min_sv"] == full_stack_rank(sys, lmi_ni_certificate(sys),
-                                                               default_grid())
+                                                               FrequencyGrid())
 
     def test_origin_value_skips_a_masked_point(self):
         cert = lmi_ni_certificate(MIXED)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import nistab.statespace
-from nistab import (StateSpace, dc_gain, default_grid, eval_tf, eval_tf_stack, is_minimal, poles,
+from nistab import (FrequencyGrid, StateSpace, dc_gain, eval_tf, eval_tf_stack, is_minimal, poles,
                     random_ni_system, residue_at_pole)
 from nistab.exceptions import (
     DimensionError,
@@ -148,7 +148,7 @@ class TestResolventGuard:
     @pytest.mark.parametrize("name", sorted(GUARD_SYSTEMS))
     def test_matches_full_svd_guard(self, name):
         sys = GUARD_SYSTEMS[name]
-        grids = (1j * default_grid().omegas(), 1j * np.linspace(0.5, 1.5, 401))
+        grids = (1j * FrequencyGrid().omegas(), 1j * np.linspace(0.5, 1.5, 401))
         for points in grids:
             for tol_pole in (1e-12, 1e-8, 1e-4, 1e-2, 0.05, 0.5):
                 G, guarded = eval_tf_stack(sys, points, tol_pole)
@@ -159,7 +159,7 @@ class TestResolventGuard:
     def test_hurwitz_system_skips_the_svd(self, svd_shapes):
         sys = random_ni_system(7, 6, 2, strict=True)[0]
         svd_shapes.clear()  # the draw's own checks
-        _, guarded = eval_tf_stack(sys, 1j * default_grid().omegas())
+        _, guarded = eval_tf_stack(sys, 1j * FrequencyGrid().omegas())
         assert not guarded.any()
         assert sum(shape[0] for shape in svd_shapes) == 0
 
