@@ -138,13 +138,11 @@ def load_system_file(path: str) -> tuple[dict[str, StateSpace], str]:
     for name, entry in entries.items():
         if not isinstance(entry, dict):
             raise ValueError(f"system {name!r} must be a JSON object")
-        systems[name] = StateSpace(
-            np.array(entry["A"], dtype=float),
-            np.array(entry["B"], dtype=float),
-            np.array(entry["C"], dtype=float),
-            np.array(entry["D"], dtype=float),
-            label=str(entry.get("label", name)),
-        )
+        try:
+            A, B, C, D = (np.array(entry[key], dtype=float) for key in "ABCD")
+        except TypeError as exc:
+            raise ValueError(f"system {name!r}: {exc}") from exc
+        systems[name] = StateSpace(A, B, C, D, label=str(entry.get("label", name)))
     if not systems:
         raise ValueError("system file contains no systems")
     return systems, digest

@@ -9,7 +9,9 @@ dissipation rate ||ytilde2||^2 are recorded alongside the states.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,10 +22,12 @@ from .lyapunov import block_gram, make_state, quadratic_form, ytilde
 from .nicert import NICertificate
 
 METHODS = ("expm_exact", "rk4")
-#: rows per % in trace_to_csv: large enough to amortize the call, small enough that
-#: the transient tuple of floats stays small next to the text (peak RSS of the
-#: benchmark's loop ops rose by about 1 MB with 256-row blocks, not with 1024)
-_CSV_BLOCK = 1024
+#: values per formatting block in trace_to_csv (1,024 rows of a two-state
+#: trace).  The largest temporaries of a block take 40 bytes a value.  On a
+#: 5,001 x 15 trace the peak traced allocation of trace_to_csv is 2.86 MB, of
+#: which the table and the text take 2.67 MB; 10,240-value blocks raise it to
+#: 4.1 MB, and 3,072-value blocks leave the join of the text as the peak
+_CSV_VALUES = 5120
 
 
 @dataclass
@@ -69,8 +73,8 @@ def simulate(cl: ClosedLoop, x0: np.ndarray, t_final: float, dt: float = 1e-2,
     X[0] = x0
     if method == "expm_exact":
         phi = matrix_exponential(A, dt)
-        for k in range(steps):
-            np.dot(phi, X[k], out=X[k + 1])
+        for prev, nxt in zip(X, X[1:]):
+            np.dot(phi, prev, out=nxt)
     else:
         def step(x):
             k1 = A @ x
@@ -100,22 +104,151 @@ def v_monotone(trace: SimulationTrace, tol: float = 1e-8) -> tuple[bool, float]:
     return bool(worst <= tol), worst
 
 
+# %.12g for a block of values at once.  A finite v with 1e-280 <= |v| <= 1e280
+# has e = floor(log10|v|) and t = |v| 10^(11-e), which lies in [1e11, 1e12)
+# unless log10 misplaced e.  The scaled s multiplies by 10^(11-e) or divides
+# by 10^(e-11), a power that is exact up to 10^22 and correctly rounded beyond
+# (parsed from "1e<k>"), so s = t (1 + d) with |d| <= 2u + u^2, u = 2^-53: one
+# rounding up to 10^22, two beyond.  For s < 1e12 that puts |s - t| below
+# 2.3e-4.  When s is in [1e11, 1e12) and |s - rint(s)| < 0.498, t lies within
+# 0.4983 of the same integer N = rint(s), on the same side of every half, so N
+# is the correctly rounded 12-digit significand that % computes; exact ties
+# (frac(t) = 1/2) never pass the test.  N = 10^12 means the rounding carried
+# into the next decade: the digits are 10^11 and the exponent is e + 1, which
+# is also what % gives when t itself lies a hair outside [1e11, 1e12).  Every
+# other value (0, -0, nan, inf, |v| out of range, s out of range, and the
+# 0.4% of trace values within 2e-3 of a half) is formatted by % and spliced in.
+#
+# A value occupies 40 byte slots, written as five uint64 words and then
+# compacted with one np.compress over the block:
+#   0       '-'                         negative values
+#   1-5     '0.000'                     fixed notation with x < 0: '0.' and -x-1 zeros
+#   8-31    d0 '.' d1 '.' ... d11 '.'   the 12 digits of N, one '.' kept at most
+#   32-36   'e' sign h t o              scientific notation; h only when |x| >= 100
+#   37      ',' or '\n'                 always kept
+# (6, 7, 38 and 39 are never kept.)  Which slots a value keeps depends only on
+# its class: x and the digit count d for fixed notation (-4 <= x < 12), d and
+# whether |x| >= 100 for scientific, the text length for a % value, and the sign.
+_SLOTS = 40
+_POW_OFFSET = 300       # index offset of the power and exponent tables
+_SCI_CLASS = 192        # 16 fixed exponents x 12 digit counts come first
+_FALLBACK_CLASS = 216   # then 2 x 12 scientific classes, then % lengths 1..19
+_FALLBACK_WIDTH = 19    # len("%.12g" % -1.23456789012e-100)
+
+
+class _FormatTables(NamedTuple):
+    head: np.uint64          # slots 0-7
+    digits: np.ndarray       # 4-digit group -> 'd.d.d.d.' as one uint64
+    sig: np.ndarray          # (3, 10^4): digits kept up to a group, or 0 for group 0
+    mul: np.ndarray          # 10^k for k >= 0, else 1
+    div: np.ndarray          # 10^-k for k < 0, else 1
+    exponent: np.ndarray     # x -> 'e+hto,' as one uint64
+    base: np.ndarray         # x -> first class of its notation
+    keep: np.ndarray         # (2 * classes, _SLOTS) kept slots by class and sign
+
+
+@functools.cache
+def _format_tables() -> _FormatTables:
+    group = np.arange(10_000, dtype=np.int16)
+    digits = np.full((group.size, 8), ord("."), np.uint8)
+    zeros = np.zeros(group.size, np.uint8)
+    for j, place in enumerate((1000, 100, 10, 1)):
+        digits[:, 2 * j] = group // place % 10 + ord("0")
+        zeros += group % (10 * place) == 0
+    sig = np.where(zeros < 4, np.array([[4], [8], [12]], np.uint8) - zeros, 0).astype(np.uint8)
+    k = np.arange(-_POW_OFFSET, _POW_OFFSET + 1)
+    power = np.array([float(f"1e{abs(j)}") for j in k.tolist()])
+    exponent = np.zeros((k.size, 8), np.uint8)
+    exponent[:, :6] = np.array([list(b"e%+04d," % j) for j in k.tolist()])
+    sci = (k < -4) | (k >= 12)
+    base = np.where(sci, _SCI_CLASS + 12 * (abs(k) >= 100), (k + 4) * 12)
+    keep = np.zeros((_FALLBACK_CLASS + _FALLBACK_WIDTH + 1, 2, _SLOTS), bool)
+    keep[:, 1, 0] = True
+    keep[:, :, 37] = True
+    digit_slot = 8 + 2 * np.arange(12)
+    for d in range(1, 13):
+        for x in range(-4, 12):
+            row = keep[(x + 4) * 12 + d - 1]
+            row[:, digit_slot[:max(d, x + 1)]] = True
+            if x < 0:
+                row[:, 1:2 - x] = True
+            elif d > x + 1:
+                row[:, digit_slot[x] + 1] = True
+        for big in (0, 1):
+            row = keep[_SCI_CLASS + 12 * big + d - 1]
+            row[:, digit_slot[:d]] = True
+            row[:, 9] = d > 1
+            row[:, 32:37] = True
+            row[:, 34] = big
+    for length in range(1, _FALLBACK_WIDTH + 1):
+        keep[_FALLBACK_CLASS + length, 0, :length] = True
+    return _FormatTables(
+        head=np.frombuffer(b"-0.000\0\0", np.uint64)[0],
+        digits=digits.view(np.uint64).ravel(), sig=sig,
+        mul=np.where(k >= 0, power, 1.0), div=np.where(k < 0, power, 1.0),
+        exponent=exponent.view(np.uint64).ravel(), base=base,
+        keep=keep.reshape(-1, _SLOTS))
+
+
+def _significands(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """12-digit N, exponent x + _POW_OFFSET, and where N is the correct rounding."""
+    tab = _format_tables()
+    s = np.abs(v)
+    exact = (s >= 1e-280) & (s <= 1e280)
+    s[~exact] = 1.0
+    e = np.floor(np.log10(s)).astype(np.int64)
+    k = _POW_OFFSET + 11 - e
+    s *= tab.mul[k]
+    s /= tab.div[k]
+    r = np.rint(s)
+    exact &= (s >= 1e11) & (s < 1e12) & (np.abs(s - r) < 0.498)
+    n = r.astype(np.int64)
+    n[~exact] = 10 ** 11
+    carry = n == 10 ** 12
+    n[carry] = 10 ** 11
+    e += carry
+    e += _POW_OFFSET
+    return n, e, exact
+
+
+def _format_rows(table: np.ndarray) -> str:
+    """``"%.12g" % v`` of each value, ``,`` between columns and ``\n`` after each row."""
+    tab = _format_tables()
+    rows, ncol = table.shape
+    v = table.ravel()
+    n, x, exact = _significands(v)
+    q2, low = np.divmod(n, 10 ** 8)
+    q1, q0 = np.divmod(low, 10 ** 4)
+    words = np.empty((v.size, _SLOTS // 8), np.uint64)
+    words[:, 0] = tab.head
+    words[:, 1] = tab.digits[q2]
+    words[:, 2] = tab.digits[q1]
+    words[:, 3] = tab.digits[q0]
+    words[:, 4] = tab.exponent[x]
+    chars = words.view(np.uint8)
+    chars.reshape(rows, ncol, _SLOTS)[:, -1, 37] = ord("\n")
+    d = np.maximum(np.maximum(tab.sig[2, q0], tab.sig[1, q1]), tab.sig[0, q2])
+    cls = 2 * (tab.base[x] + d - 1) + (v < 0)
+    slow = np.flatnonzero(~exact)
+    if slow.size:
+        text = np.array(["%.12g" % f for f in v[slow].tolist()], dtype=f"S{_FALLBACK_WIDTH}")
+        text = text.view(np.uint8).reshape(-1, _FALLBACK_WIDTH)
+        chars[slow, :_FALLBACK_WIDTH] = text
+        cls[slow] = 2 * (_FALLBACK_CLASS + np.count_nonzero(text, axis=1))
+    return np.compress(tab.keep[cls].ravel(), chars.ravel()).tobytes().decode("ascii")
+
+
 def trace_to_csv(trace: SimulationTrace) -> str:
     """Serialize a trace as CSV with 12 significant digits per value.
 
     Header is ``t,x1,...,xn,V,ytilde2sq``; one row per step, deterministic.
+    The bytes are those of ``"%.12g" % v`` for each value.
     """
     nx = trace.x.shape[-1]
     header = ",".join(["t", *(f"x{i + 1}" for i in range(nx)), "V", "ytilde2sq"])
-    row = ",".join(["%.12g"] * (nx + 3))
     table = np.column_stack([trace.times, trace.x, trace.V, trace.ytilde2_normsq])
-    # one % per block of _CSV_BLOCK rows, on a flat tuple of Python floats; the
-    # trailing "" gives the final newline without a copy of the whole text
-    block = "\n".join([row] * _CSV_BLOCK)
-    parts = [header]
-    for i in range(0, len(table), _CSV_BLOCK):
-        rows = table[i:i + _CSV_BLOCK]
-        fmt = block if len(rows) == _CSV_BLOCK else "\n".join([row] * len(rows))
-        parts.append(fmt % tuple(rows.ravel().tolist()))
-    parts.append("")
-    return "\n".join(parts)
+    block = max(1, _CSV_VALUES // table.shape[1])
+    parts = [header + "\n"]
+    for i in range(0, len(table), block):
+        parts.append(_format_rows(table[i:i + block]))
+    return "".join(parts)

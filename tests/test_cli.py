@@ -129,7 +129,9 @@ class TestCertify:
         assert main(["certify", str(p), "x"]) == 2
 
     @pytest.mark.parametrize("text", ['{"schema_version": "1", "systems": [1]}',
-                                      '{"schema_version": "1", "systems": {"g": 5}}'])
+                                      '{"schema_version": "1", "systems": {"g": 5}}',
+                                      '{"schema_version": "1", "systems": {"g": {"A": {"x": 1},'
+                                      ' "B": [[1]], "C": [[1]], "D": [[0]]}}}'])
     def test_systems_not_an_object(self, tmp_path, capsys, text):
         p = tmp_path / "bad.json"
         p.write_text(text)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nistab import (
     StateSpace,
@@ -16,7 +19,11 @@ from nistab import (
 from nistab.exceptions import DimensionError
 from nistab.linalg import matrix_exponential
 from nistab.selftest import random_certified_pair
-from nistab.sim import _CSV_BLOCK, SimulationTrace
+from nistab.sim import _CSV_VALUES, SimulationTrace, _format_rows
+
+
+def _one_row_at_a_time(table):
+    return "".join(",".join("%.12g" % v for v in row) + "\n" for row in table.tolist())
 
 
 @pytest.fixture
@@ -145,13 +152,16 @@ class TestTraceCsv:
         np.testing.assert_allclose(parsed[:, 5], trace.ytilde2_normsq, atol=1e-10)
 
     def test_nan_columns_without_certs(self, stable_cl):
+        # 1,001 rows of six columns span two blocks; V and ytilde2sq go through %
         cl, _ = stable_cl
-        trace = simulate(cl, np.array([1.0, 0.0, 0.0]), 0.1, 1e-2)
+        trace = simulate(cl, np.array([1.0, 0.0, 0.0]), 10.0, 1e-2)
         text = trace_to_csv(trace)
         assert ",nan,nan" in text.split("\n")[1]
+        table = np.column_stack([trace.times, trace.x, trace.V, trace.ytilde2_normsq])
+        assert text == "t,x1,x2,x3,V,ytilde2sq\n" + _one_row_at_a_time(table)
 
-    @pytest.mark.parametrize("rows", [1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1,
-                                      2 * _CSV_BLOCK + 1])
+    @pytest.mark.parametrize("rows", [1, _CSV_VALUES // 5 - 1, _CSV_VALUES // 5,
+                                      _CSV_VALUES // 5 + 1, 2 * _CSV_VALUES // 5 + 1])
     def test_matches_one_row_at_a_time(self, rows):
         # rows are formatted a block at a time; the bytes are those of one % per row
         rng = np.random.default_rng(rows)
@@ -162,3 +172,58 @@ class TestTraceCsv:
         table = np.column_stack([trace.times, x, trace.V, trace.ytilde2_normsq])
         expected = "".join(",".join("%.12g" % v for v in row.tolist()) + "\n" for row in table)
         assert trace_to_csv(trace) == "t,x1,x2,V,ytilde2sq\n" + expected
+
+    def test_fifty_states(self):
+        # 53 columns: 96 rows a block, so 250 rows make three blocks
+        rng = np.random.default_rng(50)
+        x = rng.standard_normal((250, 50)) * 10.0 ** rng.integers(-30, 30, (250, 50))
+        trace = SimulationTrace(times=np.arange(250) * 1e-2, x=x, V=rng.random(250),
+                                ytilde2_normsq=rng.random(250) * 1e-9, dt=1e-2,
+                                method="expm_exact")
+        table = np.column_stack([trace.times, x, trace.V, trace.ytilde2_normsq])
+        header = ",".join(["t", *(f"x{i + 1}" for i in range(50)), "V", "ytilde2sq"])
+        assert trace_to_csv(trace) == header + "\n" + _one_row_at_a_time(table)
+
+
+class TestFormatRows:
+    """The block formatter gives the bytes of ``"%.12g" % v`` for every double."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                      elements=st.floats(width=64)))
+    def test_any_doubles(self, table):
+        assert _format_rows(table) == _one_row_at_a_time(table)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(hnp.arrays(np.uint64, st.integers(1, 200), elements=st.integers(0, 2 ** 64 - 1)))
+    def test_any_bit_patterns(self, bits):
+        table = bits.view(np.float64).reshape(-1, 1)
+        assert _format_rows(table) == _one_row_at_a_time(table)
+
+    @pytest.mark.parametrize("value, text", [
+        (1234567890125.0, "1.23456789012e+12"),     # exact ties round to even
+        (1234567890135.0, "1.23456789014e+12"),
+        (999999999999.5, "1e+12"),                  # the exponent is taken after rounding
+        (123456789012.0, "123456789012"),
+        (5e-324, "4.94065645841e-324"),
+        (-0.0, "-0"),
+        (0.0, "0"),
+        (np.nan, "nan"),
+        (np.inf, "inf"),
+        (-np.inf, "-inf"),
+        (1e-5, "1e-05"),
+        (0.0001, "0.0001"),
+        (-1.5e100, "-1.5e+100"),
+        # within 2e-4 of a half after a scaling by an inexact power of ten
+        (9.315848127585e-14, "9.31584812758e-14"),
+        (5.490878070765e-176, "5.49087807077e-176"),
+        (2.607146903565e+56, "2.60714690356e+56"),
+        (6.517029709475e+210, "6.51702970948e+210"),
+    ])
+    def test_pinned(self, value, text):
+        assert _format_rows(np.array([[value]])) == text + "\n"
+
+    def test_powers_of_ten_less_one_ulp(self):
+        below = np.nextafter(10.0 ** np.arange(-20, 21), 0.0)
+        table = np.column_stack([below, -below, 10.0 ** np.arange(-20, 21)])
+        assert _format_rows(table) == _one_row_at_a_time(table)
