@@ -1,10 +1,13 @@
 """Autonomous time propagation of the closed loop with Lyapunov monitoring.
 
-The loop is LTI, so the default propagator applies one matrix exponential
-e^{A_cl dt} repeatedly (exact up to the exponential's own accuracy); a
-fixed-step RK4 integrator is available for cross-checking.  When block
-certificates are supplied, the storage function V = x^T Q x and the
-dissipation rate ||ytilde2||^2 are recorded alongside the states.
+The loop is LTI, so the default propagator takes one matrix exponential
+phi = e^{A_cl dt} and its powers phi^1..phi^K, K = _BLOCK_STEPS, and fills
+the K rows after a stored state with one stacked product, so the trace
+x_k = phi^k x0 is exact up to the exponential's own accuracy and about
+steps / K products long; a fixed-step RK4 integrator is available for
+cross-checking.  When block certificates are supplied, the storage function
+V = x^T Q x and the dissipation rate ||ytilde2||^2 are recorded alongside the
+states.
 """
 
 from __future__ import annotations
@@ -22,6 +25,13 @@ from .lyapunov import block_gram, make_state, quadratic_form, ytilde
 from .nicert import NICertificate
 
 METHODS = ("expm_exact", "rk4")
+#: rows per stacked product of the expm_exact propagator, which cuts the 5,000
+#: Python-level products of a 5,001-row trace to 157.  It rounds differently
+#: from one product per step, with errors of the same size: on six
+#: random_certified_pair(s, lam, n1=6, n2=4, m=2) loops, three of them unstable,
+#: every 100th row is within 3.7e-14 to 2.4e-13 relative of expm(A_cl t_k) x0,
+#: against 5.5e-14 to 2.0e-13 per step
+_BLOCK_STEPS = 32
 #: values per formatting block in trace_to_csv (1,024 rows of a two-state
 #: trace).  The largest temporaries of a block take 40 bytes a value.  On a
 #: 5,001 x 15 trace the peak traced allocation of trace_to_csv is 2.86 MB, of
@@ -45,10 +55,12 @@ def simulate(cl: ClosedLoop, x0: np.ndarray, t_final: float, dt: float = 1e-2,
              certs: tuple[NICertificate, NICertificate] | None = None) -> SimulationTrace:
     """Propagate x' = A_cl x from x0 on a uniform grid of spacing dt.
 
-    ``expm_exact`` computes one matrix exponential and applies it to each
-    state in place; ``rk4`` takes four stage evaluations per step.  V and
-    ||ytilde2||^2 are NaN unless certificates are provided.  The loop outputs
-    are solved once for the whole trajectory, after propagation.
+    ``expm_exact`` computes one matrix exponential phi and its first K =
+    _BLOCK_STEPS powers, and writes rows k0 + 1..k0 + K as one product of the
+    stacked powers with the stored row k0; ``rk4`` takes four stage
+    evaluations per step.  V and ||ytilde2||^2 are NaN unless certificates are
+    provided.  The loop outputs are solved once for the whole trajectory,
+    after propagation.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = cl.n
@@ -69,12 +81,19 @@ def simulate(cl: ClosedLoop, x0: np.ndarray, t_final: float, dt: float = 1e-2,
 
     n1 = cl.plant.n
     A = cl.A_cl
-    X = np.empty((steps + 1, n))
+    # whole blocks of rows, so that every expm_exact product has one shape and a
+    # row's bits do not depend on t_final
+    X = np.empty((-(-steps // _BLOCK_STEPS) * _BLOCK_STEPS + 1, n))
     X[0] = x0
     if method == "expm_exact":
         phi = matrix_exponential(A, dt)
-        for prev, nxt in zip(X, X[1:]):
-            np.dot(phi, prev, out=nxt)
+        powers = np.empty((_BLOCK_STEPS, n, n))
+        powers[0] = phi
+        for prev, nxt in zip(powers, powers[1:]):
+            np.matmul(prev, phi, out=nxt)
+        stacked = powers.reshape(-1, n)     # phi^j in rows (j - 1) n .. j n - 1
+        for k0 in range(0, steps, _BLOCK_STEPS):
+            np.dot(stacked, X[k0], out=X[k0 + 1:k0 + 1 + _BLOCK_STEPS].reshape(-1))
     else:
         def step(x):
             k1 = A @ x
@@ -85,6 +104,7 @@ def simulate(cl: ClosedLoop, x0: np.ndarray, t_final: float, dt: float = 1e-2,
 
         for k in range(steps):
             X[k + 1] = step(X[k])
+    X = X[:steps + 1]
     state = make_state(cl.plant, cl.controller, X[:, :n1], X[:, n1:])
     V = (np.full(steps + 1, np.nan) if certs is None
          else quadratic_form(X, block_gram(certs[0].P, certs[1].P, cl.plant, cl.controller).Q))

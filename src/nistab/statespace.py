@@ -282,42 +282,51 @@ def dc_gain(sys: StateSpace, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def residue_at_pole(sys: StateSpace, omega0: float, tol: float = TOL_AXIS) -> ResidueReport:
-    """Residue matrix K0 = lim_{s -> j w0} (s - j w0) s G(s) at a simple pole.
+    """Residue matrix K0 = lim_{s -> j w0} (s - j w0) s G(s) at a simple pole of G.
 
-    Computed from right/left eigenvectors of A rather than a numerical limit,
-    which is ill-conditioned near the pole.  K0 = j w0 (C v)(w* B)/(w* v).
+    Computed from the spectral projector of the k eigenvalues of A within
+    tol max(1, w0) of j w0 rather than a numerical limit, which is
+    ill-conditioned near the pole.  With Vc and Wc bases of the null spaces of
+    (A - j w0 I)^k and of its adjoint (for k = 1 the right and left eigenvectors),
+    Pc = Vc (Wc* Vc)^-1 Wc* and Nc = (A - j w0 I) Pc, the pole of G at j w0 is
+    simple when C Nc^j B = 0 for every j >= 1, and then K0 = j w0 C Pc B.  So a
+    repeated eigenvalue with independent eigenvectors (two oscillators) is a
+    simple pole of G, and so is a Jordan block that B or C does not reach.
     """
     if omega0 <= 0:
         raise NotAPoleError("omega0 must be positive (axis poles are taken as +j omega0)")
     target = 1j * omega0
     eigs, V = sys.eig
-    scale = max(1.0, omega0)
     dist = np.abs(eigs - target)
-    cluster = np.flatnonzero(dist <= tol * scale)
-    if cluster.size == 0:
+    cluster = np.flatnonzero(dist <= tol * max(1.0, omega0))
+    k = cluster.size
+    if k == 0:
         raise NotAPoleError(
             f"j*{omega0} is not an eigenvalue of A (closest at distance {dist.min():.3e})"
         )
-    if cluster.size > 1:
-        raise NotSimplePoleError(
-            f"eigenvalue j*{omega0} has algebraic multiplicity {cluster.size}"
-        )
-    # defectiveness guard: a simple pole leaves sI - A with a 1-dim kernel
-    kernel_dim = int(np.sum(np.linalg.svd(sys.A - target * np.eye(sys.n), compute_uv=False)
-                            <= tol * max(1.0, sys.norm2)))
-    if kernel_dim > 1:
-        raise NotSimplePoleError(f"eigenvalue j*{omega0} is defective (kernel dim {kernel_dim})")
-    idx = int(cluster[0])
-    v = V[:, idx]
-    eigs_t, W = np.linalg.eig(sys.A.T)
-    jdx = int(np.argmin(np.abs(eigs_t - np.conj(target))))
-    w = W[:, jdx]
-    denom = complex(w.conj() @ v)
-    if abs(denom) < tol:
+    shifted = sys.A - target * np.eye(sys.n)
+    if k == 1:  # the eigenvectors, which keep the report bits of simple eigenvalues
+        Vc = V[:, cluster]
+        eigs_t, W = np.linalg.eig(sys.A.T)
+        Wc = W[:, [int(np.argmin(np.abs(eigs_t - np.conj(target))))]]
+    else:
+        U, _, Vh = np.linalg.svd(np.linalg.matrix_power(shifted, k))
+        Vc, Wc = Vh[-k:].conj().T, U[:, -k:]
+    gram = Wc.conj().T @ Vc
+    if (angle := min_singular_value(gram)) < tol:
         raise DegenerateEigenvectorsError(
-            f"left/right eigenvectors nearly orthogonal (|w*v| = {abs(denom):.3e})"
-        )
-    K0 = target * np.outer(sys.C @ v, w.conj() @ sys.B.astype(complex)) / denom
+            f"left/right eigenvectors nearly orthogonal (sigma_min(W* V) = {angle:.3e})")
+    Pc = Vc @ np.linalg.solve(gram, Wc.conj().T)
+    Nc = shifted @ Pc
+    bound = tol * max(1.0, float(np.linalg.norm(sys.C, 2) * np.linalg.norm(sys.B, 2)))
+    CN = sys.C.astype(complex)
+    for j in range(1, k):
+        CN = CN @ Nc
+        if np.linalg.norm(CN @ sys.B) > bound * max(1.0, sys.norm2) ** j:
+            raise NotSimplePoleError(
+                f"eigenvalue j*{omega0} of multiplicity {k} is a pole of order {j + 1} or more"
+            )
+    K0 = target * (sys.C @ Pc @ sys.B)
     herm = (K0 + K0.conj().T) / 2
     return ResidueReport(
         omega0=float(omega0),

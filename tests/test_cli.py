@@ -38,6 +38,18 @@ SYSTEMS = {
         # lightly damped: the poles -0.001 +/- j lie inside a 1e-2 axis band
         "damped": {"A": [[-0.001, 1], [-1, -0.001]], "B": [[0], [1]], "C": [[1, 0]],
                    "D": [[0]]},
+        # I2/(s^2 + 1), two copies of one oscillator, and a Jordan pair at +/-j
+        # driven through its chain: the double eigenvalue j of A is a simple pole
+        # of G in the first two only
+        "osc_mimo": {"A": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
+                     "B": [[0, 0], [1, 0], [0, 0], [0, 1]], "C": [[1, 0, 0, 0], [0, 0, 1, 0]],
+                     "D": [[0, 0], [0, 0]]},
+        "osc_twice": {"A": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
+                      "B": [[0], [1], [0], [1]], "C": [[1, 0, 1, 0]], "D": [[0]]},
+        "jordan": {"A": [[0, 1, 1, 0], [-1, 0, 0, 1], [0, 0, 0, 1], [0, 0, -1, 0]],
+                   "B": [[0], [0], [0], [1]], "C": [[1, 0, 0, 0]], "D": [[0]]},
+        "ctrl_half_mimo": {"A": [[-1, 0], [0, -1]], "B": [[1, 0], [0, 1]],
+                           "C": [[0.5, 0], [0, 0.5]], "D": [[0, 0], [0, 0]]},
     },
 }
 
@@ -176,6 +188,36 @@ class TestAxisPolesAreNotStrict:
         assert code == 1
         assert report["verdict"] == "HypothesisViolated"
         assert report["violated_hypotheses"] == ["controller_sni"]
+
+
+class TestRepeatedAxisPoles:
+    # osc_twice has four states for a second-order G, and certify says so
+    @pytest.mark.filterwarnings("ignore:osc_twice. realization is not minimal:UserWarning")
+    @pytest.mark.parametrize("name", ["osc_mimo", "osc_twice"])
+    def test_semisimple_double_eigenvalue_is_ni(self, system_file, name, capsys):
+        code = main(["certify", system_file, name, "--property", "ni"])
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert code == 0
+        assert [res[k]["verdict"] for k in ("frequency_ni", "positive_real", "lmi")] \
+            == ["NI", "NI", "Certified"]
+        for route in ("frequency_ni", "positive_real"):
+            [finding] = res[route]["pole_findings"]
+            assert finding["is_simple"] and finding["min_eig"] > 0
+            assert not [w for w in res[route]["warnings"] if w.startswith("pole at")]
+
+    def test_jordan_pair_is_not_ni(self, system_file, capsys):
+        code = main(["certify", system_file, "jordan", "--property", "ni"])
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert code == 1
+        for route in ("frequency_ni", "positive_real"):
+            assert res[route]["verdict"] == "NotNI" and res[route]["pole_findings"] == []
+
+    def test_analyze_agrees_with_the_plant_certificate(self, system_file, capsys):
+        code = main(["analyze", system_file, "osc_mimo", "ctrl_half_mimo"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report["verdict"] == "InternallyStable"
+        assert report["frequency"]["plant_ni"]["verdict"] == "NI"
+        assert not [w for w in report["warnings"] if "disagrees" in w]
 
 
 class TestCrossingWitness:

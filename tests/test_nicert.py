@@ -163,16 +163,18 @@ class TestFreqNiTest:
         assert any(abs(w - 1.0) <= 1e-2 for w in excluded)
 
     def test_repeated_axis_pole_gives_one_finding(self):
-        # I2/(s^2 + 1) as two oscillators: one pole at j, so one problem and one
-        # warning; the double eigenvalue itself still fails the residue test
+        # I2/(s^2 + 1) as two oscillators: the double eigenvalue j is one simple
+        # pole of G, with the residue I/2
         two = StateSpace(np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]),
                          np.kron(np.eye(2), [[0.0], [1.0]]), np.kron(np.eye(2), [[1.0, 0.0]]),
                          np.zeros((2, 2)))
         resp = frequency_response(two, GRID)
-        assert len(resp.axis_pole_frequencies) == 1 and resp.pole_findings == []
+        assert len(resp.axis_pole_frequencies) == 1 and resp.pole_problems == []
+        [finding] = resp.pole_findings
+        np.testing.assert_allclose(finding.K0, np.eye(2) / 2, atol=1e-12)
         report = freq_ni_test(resp)
-        assert len([w for w in report.warnings if w.startswith("pole at j*1")]) == 1
-        assert report.verdict is Verdict.NOT_NI
+        assert report.warnings == []
+        assert report.verdict is Verdict.NI
 
     def test_non_hermitian_residue_rejected(self, s_over_s2):
         assert freq_ni_test(frequency_response(s_over_s2, GRID)).verdict is Verdict.NOT_NI

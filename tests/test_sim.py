@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -19,11 +20,39 @@ from nistab import (
 from nistab.exceptions import DimensionError
 from nistab.linalg import matrix_exponential
 from nistab.selftest import random_certified_pair
-from nistab.sim import _CSV_VALUES, SimulationTrace, _format_rows
+from nistab.sim import _BLOCK_STEPS, _CSV_VALUES, SimulationTrace, _format_rows
 
 
 def _one_row_at_a_time(table):
     return "".join(",".join("%.12g" % v for v in row) + "\n" for row in table.tolist())
+
+
+def _blocked_recurrence(A, x0, dt, steps):
+    """x_k = phi^k x0 with phi = e^{A dt}: phi^1..phi^K stacked, times every K-th row."""
+    phi = matrix_exponential(A, dt)
+    powers = [phi]
+    while len(powers) < _BLOCK_STEPS:
+        powers.append(powers[-1] @ phi)
+    rows = [x0]
+    while len(rows) <= steps:
+        rows.extend((np.vstack(powers) @ rows[-1]).reshape(_BLOCK_STEPS, -1))
+    return np.array(rows[:steps + 1])
+
+
+def _recurrence_loop(case):
+    if case in ("D1-zero", "D1-nonzero"):
+        plant, _, ctrl, _ = random_certified_pair(78, 0.6, n1=3, n2=2, m=2)
+        if case == "D1-nonzero":
+            plant, ctrl = ctrl, plant
+        assert np.any(plant.D) == (case == "D1-nonzero")
+    elif case == "A_cl-zero":
+        plant = ctrl = StateSpace([[0.0]], [[0.0]], [[1.0]], [[0.0]])
+    else:
+        rng = np.random.default_rng(50)
+        plant, ctrl = (StateSpace(rng.standard_normal((25, 25)) / 5 - np.eye(25),
+                                  rng.standard_normal((25, 2)), rng.standard_normal((2, 25)),
+                                  np.zeros((2, 2))) for _ in range(2))
+    return closed_loop(plant, ctrl)
 
 
 @pytest.fixture
@@ -89,20 +118,45 @@ class TestSimulate:
             assert trace.V[k] == float(state.x @ Q @ state.x)
             assert trace.ytilde2_normsq[k] == float(yt2 @ yt2)
 
-    @pytest.mark.parametrize("swap", [False, True], ids=["D1-zero", "D1-nonzero"])
-    def test_expm_exact_matches_reference_recurrence(self, swap):
-        plant, _, ctrl, _ = random_certified_pair(78, 0.6, n1=3, n2=2, m=2)
-        if swap:
-            plant, ctrl = ctrl, plant
-        assert np.any(plant.D) == swap
-        cl = closed_loop(plant, ctrl)
+    @pytest.mark.parametrize("case, steps", [
+        ("D1-zero", 300),       # nine blocks and 12 rows of a tenth
+        ("D1-nonzero", 300),
+        ("D1-zero", 1),
+        ("D1-zero", _BLOCK_STEPS - 1),
+        ("D1-zero", 2 * _BLOCK_STEPS),
+        ("A_cl-zero", 70),
+        ("fifty-states", 150),
+    ], ids=["D1-zero", "D1-nonzero", "one-step", "below-one-block", "two-whole-blocks",
+            "A_cl-zero", "fifty-states"])
+    def test_expm_exact_matches_reference_recurrence(self, case, steps):
+        cl = _recurrence_loop(case)
         x0 = np.random.default_rng(7).standard_normal(cl.n)
-        trace = simulate(cl, x0, 3.0, 1e-2)
-        phi = matrix_exponential(cl.A_cl, 1e-2)
-        expected = [x0]
-        for _ in range(300):
-            expected.append(phi @ expected[-1])
-        np.testing.assert_array_equal(trace.x, np.array(expected))
+        trace = simulate(cl, x0, steps * 1e-2, 1e-2)
+        assert trace.x.shape == (steps + 1, cl.n)
+        np.testing.assert_array_equal(trace.x, _blocked_recurrence(cl.A_cl, x0, 1e-2, steps))
+        if case == "A_cl-zero":
+            np.testing.assert_array_equal(trace.x, np.broadcast_to(x0, trace.x.shape))
+
+    @pytest.mark.parametrize("case", ["D1-zero", "fifty-states"])
+    def test_rows_do_not_depend_on_t_final(self, case):
+        cl = _recurrence_loop(case)
+        x0 = np.random.default_rng(9).standard_normal(cl.n)
+        long = simulate(cl, x0, 10.0, 1e-2).x
+        for steps in (1, 45, 64, 100):
+            np.testing.assert_array_equal(simulate(cl, x0, steps * 1e-2, 1e-2).x,
+                                          long[:steps + 1])
+
+    @pytest.mark.parametrize("lam, stable", [(0.6, True), (1.6, False)],
+                             ids=["stable", "unstable"])
+    def test_expm_exact_tracks_the_exponential(self, lam, stable):
+        plant, _, ctrl, _ = random_certified_pair(79, lam, n1=6, n2=4, m=2)
+        cl = closed_loop(plant, ctrl)
+        assert (np.linalg.eigvals(cl.A_cl).real.max() < 0) == stable
+        x0 = np.random.default_rng(8).standard_normal(cl.n)
+        trace = simulate(cl, x0, 50.0, 1e-2)
+        for k in range(0, 5001, 100):
+            exact = scipy.linalg.expm(cl.A_cl * (k * 1e-2)) @ x0
+            assert np.linalg.norm(trace.x[k] - exact) <= 1e-10 * np.linalg.norm(exact), k
 
     @pytest.mark.parametrize("t_final, dt", [(np.inf, 1e-2), (np.nan, 1e-2),
                                              (1.0, np.nan), (1.0, np.inf)])

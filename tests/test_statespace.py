@@ -425,10 +425,42 @@ class TestResidueAtPole:
         with pytest.raises(NotAPoleError):
             residue_at_pole(first_order, 1.0)
 
-    def test_repeated_pole_rejected(self):
-        A = np.block([[np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros((2, 2))],
-                      [np.zeros((2, 2)), np.array([[0.0, 1.0], [-1.0, 0.0]])]])
-        sys = StateSpace(A, np.array([[0.0], [1.0], [0.0], [1.0]]),
-                         np.array([[1.0, 0.0, 1.0, 0.0]]), [[0.0]])
-        with pytest.raises(NotSimplePoleError):
+    @pytest.mark.parametrize("B, C, K0", [
+        # I2/(s^2 + 1): the double eigenvalue j has two eigenvectors
+        (np.kron(np.eye(2), [[0.0], [1.0]]), np.kron(np.eye(2), [[1.0, 0.0]]), np.eye(2) / 2),
+        # two copies of one oscillator, 2/(s^2 + 1)
+        ([[0.0], [1.0], [0.0], [1.0]], [[1.0, 0.0, 1.0, 0.0]], [[1.0]]),
+    ], ids=["mimo", "two-copies"])
+    def test_semisimple_repeated_eigenvalue_is_a_simple_pole(self, B, C, K0):
+        sys = StateSpace(np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]), B, C,
+                         np.zeros((len(C), len(C))))
+        rep = residue_at_pole(sys, 1.0)
+        np.testing.assert_allclose(rep.K0, K0, atol=1e-12)
+        assert rep.is_simple and rep.accepted()
+        num = numerical_residue(sys, 1.0)
+        assert np.abs(rep.K0 - num).max() <= 1e-5
+
+    @staticmethod
+    def _jordan_pair(B, similar):
+        # the second oscillator drives the first, so +/-j are double and defective
+        rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        A = np.block([[rot, np.eye(2)], [np.zeros((2, 2)), rot]])
+        T = np.random.default_rng(3).standard_normal((4, 4)) + 2 * np.eye(4) if similar \
+            else np.eye(4)
+        Ti = np.linalg.inv(T)
+        return StateSpace(Ti @ A @ T, Ti @ np.array(B), np.array([[1.0, 0.0, 0.0, 0.0]]) @ T,
+                          [[0.0]])
+
+    @pytest.mark.parametrize("similar", [False, True], ids=["jordan-form", "similar"])
+    def test_jordan_block_out_of_reach_is_a_simple_pole(self, similar):
+        # B feeds the first oscillator only: G = 1/(s^2 + 1)
+        rep = residue_at_pole(self._jordan_pair([[0.0], [1.0], [0.0], [0.0]], similar), 1.0)
+        np.testing.assert_allclose(rep.K0, [[0.5]], atol=1e-7)
+        assert rep.accepted()
+
+    @pytest.mark.parametrize("similar", [False, True], ids=["jordan-form", "similar"])
+    def test_jordan_pair_rejected(self, similar):
+        # B feeds the second: G has a double pole at j
+        sys = self._jordan_pair([[0.0], [0.0], [0.0], [1.0]], similar)
+        with pytest.raises(NotSimplePoleError, match="order 2"):
             residue_at_pole(sys, 1.0)
