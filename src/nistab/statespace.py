@@ -287,7 +287,8 @@ def residue_at_pole(sys: StateSpace, omega0: float, tol: float = TOL_AXIS) -> Re
     Computed from the spectral projector of the k eigenvalues of A within
     tol max(1, w0) of j w0 rather than a numerical limit, which is
     ill-conditioned near the pole.  With Vc and Wc bases of the null spaces of
-    (A - j w0 I)^k and of its adjoint (for k = 1 the right and left eigenvectors),
+    (A - j w0 I)^k and of its adjoint, the last k right and left singular
+    vectors of one SVD (for k = 1 the right and left eigenvectors),
     Pc = Vc (Wc* Vc)^-1 Wc* and Nc = (A - j w0 I) Pc, the pole of G at j w0 is
     simple when C Nc^j B = 0 for every j >= 1, and then K0 = j w0 C Pc B.  So a
     repeated eigenvalue with independent eigenvectors (two oscillators) is a
@@ -296,22 +297,16 @@ def residue_at_pole(sys: StateSpace, omega0: float, tol: float = TOL_AXIS) -> Re
     if omega0 <= 0:
         raise NotAPoleError("omega0 must be positive (axis poles are taken as +j omega0)")
     target = 1j * omega0
-    eigs, V = sys.eig
+    eigs = sys.eig[0]
     dist = np.abs(eigs - target)
-    cluster = np.flatnonzero(dist <= tol * max(1.0, omega0))
-    k = cluster.size
+    k = int(np.count_nonzero(dist <= tol * max(1.0, omega0)))
     if k == 0:
         raise NotAPoleError(
             f"j*{omega0} is not an eigenvalue of A (closest at distance {dist.min():.3e})"
         )
     shifted = sys.A - target * np.eye(sys.n)
-    if k == 1:  # the eigenvectors, which keep the report bits of simple eigenvalues
-        Vc = V[:, cluster]
-        eigs_t, W = np.linalg.eig(sys.A.T)
-        Wc = W[:, [int(np.argmin(np.abs(eigs_t - np.conj(target))))]]
-    else:
-        U, _, Vh = np.linalg.svd(np.linalg.matrix_power(shifted, k))
-        Vc, Wc = Vh[-k:].conj().T, U[:, -k:]
+    U, _, Vh = np.linalg.svd(np.linalg.matrix_power(shifted, k))
+    Vc, Wc = Vh[-k:].conj().T, U[:, -k:]
     gram = Wc.conj().T @ Vc
     if (angle := min_singular_value(gram)) < tol:
         raise DegenerateEigenvectorsError(

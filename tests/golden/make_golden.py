@@ -72,8 +72,8 @@ CASES.update({
     # the frequency-witness exit of the DR certificate search, Infeasible after
     # 0 iterations: at the NotNI sweep's worst grid point (neg_rand6) and at
     # the crossing point between grid points that finds each notch's dip
-    # (notch3, notch57).  The stall exit and the iteration limit, which these
-    # notches took without a hint, are pinned by the dr_exits.json runs of
+    # (notch3, notch57).  The iteration limit, which these notches reach
+    # without a hint, is pinned by the dr_exits.json runs of
     # tests/test_nicert.py only
     "certify-ni-neg_rand6": ["certify", "neg_rand6", "--property", "ni"],
     "certify-sni-notch3": ["certify", "notch3", "--property", "sni"],

@@ -100,12 +100,14 @@ class TestCertify:
         # the W(jw) zero check reads the X of the sweep, and the NI and SNI sweeps
         # share one eigvalsh; the other solves are DR's A^-1 B and the crossing
         # Hamiltonian's R^-1 [CA, B'] (no crossing, and the grid shows the one
-        # interval positive, so no point is evaluated there)
+        # interval positive, so no point is evaluated there).  The other eigvalsh
+        # calls are the positive-real sweep's and DR's one residual check; the
+        # certificate's W takes one eigh and no eigvalsh
         code = main(["certify", str(GOLDEN_SYSTEMS), "ctrl_half", "--property", "sni"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["certified"] is True
         counts = linalg_calls["solve"], linalg_calls["slogdet"], linalg_calls["eigvalsh"]
-        assert counts == (3, 0, 4)
+        assert counts == (3, 0, 3)
 
     def test_oscillator_not_sni(self, system_file, capsys):
         code = main(["certify", system_file, "osc", "--property", "sni"])
@@ -242,8 +244,7 @@ class TestCrossingWitness:
         assert lam < -bound
 
     def test_analyze_ends_both_searches_at_the_crossing_witness(self, capsys):
-        # unhinted, the plant search runs to its 5,000-iteration limit and the
-        # controller search to its stall exit at 400
+        # unhinted, both searches run to their 5,000-iteration limit
         code = main(["analyze", str(DR_EXITS), "notch57", "notch3"])
         report = json.loads(capsys.readouterr().out)
         assert code == 1 and report["verdict"] == "HypothesisViolated"
