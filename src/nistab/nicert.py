@@ -229,7 +229,11 @@ class FrequencyReport:
 
 @dataclass
 class NICertificate:
-    """Witness for the state-space NI conditions (or their infeasibility)."""
+    """Witness for the state-space NI conditions (or their infeasibility).
+
+    Filled in after it is built: ``lmi_ni_certificate`` sets ``iterations`` and
+    ``polish_steps``, and ``sni_rank_condition`` sets ``strict``,
+    ``rank_condition_min_sv`` and ``rank_omegas``."""
 
     verdict: CertStatus
     P: np.ndarray | None = None
@@ -242,9 +246,9 @@ class NICertificate:
     rank_condition_min_sv: float = float("nan")
     iterations: int = 0
     polish_steps: int = 0  # dual DR steps of the Farkas polish; not in any report
-    # (omegas, lower bounds of sigma_min M(w) there) from the last sni_rank_condition,
-    # read by w_transfer_zero_check; not in any report
-    rank_bounds: tuple[np.ndarray, np.ndarray] | None = None
+    # the omegas of the last sni_rank_condition, read by w_transfer_zero_check; not in
+    # any report
+    rank_omegas: np.ndarray | None = None
     convention: str = SIGN_CONVENTION
     infeasibility_witness: np.ndarray | None = None
 
@@ -259,8 +263,9 @@ class WZeroReport:
 
     ``min_sv`` holds sigma_min W(j omega) per grid point.  NaN means one of two
     things: j omega I - A is exactly singular there, so W cannot be solved for, or
-    the rank condition of a strict certificate already proves sigma_min W(j omega)
-    >= tol there, so its SVD was skipped.  Neither kind of point is ever flagged."""
+    the certificate is strict on this grid, so only the first solvable point took
+    its SVD.  Neither kind of point is ever flagged.  No verdict reads this report:
+    it follows from ``NICertificate.strict`` (see ``w_transfer_zero_check``)."""
 
     omegas: np.ndarray
     min_sv: np.ndarray
@@ -738,8 +743,9 @@ def sni_rank_condition(sys: StateSpace, cert: NICertificate,
     that excludes imaginary-axis closed-loop eigenvalues; the grid cannot see
     poles of the system itself on the axis, so ``cert.strict`` also requires
     every eigenvalue of A strictly left of the axis band (relative width
-    ``tol_axis``, as in ``frequency_response``).  Sets ``cert.strict`` and
-    ``cert.rank_condition_min_sv``.
+    ``tol_axis``, as in ``frequency_response``).  Sets ``cert.strict``,
+    ``cert.rank_condition_min_sv`` and ``cert.rank_omegas`` (the grid's omegas, which
+    ``w_transfer_zero_check`` compares with its own).
 
     The minimum is exact over the grid, but not every point takes an SVD.  A
     coarse subset goes first (every ``_RANK_STRIDE``-th point and the last);
@@ -761,9 +767,7 @@ def sni_rank_condition(sys: StateSpace, cert: NICertificate,
     p the rows of L; a point whose bound, less its own allowance, strictly
     exceeds the smallest computed value cannot hold the minimum and is skipped.
     The SVD of a matrix does not depend on the stack it sits in, so the result
-    is the one a full stacked SVD gives, bit for bit.  The per-point lower
-    bounds are kept in ``cert.rank_bounds`` with the grid, for
-    ``w_transfer_zero_check``.
+    is the one a full stacked SVD gives, bit for bit.
     """
     if not cert.certified:
         raise NotCertifiedError("sni_rank_condition requires a certified system")
@@ -771,11 +775,10 @@ def sni_rank_condition(sys: StateSpace, cert: NICertificate,
     n, m = sys.n, sys.m
     L, P = cert.L, cert.P
     p = L.shape[0]
-    cert.rank_bounds = None
+    omegas = cert.rank_omegas = grid.omegas()
     if p < m:
         min_sv = 0.0  # fewer rows than columns: full column rank impossible
     else:
-        omegas = grid.omegas()
         lower = np.hstack([L @ P, -(L @ sys.C.T)])
         diag = np.arange(n)
 
@@ -819,9 +822,7 @@ def sni_rank_condition(sys: StateSpace, cert: NICertificate,
         rest = ~done & ~(bounds - delta > best)
         if rest.any():
             values[rest] = pencil_min_sv(idx[rest])
-            bounds[rest] = values[rest] - delta[rest]
         min_sv = float(values.min())
-        cert.rank_bounds = (omegas, bounds)
     *_, hurwitz = sys.pole_classes(tol_axis)
     cert.rank_condition_min_sv = min_sv
     cert.strict = min_sv > tol and hurwitz
@@ -836,11 +837,13 @@ def w_transfer_zero_check(resp: FrequencyResponse, cert: NICertificate,
     (NaN where jwI - A is exactly singular).  W(s) = s M(s) vanishes at the origin
     by construction, so the value at the low end of the grid is recorded unflagged.
 
-    When ``sni_rank_condition`` found ``cert`` strict on the omegas of ``resp``, its
-    lower bounds of sigma_min M(w) bound sigma_min W(jw) from below too, and every
-    point where one clears tol plus a rounding allowance skips its SVD (``min_sv``
-    NaN there): it cannot be flagged.  The first solvable point always takes its
-    SVD, for ``origin_value``.  Any other certificate has every point evaluated.
+    Wherever A - jwI is invertible, sigma_min W(jw) >= sigma_min M(w) for the pencil
+    M(w) of ``sni_rank_condition``: x = -(A - jwI)^{-1} B u gives M(w) [x; u] =
+    [0; W(jw) u], and ||[x; u]|| >= ||u||, so ||W(jw) u|| >= sigma_min M(w) ||u||.
+    So when ``sni_rank_condition`` found ``cert`` strict on the omegas of ``resp``,
+    no point is flagged, also where rounding puts the pencil minimum within a few eps
+    of tol, and only the first solvable point takes its SVD, for ``origin_value``
+    (``min_sv`` NaN at the others).  Any other certificate has every point evaluated.
     """
     if not cert.certified:
         raise NotCertifiedError("w_transfer_zero_check requires a certified system")
@@ -868,25 +871,10 @@ def w_transfer_zero_check(resp: FrequencyResponse, cert: NICertificate,
         if p < sys.m:
             min_sv[at] = 0.0
         else:
-            take = np.ones(at.size, dtype=bool)
-            if (cert.strict and cert.rank_bounds is not None
-                    and np.array_equal(cert.rank_bounds[0], omegas)):
-                # Where A - jwI is invertible, x = -(A - jwI)^-1 B u gives M(w) [x; u] =
-                # [0; W u], and ||[x; u]|| >= ||u||, so ||W u|| >= sigma_min M(w) ||u||:
-                # sigma_min W(jw) >= sigma_min M(w).  Rounding: the computed X solves
-                # (jwI - A + E) X = B with ||E|| a few eps ||jwI - A||, so M [X u; u] =
-                # [E X u; W u]; with the product and the SVD, the computed sigma_min W(jw)
-                # falls short of sigma_min M(w) by a few eps ||M(w)||_F ||[X; I]||_F at
-                # most, charged 64 (2n + p + m) times like the pencil's delta
-                w = omegas[at]
-                norm_m = np.sqrt(np.sum(sys.A ** 2) + sys.n * w ** 2 + np.sum(sys.B ** 2)
-                                 + np.sum(LP ** 2) + np.sum(LCt ** 2))
-                norm_x = np.sqrt(sys.m + np.sum(X.real ** 2 + X.imag ** 2, axis=(1, 2)))
-                allowance = (64 * (2 * sys.n + p + sys.m) * np.finfo(float).eps
-                             * norm_m * norm_x)
-                take = ~(cert.rank_bounds[1][at] > tol + allowance)
-                take[:1] = True
-            min_sv[at[take]] = min_singular_value(LP @ X[take] - LCt)
+            if (cert.strict and cert.rank_omegas is not None
+                    and np.array_equal(cert.rank_omegas, omegas)):
+                at, X = at[:1], X[:1]  # nothing to flag: only origin_value is needed
+            min_sv[at] = min_singular_value(LP @ X - LCt)
         flagged = omegas[(min_sv < tol) & (omegas > omegas[0])].tolist()
     known = min_sv[~np.isnan(min_sv)]
     origin_value = float(known[0]) if known.size else 0.0
