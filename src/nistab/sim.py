@@ -7,7 +7,8 @@ x_k = phi^k x0 is exact up to the exponential's own accuracy and about
 steps / K products long; a fixed-step RK4 integrator is available for
 cross-checking.  When block certificates are supplied, the storage function
 V = x^T Q x and the dissipation rate ||ytilde2||^2 are recorded alongside the
-states.
+states, as whole-trace products that may differ from the one-state formulas
+of ``lyapunov`` in the last bits.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DimensionError
+from .exceptions import DimensionError, FeedthroughError
 from .interconnect import ClosedLoop
-from .linalg import matrix_exponential
-from .lyapunov import block_gram, make_state, quadratic_form, ytilde
+from .linalg import DEFAULT_TOL, matrix_exponential
+from .lyapunov import block_gram
 from .nicert import NICertificate
 
 METHODS = ("expm_exact", "rk4")
@@ -59,8 +60,11 @@ def simulate(cl: ClosedLoop, x0: np.ndarray, t_final: float, dt: float = 1e-2,
     _BLOCK_STEPS powers, and writes rows k0 + 1..k0 + K as one product of the
     stacked powers with the stored row k0; ``rk4`` takes four stage
     evaluations per step.  V and ||ytilde2||^2 are NaN unless certificates are
-    provided.  The loop outputs are solved once for the whole trajectory,
-    after propagation.
+    provided.  After propagation, the loop output u2 = y1 is solved once with
+    every row as a right-hand side, and both columns are row sums of
+    products over the whole (steps + 1, n) state array.  A loop whose
+    I - D1 D2 is singular raises FeedthroughError, with or without
+    certificates.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = cl.n
@@ -76,10 +80,14 @@ def simulate(cl: ClosedLoop, x0: np.ndarray, t_final: float, dt: float = 1e-2,
         raise DimensionError("t_final must be at least one step long")
     if method not in METHODS:
         raise DimensionError(f"unknown method {method!r}; pick one of {METHODS}")
+    plant, ctrl = cl.plant, cl.controller
+    loop = np.eye(plant.m) - plant.D @ ctrl.D
+    if np.linalg.svd(loop, compute_uv=False).min() <= DEFAULT_TOL:
+        raise FeedthroughError("loop is not well posed: I - D1 D2 is singular")
     steps = int(round(t_final / dt))
     times = np.arange(steps + 1) * dt
 
-    n1 = cl.plant.n
+    n1 = plant.n
     A = cl.A_cl
     # whole blocks of rows, so that every expm_exact product has one shape and a
     # row's bits do not depend on t_final
@@ -105,11 +113,18 @@ def simulate(cl: ClosedLoop, x0: np.ndarray, t_final: float, dt: float = 1e-2,
         for k in range(steps):
             X[k + 1] = step(X[k])
     X = X[:steps + 1]
-    state = make_state(cl.plant, cl.controller, X[:, :n1], X[:, n1:])
-    V = (np.full(steps + 1, np.nan) if certs is None
-         else quadratic_form(X, block_gram(certs[0].P, certs[1].P, cl.plant, cl.controller).Q))
-    diss = (np.full(steps + 1, np.nan) if certs is None
-            else quadratic_form(ytilde(certs[1], cl.controller, state.x2, state.u2)))
+    if certs is None:
+        V = np.full(steps + 1, np.nan)
+        diss = np.full(steps + 1, np.nan)
+    else:
+        X1, X2 = X[:, :n1], X[:, n1:]
+        Y1 = np.linalg.solve(loop, (X1 @ plant.C.T + (X2 @ ctrl.C.T) @ plant.D.T).T).T
+        XQ = X @ block_gram(certs[0].P, certs[1].P, plant, ctrl).Q
+        XQ *= X     # in place: one (steps + 1, n) temporary, not two
+        V = XQ.sum(axis=1)
+        L2 = certs[1].L
+        yt2 = X2 @ (L2 @ certs[1].P).T - Y1 @ (L2 @ ctrl.C.T).T
+        diss = (yt2 * yt2).sum(axis=1)
     return SimulationTrace(times=times, x=X, V=V,
                            ytilde2_normsq=diss, dt=dt, method=method)
 
@@ -255,7 +270,9 @@ def _format_rows(table: np.ndarray) -> str:
         text = text.view(np.uint8).reshape(-1, _FALLBACK_WIDTH)
         chars[slow, :_FALLBACK_WIDTH] = text
         cls[slow] = 2 * (_FALLBACK_CLASS + np.count_nonzero(text, axis=1))
-    return np.compress(tab.keep[cls].ravel(), chars.ravel()).tobytes().decode("ascii")
+    # five uint64 words a value gather faster than 40 bool bytes
+    keep = np.take(tab.keep.view(np.uint64), cls, axis=0).view(bool)
+    return np.compress(keep.ravel(), chars.ravel()).tobytes().decode("ascii")
 
 
 def trace_to_csv(trace: SimulationTrace) -> str:

@@ -517,16 +517,18 @@ class TestOneStateStackPerRun:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for mod in (nistab.lyapunov, nistab.sim):
-            monkeypatch.setattr(mod, "make_state", counted("make_state", mod.make_state))
+        # simulate forms its columns from the whole trace and never builds a state
+        assert not hasattr(nistab.sim, "make_state")
+        monkeypatch.setattr(nistab.lyapunov, "make_state",
+                            counted("make_state", nistab.lyapunov.make_state))
         monkeypatch.setattr(nistab.interconnect, "closed_loop",
                             counted("closed_loop", nistab.interconnect.closed_loop))
-        for argv in (["analyze", system_file, "osc", "ctrl_half"],
-                     ["simulate", system_file, "osc", "ctrl_half", "--x0", "1,0,0",
-                      "--out", str(tmp_path / "trace.csv")]):
+        for argv, states in ((["analyze", system_file, "osc", "ctrl_half"], 1),
+                             (["simulate", system_file, "osc", "ctrl_half", "--x0", "1,0,0",
+                               "--out", str(tmp_path / "trace.csv")], 0)):
             calls.update(make_state=0, closed_loop=0)
             assert main(argv) == 0
-            assert calls == {"make_state": 1, "closed_loop": 1}, argv[0]
+            assert calls == {"make_state": states, "closed_loop": 1}, argv[0]
         capsys.readouterr()
 
 

@@ -1,5 +1,7 @@
 """Time propagation, CSV serialization, Lyapunov monotonicity along traces."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,10 +19,11 @@ from nistab import (
     trace_to_csv,
     v_monotone,
 )
-from nistab.exceptions import DimensionError
+from nistab.exceptions import DimensionError, FeedthroughError
 from nistab.linalg import matrix_exponential
+from nistab.lyapunov import ytilde
 from nistab.selftest import random_certified_pair
-from nistab.sim import _BLOCK_STEPS, _CSV_VALUES, SimulationTrace, _format_rows
+from nistab.sim import _BLOCK_STEPS, _CSV_VALUES, METHODS, SimulationTrace, _format_rows
 
 
 def _one_row_at_a_time(table):
@@ -104,19 +107,43 @@ class TestSimulate:
 
     @pytest.mark.parametrize("swap", [False, True], ids=["D2-nonzero", "D1-nonzero"])
     def test_columns_match_per_step_states(self, swap):
-        plant, pcert, ctrl, ccert = random_certified_pair(77, 0.6, n1=3, n2=2, m=2)
-        if swap:
-            plant, pcert, ctrl, ccert = ctrl, ccert, plant, pcert
+        # the columns are whole-trace products, so each row is held to the
+        # one-state formulas within 16 (n + m + 1) eps of the scale of its terms
+        for method, m, lam in itertools.product(METHODS, [1, 2, 3], [0.6, 1.5]):
+            case = (method, m, lam)
+            plant, pcert, ctrl, ccert = random_certified_pair(77, lam, n1=4, n2=3, m=m)
+            if swap:
+                plant, pcert, ctrl, ccert = ctrl, ccert, plant, pcert
+            assert (np.any(plant.D), np.any(ctrl.D)) == (swap, not swap)
+            cl = closed_loop(plant, ctrl)
+            assert (np.linalg.eigvals(cl.A_cl).real.max() < 0) == (lam < 1), case
+            Q = block_gram(pcert.P, ccert.P, plant, ctrl).Q
+            LP, LC = ccert.L @ ccert.P, ccert.L @ ctrl.C.T
+            x0 = np.random.default_rng(6).standard_normal(cl.n)
+            trace = simulate(cl, x0, 2.0, 1e-2, method=method, certs=(pcert, ccert))
+            tol = 16 * (cl.n + m + 1) * np.finfo(float).eps
+            n1 = plant.n
+            for k, x in enumerate(trace.x):
+                state = make_state(plant, ctrl, x[:n1], x[n1:])
+                yt2 = ytilde(ccert, ctrl, state.x2, state.u2)
+                scale = (np.linalg.norm(LP, 2) * np.linalg.norm(state.x2)
+                         + np.linalg.norm(LC, 2) * np.linalg.norm(state.u2)) ** 2
+                bound = tol * np.linalg.norm(Q, 2) * (x @ x)
+                assert abs(trace.V[k] - x @ Q @ x) <= bound, (case, k)
+                assert abs(trace.ytilde2_normsq[k] - yt2 @ yt2) <= tol * scale, (case, k)
+
+    @pytest.mark.parametrize("with_certs", [False, True], ids=["no-certs", "certs"])
+    def test_singular_loop_raises(self, with_certs):
+        # ||D1 D2|| = sqrt(2) passes the product test at scale ||D1|| ||D2|| = 1e10,
+        # but D1 D2 = I leaves I - D1 D2 singular
+        big = np.diag([1e5, 1e-5])
+        plant = StateSpace(-np.eye(2), np.eye(2), np.eye(2), big)
+        ctrl = StateSpace(-np.eye(2), np.eye(2), np.eye(2), np.linalg.inv(big))
         cl = closed_loop(plant, ctrl)
-        Q = block_gram(pcert.P, ccert.P, plant, ctrl).Q
-        x0 = np.random.default_rng(6).standard_normal(cl.n)
-        trace = simulate(cl, x0, 2.0, 1e-2, certs=(pcert, ccert))
-        n1 = plant.n
-        for k, x in enumerate(trace.x):
-            state = make_state(plant, ctrl, x[:n1], x[n1:])
-            yt2 = ccert.L @ (ccert.P @ state.x2) - ccert.L @ (ctrl.C.T @ state.u2)
-            assert trace.V[k] == float(state.x @ Q @ state.x)
-            assert trace.ytilde2_normsq[k] == float(yt2 @ yt2)
+        assert not cl.well_posed
+        certs = (lmi_ni_certificate(plant), lmi_ni_certificate(ctrl)) if with_certs else None
+        with pytest.raises(FeedthroughError, match="not well posed"):
+            simulate(cl, np.ones(4), 1.0, 1e-2, certs=certs)
 
     @pytest.mark.parametrize("case, steps", [
         ("D1-zero", 300),       # nine blocks and 12 rows of a tenth
@@ -209,6 +236,8 @@ class TestTraceCsv:
         # 1,001 rows of six columns span two blocks; V and ytilde2sq go through %
         cl, _ = stable_cl
         trace = simulate(cl, np.array([1.0, 0.0, 0.0]), 10.0, 1e-2)
+        assert np.isnan(trace.V).all() and np.isnan(trace.ytilde2_normsq).all()
+        assert trace.V.shape == trace.ytilde2_normsq.shape == (1001,)
         text = trace_to_csv(trace)
         assert ",nan,nan" in text.split("\n")[1]
         table = np.column_stack([trace.times, trace.x, trace.V, trace.ytilde2_normsq])
