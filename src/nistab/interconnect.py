@@ -164,8 +164,9 @@ def check_hypotheses(plant: StateSpace, controller: StateSpace,
                      controller_hint: float | None = None) -> LoopHypotheses:
     """Stability hypotheses and closed loop of the positive-feedback interconnection.
 
-    Certifies the plant (NI) and controller (SNI, including the rank
-    condition on ``grid``), checks the feedthrough and DC-gain hypotheses,
+    Certifies the plant (NI) and controller (SNI: the rank condition of
+    ``sni_rank_condition``, on all of (0, inf) from the crossings where they decide
+    it, else on ``grid`` only), checks the feedthrough and DC-gain hypotheses,
     and computes the closed-loop spectrum.  The hints are handed to the two
     certificate searches as ``omega_hint``.  Nothing short-circuits:
     hypothesis violations are collected, and the spectrum is still reported

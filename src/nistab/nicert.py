@@ -14,6 +14,10 @@ point of a NotNI sweep to the third as a candidate frequency witness:
   A Y + Y A^T <= 0 and A Y C^T = -B, returning P = Y^{-1} and a factor L
   with L^T L = -(A Y + Y A^T).
 
+Strictness (SNI) of a certificate is the rank condition of ``sni_rank_condition``,
+decided from the crossings where A is Hurwitz and they are decided, and then on all
+of (0, inf); otherwise from a pencil grid, and then on that grid only.
+
 Sign convention used throughout: A Y + Y A^T = -L^T L.  Every certificate
 carries this convention string so downstream checks are unambiguous.
 
@@ -156,8 +160,7 @@ class FrequencyResponse:
     @functools.cached_property
     def crossing_minimum(self) -> tuple[float, float, np.ndarray] | None:
         """``(omega, min eig j(G - G*), G(j omega))`` at the lowest of one point per interval
-        of (0, inf) that ``StateSpace.crossings`` cuts: the midpoints between consecutive
-        crossings, half the first and twice the last (omega = 1 when there is none).
+        of (0, inf) that ``StateSpace.crossings`` cuts (``_interval_points``).
 
         No eigenvalue of j(G - G*) changes sign inside an interval, so a negative one
         shows at its point however narrow it is, and one that holds a grid point with a
@@ -167,8 +170,7 @@ class FrequencyResponse:
         w = self.sys.crossings
         if not self.hurwitz or w is None:
             return None
-        points = (np.concatenate([w[:1] / 2, (w[:-1] + w[1:]) / 2, w[-1:] * 2]) if w.size
-                  else np.ones(1))
+        points = _interval_points(w)
         covered = np.zeros(points.size, dtype=bool)
         covered[np.searchsorted(w, self.omegas[self.status == "ok"][self.ni_min_eig > 0])] = True
         points = points[~covered]
@@ -233,7 +235,9 @@ class NICertificate:
 
     Filled in after it is built: ``lmi_ni_certificate`` sets ``iterations`` and
     ``polish_steps``, and ``sni_rank_condition`` sets ``strict``,
-    ``rank_condition_min_sv`` and ``rank_omegas``."""
+    ``rank_condition_min_sv`` and ``rank_omegas``.  A ``strict`` decided from the
+    crossings holds on all of (0, inf), and ``rank_omegas`` is None; one decided on the
+    grid fallback holds on ``rank_omegas`` only."""
 
     verdict: CertStatus
     P: np.ndarray | None = None
@@ -246,8 +250,8 @@ class NICertificate:
     rank_condition_min_sv: float = float("nan")
     iterations: int = 0
     polish_steps: int = 0  # dual DR steps of the Farkas polish; not in any report
-    # the omegas of the last sni_rank_condition, read by w_transfer_zero_check; not in
-    # any report
+    # the omegas the last sni_rank_condition's grid fallback covered (None after the
+    # crossings), read by w_transfer_zero_check; not in any report
     rank_omegas: np.ndarray | None = None
     convention: str = SIGN_CONVENTION
     infeasibility_witness: np.ndarray | None = None
@@ -374,15 +378,23 @@ def freq_sni_test(resp: FrequencyResponse, tol: float = DEFAULT_TOL) -> Frequenc
     """Strict test: all poles in the open left half plane, sweep strictly positive.
 
     A grid cannot prove strictness on all of (0, inf); margins inside the
-    tolerance band therefore yield ``Inconclusive`` rather than ``SNI``.  A
-    negative crossing point still decides ``NotNI``.
+    tolerance band therefore yield ``Inconclusive`` rather than ``SNI``, and so
+    does a crossing where j(G - G*) turns singular between grid points (the
+    ``_confirmed_crossings`` that ``sni_rank_condition`` reads).  A negative
+    crossing point still decides ``NotNI``.
     """
     notes = []
     pole_failure = resp.rhp_pole or resp.origin_pole or bool(resp.axis_pole_frequencies)
     if pole_failure:
         notes.append("poles outside the open left half plane")
-    return _report(resp, resp.ni_min_eig, tol, notes, pole_failure, resp.origin_pole, [],
-                   strict=True)
+    report = _report(resp, resp.ni_min_eig, tol, notes, pole_failure, resp.origin_pole, [],
+                     strict=True)
+    if report.verdict is Verdict.SNI and resp.hurwitz:
+        confirmed = _confirmed_crossings(resp.sys, tol, resp.tol_pole)
+        if confirmed is not None and confirmed.size:
+            report.verdict = Verdict.INCONCLUSIVE
+            report.warnings.append(f"j(G - G*) is singular at the crossing w = {confirmed[0]:.6g}")
+    return report
 
 
 def positive_real_check(resp: FrequencyResponse, tol: float = DEFAULT_TOL) -> FrequencyReport:
@@ -729,103 +741,77 @@ def certificate_from_y(sys: StateSpace, Y: np.ndarray, tol: float = DEFAULT_TOL)
 # strictness checks
 
 
-#: sni_rank_condition takes the pencil SVD at every _RANK_STRIDE-th grid point first
-_RANK_STRIDE = 8
+def _interval_points(w: np.ndarray) -> np.ndarray:
+    """One point in each interval of (0, inf) that the ascending frequencies ``w`` cut: half
+    the first, the midpoints between consecutive ones and twice the last (1 when w is empty)."""
+    if not w.size:
+        return np.ones(1)
+    return np.concatenate([w[:1] / 2, (w[:-1] + w[1:]) / 2, w[-1:] * 2])
+
+
+def _confirmed_crossings(sys: StateSpace, tol: float,
+                         tol_pole: float = TOL_POLE) -> np.ndarray | None:
+    """The crossings w_c of ``StateSpace.crossings`` where j(G(jw_c) - G(jw_c)*) is singular
+    by one stacked evaluation: lambda_min <= tol * w_c, or the resolvent guard trips at w_c.
+    None when the crossings are undecided.
+
+    A crossing that fails the test is rounding, such as a split of the w = 0 cluster of an
+    ill-conditioned R, and does not cut (0, inf).  The caller checks that A is Hurwitz."""
+    w = sys.crossings
+    if w is None or not w.size:
+        return w
+    X, confirmed = resolvent_stack(sys, 1j * w, tol_pole)
+    G = sys.C @ X[~confirmed] + sys.D
+    confirmed[~confirmed] = (_min_eig_hermitian(1j * (G - G.conj().swapaxes(-1, -2)))
+                             <= tol * w[~confirmed])
+    return w[confirmed]
 
 
 def sni_rank_condition(sys: StateSpace, cert: NICertificate,
                        grid: FrequencyGrid | None = None,
                        tol: float = DEFAULT_TOL,
                        tol_axis: float = TOL_AXIS) -> float:
-    """Minimum singular value over the grid of M(w) = [[A - jwI, B], [L P, -L C^T]].
+    """The SNI lemma's rank condition on M(w) = [[A - jwI, B], [L P, -L C^T]]: sets
+    ``cert.strict``, ``cert.rank_condition_min_sv`` (the value returned) and
+    ``cert.rank_omegas``.
 
-    Full column rank of this pencil for all w > 0 is the strictness condition
-    that excludes imaginary-axis closed-loop eigenvalues; the grid cannot see
-    poles of the system itself on the axis, so ``cert.strict`` also requires
-    every eigenvalue of A strictly left of the axis band (relative width
-    ``tol_axis``, as in ``frequency_response``).  Sets ``cert.strict``,
-    ``cert.rank_condition_min_sv`` and ``cert.rank_omegas`` (the grid's omegas, which
-    ``w_transfer_zero_check`` compares with its own).
+    Strictness needs A Hurwitz (in the axis band of relative width ``tol_axis``, as in
+    ``frequency_response``).  Where A - jwI is invertible, M(w) has full column rank
+    exactly when its Schur complement W(jw) = L P (jwI - A)^{-1} B - L C^T does, and
+    W*W = w j(G - G*) for every certificate; so for Hurwitz A the rank condition on
+    (0, inf) is j(G - G*) > 0 there.
 
-    The minimum is exact over the grid, but not every point takes an SVD.  A
-    coarse subset goes first (every ``_RANK_STRIDE``-th point and the last);
-    the nearest evaluated neighbour w_j on each side then bounds the others
-    from below, with a = |w - w_j|, by the largest of
-
-        s_j - a                                           (||dM/dw||_2 = 1)
-        min(w, 1) (s_j / max(w_j, 1) - ||[A; L P]||_F |1/w - 1/w_j|)
-        s_j - a min(1, (s_j + ||B||_F) / r_j)             (when r_j >= a)
-
-    the second from M(w) = M~(w) diag(w I, I), where only the first block
-    column of M~(w) depends on w, as A/w and L P/w.  The third sees the gain:
-    r_j is half the Bauer-Fike lower bound of sigma_min(A - j w_j I) (see
-    ``resolvent_stack``; the bound is not used when V is singular), and a unit
-    vector [x; u] with ||x|| = xi has ||M(w) [x; u]|| >= max(s_j - a xi,
-    (r_j - a) xi - ||B||_F), whose minimum over xi in [0, 1] is at most at
-    xi = (s_j + ||B||_F) / r_j when r_j >= a.  s_j is the computed value
-    less a rounding allowance delta_j = 64 (2n + p + m) eps (||M(0)||_F + w_j),
-    p the rows of L; a point whose bound, less its own allowance, strictly
-    exceeds the smallest computed value cannot hold the minimum and is skipped.
-    The SVD of a matrix does not depend on the stack it sits in, so the result
-    is the one a full stacked SVD gives, bit for bit.
+    When A is Hurwitz and the crossings are decided, the pencil takes one stacked SVD at
+    the ``_confirmed_crossings`` and at the ``_interval_points`` between them (w = 1 when
+    there is none).  The certificate is strict when there is no confirmed crossing and
+    that minimum exceeds ``tol``, and then on all of (0, inf) (``cert.rank_omegas`` is
+    None).  Otherwise the pencil takes one stacked SVD over the omegas of ``grid``, the
+    certificate is strict when A is Hurwitz and the grid minimum exceeds ``tol``, and that
+    holds on the grid only (``cert.rank_omegas`` is its omegas).
     """
     if not cert.certified:
         raise NotCertifiedError("sni_rank_condition requires a certified system")
-    grid = grid or FrequencyGrid()
     n, m = sys.n, sys.m
     L, P = cert.L, cert.P
-    p = L.shape[0]
-    omegas = cert.rank_omegas = grid.omegas()
-    if p < m:
+    *_, hurwitz = sys.pole_classes(tol_axis)
+    confirmed = _confirmed_crossings(sys, tol) if hurwitz else None
+    if confirmed is None:
+        omegas = cert.rank_omegas = (grid or FrequencyGrid()).omegas()
+    else:
+        omegas = np.concatenate([confirmed, _interval_points(confirmed)])
+        cert.rank_omegas = None
+    if L.shape[0] < m:
         min_sv = 0.0  # fewer rows than columns: full column rank impossible
     else:
-        lower = np.hstack([L @ P, -(L @ sys.C.T)])
         diag = np.arange(n)
-
-        def pencil_min_sv(idx):
-            pencil = np.empty((idx.size, n + p, n + m), dtype=complex)
-            pencil[:, :n, :n] = sys.A
-            pencil[:, diag, diag] -= 1j * omegas[idx, np.newaxis]
-            pencil[:, :n, n:] = sys.B
-            pencil[:, n:] = lower
-            return min_singular_value(pencil)
-
-        idx = np.arange(omegas.size)
-        left = idx - idx % _RANK_STRIDE
-        right = np.minimum(left + _RANK_STRIDE, idx[-1])
-        done = (idx == left) | (idx == right)
-        values = np.full(omegas.size, np.inf)
-        values[done] = pencil_min_sv(idx[done])
-        best = values[done].min()
-        top_sq = np.sum(sys.A ** 2) + np.sum(lower[:, :n] ** 2)  # ||[A; L P]||_F^2
-        norm_top = np.sqrt(top_sq)
-        norm_b = np.sqrt(np.sum(sys.B ** 2))
-        norm_m0 = np.sqrt(top_sq + norm_b ** 2 + np.sum(lower[:, n:] ** 2))
-        delta = 64 * (2 * n + p + m) * np.finfo(float).eps * (norm_m0 + omegas)
-        s = values - delta  # below the exact sigma_min at every evaluated point
-        r = np.full(omegas.size, -np.inf)  # never >= a: no gain bound
-        if sys.bauer_fike is not None:
-            cond_v, defect = sys.bauer_fike
-            r = (np.abs(1j * omegas[:, np.newaxis] - sys.eig[0]).min(axis=1) / cond_v
-                 - defect) / 2
-
-        def bound(j):
-            wj, a = omegas[j], np.abs(omegas - omegas[j])
-            reach = np.ones(omegas.size)  # the xi of the gain bound, 1 where it does not apply
-            np.divide(s[j] + norm_b, r[j], out=reach, where=(r[j] >= a) & (r[j] > 0))
-            return np.maximum(s[j] - a * np.minimum(reach, 1.0),
-                              np.minimum(omegas, 1.0) * (s[j] / np.maximum(wj, 1.0)
-                                                         - norm_top * np.abs(1 / omegas - 1 / wj)))
-
-        bounds = np.maximum(bound(left), bound(right))
-        # a point's own computed value may sit delta below its exact one
-        rest = ~done & ~(bounds - delta > best)
-        if rest.any():
-            values[rest] = pencil_min_sv(idx[rest])
-        min_sv = float(values.min())
-    *_, hurwitz = sys.pole_classes(tol_axis)
+        pencil = np.empty((omegas.size, n + L.shape[0], n + m), dtype=complex)
+        pencil[:, :n, :n] = sys.A
+        pencil[:, diag, diag] -= 1j * omegas[:, np.newaxis]
+        pencil[:, :n, n:] = sys.B
+        pencil[:, n:] = np.hstack([L @ P, -(L @ sys.C.T)])
+        min_sv = float(min_singular_value(pencil).min())
     cert.rank_condition_min_sv = min_sv
-    cert.strict = min_sv > tol and hurwitz
+    cert.strict = hurwitz and min_sv > tol and (confirmed is None or not confirmed.size)
     return min_sv
 
 
@@ -837,13 +823,15 @@ def w_transfer_zero_check(resp: FrequencyResponse, cert: NICertificate,
     (NaN where jwI - A is exactly singular).  W(s) = s M(s) vanishes at the origin
     by construction, so the value at the low end of the grid is recorded unflagged.
 
-    Wherever A - jwI is invertible, sigma_min W(jw) >= sigma_min M(w) for the pencil
-    M(w) of ``sni_rank_condition``: x = -(A - jwI)^{-1} B u gives M(w) [x; u] =
-    [0; W(jw) u], and ||[x; u]|| >= ||u||, so ||W(jw) u|| >= sigma_min M(w) ||u||.
-    So when ``sni_rank_condition`` found ``cert`` strict on the omegas of ``resp``,
-    no point is flagged, also where rounding puts the pencil minimum within a few eps
-    of tol, and only the first solvable point takes its SVD, for ``origin_value``
-    (``min_sv`` NaN at the others).  Any other certificate has every point evaluated.
+    No point is flagged when ``sni_rank_condition`` found ``cert`` strict on the omegas
+    of ``resp`` or from the crossings (``cert.rank_omegas`` None), and then only the
+    first solvable point takes its SVD, for ``origin_value`` (``min_sv`` NaN at the
+    others).  Strictness from the crossings means W(jw) has full column rank on all of
+    (0, inf), so it holds on any grid, also where sigma_min W(jw) is below tol near the
+    origin.  Strictness on a grid does not reach past it, but there wherever A - jwI is
+    invertible, sigma_min W(jw) >= sigma_min M(w) > tol for the pencil M(w):
+    x = -(A - jwI)^{-1} B u gives M(w) [x; u] = [0; W(jw) u], and ||[x; u]|| >= ||u||.
+    Any other certificate has every point evaluated.
     """
     if not cert.certified:
         raise NotCertifiedError("w_transfer_zero_check requires a certified system")
@@ -871,8 +859,8 @@ def w_transfer_zero_check(resp: FrequencyResponse, cert: NICertificate,
         if p < sys.m:
             min_sv[at] = 0.0
         else:
-            if (cert.strict and cert.rank_omegas is not None
-                    and np.array_equal(cert.rank_omegas, omegas)):
+            if cert.strict and (cert.rank_omegas is None
+                                or np.array_equal(cert.rank_omegas, omegas)):
                 at, X = at[:1], X[:1]  # nothing to flag: only origin_value is needed
             min_sv[at] = min_singular_value(LP @ X - LCt)
         flagged = omegas[(min_sv < tol) & (omegas > omegas[0])].tolist()
@@ -932,7 +920,8 @@ def random_ni_system(seed: int, n: int, m: int, strict: bool = False,
         # -x* W x, and W >= 0.1 I, Y <= 2 I (strict) put Re(lambda) <= -0.025
         cert = certificate_from_y(sys, Y)
         if strict:
-            if sni_rank_condition(sys, cert, grid) <= DEFAULT_TOL:
+            sni_rank_condition(sys, cert, grid)
+            if not cert.strict:
                 continue
         return sys, cert
     raise GenerationFailedError(
