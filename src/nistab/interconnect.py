@@ -98,27 +98,30 @@ def _check_dims(plant: StateSpace, controller: StateSpace) -> None:
         )
 
 
-def _feedthrough_product(plant: StateSpace, controller: StateSpace) -> tuple[float, float]:
-    """||D1 @ D2|| and the scale max(1, ||D1|| ||D2||) its hypothesis is judged by."""
+def _feedthrough_product(plant: StateSpace, controller: StateSpace,
+                         tol: float) -> tuple[float, bool]:
+    """||D1 @ D2|| and whether it is at most tol plus its rounding, 4 m eps ||D1||_2 ||D2||_2,
+    so scaling D1 up and D2 down passes no nonzero product."""
     D1, D2 = plant.D, controller.D
-    return (float(np.linalg.norm(D1 @ D2, "fro")),
-            max(1.0, float(np.linalg.norm(D1, "fro")) * float(np.linalg.norm(D2, "fro"))))
+    dd = float(np.linalg.norm(D1 @ D2, "fro"))
+    rounding = 4 * plant.m * np.finfo(float).eps * np.linalg.norm(D1, 2) * np.linalg.norm(D2, 2)
+    return dd, bool(dd <= tol + rounding)
 
 
 def closed_loop(plant: StateSpace, controller: StateSpace,
                 tol: float = DEFAULT_TOL,
-                product: tuple[float, float] | None = None) -> ClosedLoop:
+                product: tuple[float, bool] | None = None) -> ClosedLoop:
     """Assemble the closed-loop matrix for the positive-feedback loop.
 
     Requires the feedthrough hypothesis ||D1 @ D2|| <= tol, under which the
     loop is automatically well posed and the block formula is exact.
-    ``product`` is ``_feedthrough_product(plant, controller)`` when the caller
+    ``product`` is ``_feedthrough_product(plant, controller, tol)`` when the caller
     already holds it.
     """
     _check_dims(plant, controller)
     D1, D2 = plant.D, controller.D
-    dd, scale = product or _feedthrough_product(plant, controller)
-    if dd > tol * scale:
+    dd, holds = product or _feedthrough_product(plant, controller, tol)
+    if not holds:
         raise FeedthroughError(
             f"||D1 @ D2|| = {dd:.3e} violates the zero feedthrough-product hypothesis"
         )
@@ -204,9 +207,8 @@ def check_hypotheses(plant: StateSpace, controller: StateSpace,
     except NIStabError as exc:
         record("controller_sni", False, str(exc))
 
-    product = _feedthrough_product(plant, controller)
-    dd, dd_scale = product
-    record("feedthrough_product_zero", dd <= tol * dd_scale, f"||D1 @ D2|| = {dd:.3e}")
+    product = _feedthrough_product(plant, controller, tol)
+    record("feedthrough_product_zero", product[1], f"||D1 @ D2|| = {product[0]:.3e}")
 
     h_inf_min = min_eig_sym(controller.D)
     record("controller_feedthrough_psd", h_inf_min >= -tol,

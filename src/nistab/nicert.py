@@ -297,9 +297,10 @@ def frequency_response(sys: StateSpace, grid: FrequencyGrid | None = None,
     excluded = np.any(np.abs(omegas[:, np.newaxis] - pole_ws)
                       <= grid.exclusion_radius * np.maximum(1.0, pole_ws), axis=1)
     X, guarded = resolvent_stack(sys, 1j * omegas[~excluded], tol_pole)
-    X = X[~guarded]
     status = np.where(excluded, "excluded", "ok").astype("<U9")
-    status[np.flatnonzero(~excluded)[guarded]] = "near-pole"
+    if guarded.any():
+        X = X[~guarded]
+        status[np.flatnonzero(~excluded)[guarded]] = "near-pole"
     findings, problems = [], []
     for w0 in pole_ws.tolist():
         try:
@@ -377,23 +378,28 @@ def freq_ni_test(resp: FrequencyResponse, tol: float = DEFAULT_TOL) -> Frequency
 def freq_sni_test(resp: FrequencyResponse, tol: float = DEFAULT_TOL) -> FrequencyReport:
     """Strict test: all poles in the open left half plane, sweep strictly positive.
 
-    A grid cannot prove strictness on all of (0, inf); margins inside the
-    tolerance band therefore yield ``Inconclusive`` rather than ``SNI``, and so
-    does a crossing where j(G - G*) turns singular between grid points (the
-    ``_confirmed_crossings`` that ``sni_rank_condition`` reads).  A negative
-    crossing point still decides ``NotNI``.
+    A crossing where j(G - G*) turns singular between grid points (the
+    ``_confirmed_crossings`` that ``sni_rank_condition`` reads) yields ``Inconclusive``,
+    and so does a sweep minimum inside the tolerance band, unless A is Hurwitz, the
+    crossings are decided with none confirmed, and the sweep maximum exceeds tol:
+    lambda_min j(G - G*) then keeps its sign on (0, inf), as at the grid ends, where it
+    tends to 0.  A negative crossing point still decides ``NotNI``.
     """
     notes = []
     pole_failure = resp.rhp_pole or resp.origin_pole or bool(resp.axis_pole_frequencies)
     if pole_failure:
         notes.append("poles outside the open left half plane")
-    report = _report(resp, resp.ni_min_eig, tol, notes, pole_failure, resp.origin_pole, [],
-                     strict=True)
-    if report.verdict is Verdict.SNI and resp.hurwitz:
+    values = resp.ni_min_eig
+    report = _report(resp, values, tol, notes, pole_failure, resp.origin_pole, [], strict=True)
+    band = report.verdict is Verdict.INCONCLUSIVE and values.size > 0 and values.max() > tol
+    if (report.verdict is Verdict.SNI or band) and resp.hurwitz:
         confirmed = _confirmed_crossings(resp.sys, tol, resp.tol_pole)
-        if confirmed is not None and confirmed.size:
+        if confirmed is not None and confirmed.size and not band:
             report.verdict = Verdict.INCONCLUSIVE
             report.warnings.append(f"j(G - G*) is singular at the crossing w = {confirmed[0]:.6g}")
+        elif confirmed is not None and not confirmed.size and band:
+            report.verdict = Verdict.SNI
+            report.warnings.pop()  # the band note
     return report
 
 

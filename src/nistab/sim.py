@@ -35,9 +35,9 @@ METHODS = ("expm_exact", "rk4")
 _BLOCK_STEPS = 32
 #: values per formatting block in trace_to_csv (1,024 rows of a two-state
 #: trace).  The largest temporaries of a block take 40 bytes a value.  On a
-#: 5,001 x 15 trace the peak traced allocation of trace_to_csv is 2.86 MB, of
-#: which the table and the text take 2.67 MB; 10,240-value blocks raise it to
-#: 4.1 MB, and 3,072-value blocks leave the join of the text as the peak
+#: 5,001 x 15 trace with 1.08 MB of text the peak traced allocation of
+#: trace_to_csv is 2.77 MB, the join of the text: the table and the text
+#: twice, as blocks and joined.  10,240-value blocks raise it to 3.3 MB
 _CSV_VALUES = 5120
 
 
@@ -154,8 +154,9 @@ def v_monotone(trace: SimulationTrace, tol: float = 1e-8) -> tuple[bool, float]:
 # other value (0, -0, nan, inf, |v| out of range, s out of range, and the
 # 0.4% of trace values within 2e-3 of a half) is formatted by % and spliced in.
 #
-# A value occupies 40 byte slots, written as five uint64 words and then
-# compacted with one np.compress over the block:
+# A value occupies 40 byte slots, written as five uint64 words.  AND-ing them
+# with the keep words of the value's class makes every dropped slot NUL, and one
+# bytes.translate over the block deletes those (no kept slot holds NUL):
 #   0       '-'                         negative values
 #   1-5     '0.000'                     fixed notation with x < 0: '0.' and -x-1 zeros
 #   8-31    d0 '.' d1 '.' ... d11 '.'   the 12 digits of N, one '.' kept at most
@@ -179,7 +180,7 @@ class _FormatTables(NamedTuple):
     div: np.ndarray          # 10^-k for k < 0, else 1
     exponent: np.ndarray     # x -> 'e+hto,' as one uint64
     base: np.ndarray         # x -> first class of its notation
-    keep: np.ndarray         # (2 * classes, _SLOTS) kept slots by class and sign
+    keep: np.ndarray         # (2 * classes, _SLOTS // 8) words, 0xff where class and sign keep
 
 
 @functools.cache
@@ -222,7 +223,7 @@ def _format_tables() -> _FormatTables:
         digits=digits.view(np.uint64).ravel(), sig=sig,
         mul=np.where(k >= 0, power, 1.0), div=np.where(k < 0, power, 1.0),
         exponent=exponent.view(np.uint64).ravel(), base=base,
-        keep=keep.reshape(-1, _SLOTS))
+        keep=np.where(keep, 0xff, 0).astype(np.uint8).reshape(-1, _SLOTS).view(np.uint64))
 
 
 def _significands(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -270,9 +271,8 @@ def _format_rows(table: np.ndarray) -> str:
         text = text.view(np.uint8).reshape(-1, _FALLBACK_WIDTH)
         chars[slow, :_FALLBACK_WIDTH] = text
         cls[slow] = 2 * (_FALLBACK_CLASS + np.count_nonzero(text, axis=1))
-    # five uint64 words a value gather faster than 40 bool bytes
-    keep = np.take(tab.keep.view(np.uint64), cls, axis=0).view(bool)
-    return np.compress(keep.ravel(), chars.ravel()).tobytes().decode("ascii")
+    words &= np.take(tab.keep, cls, axis=0)
+    return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def trace_to_csv(trace: SimulationTrace) -> str:

@@ -95,14 +95,15 @@ class StateSpace:
 
     @functools.cached_property
     def bauer_fike(self) -> tuple[float, float] | None:
-        """``(cond_2(V), ||R||_2 ||V^-1||_2)`` for ``(lam, V) = eig`` and R = A V - V diag(lam),
-        the constants of the resolvent bound in ``resolvent_stack``; None when V is singular."""
+        """``(||V||_F ||V^-1||_F, ||R||_F ||V^-1||_F)``, upper bounds of cond_2(V) and
+        ||R||_2 ||V^-1||_2 from one inv, for ``(lam, V) = eig`` and R = A V - V diag(lam);
+        None when V is singular."""
         try:
             lam, V = self.eig
-            inv_norm = np.linalg.norm(np.linalg.inv(V), 2)
+            inv_norm = np.linalg.norm(np.linalg.inv(V))
         except np.linalg.LinAlgError:
             return None
-        return np.linalg.norm(V, 2) * inv_norm, np.linalg.norm(self.A @ V - V * lam, 2) * inv_norm
+        return np.linalg.norm(V) * inv_norm, np.linalg.norm(self.A @ V - V * lam) * inv_norm
 
     @functools.cached_property
     def crossings(self) -> np.ndarray | None:
@@ -195,7 +196,8 @@ def resolvent_stack(sys: StateSpace, points, tol_pole: float = TOL_POLE):
     Returns ``(X, guarded)``; ``guarded`` marks the points failing the resolvent
     guard sigma_min(sI - A) < tol_pole * max(1, |s|, ||A||_2), where X is NaN.  Only
     the points the Bauer-Fike bound below cannot clear take an SVD (all of them when V
-    is singular).  Non-finite points raise DimensionError.
+    is singular); with no guarded point X is one solve over the whole stack.  Non-finite
+    points raise DimensionError.
     """
     s = np.asarray(points).reshape(-1)
     if not np.all(np.isfinite(s)):
@@ -207,17 +209,21 @@ def resolvent_stack(sys: StateSpace, points, tol_pole: float = TOL_POLE):
     res[:, diag, diag] = (s * 1.0)[:, np.newaxis] - sys.A[diag, diag]
     bound = tol_pole * np.maximum(np.maximum(1.0, np.abs(s)), sys.norm2)
     # Bauer-Fike: with R = A V - V diag(lam), sI - A = V (sI - diag(lam)) V^-1 - R V^-1, so
-    # sigma_min(sI - A) >= min|s - lam| / cond_2(V) - ||R||_2 ||V^-1||_2 = lower.  Where
-    # lower >= 2 * bound the guard cannot fail, with room for rounding; a NaN lower takes the SVD.
+    # sigma_min(sI - A) >= min|s - lam| / cond_2(V) - ||R||_2 ||V^-1||_2 >= lower, by the
+    # Frobenius bounds of ``bauer_fike``.  Where lower >= 2 * bound the guard cannot fail,
+    # with room for rounding; a NaN lower takes the SVD.
     unclear = np.ones(s.size, dtype=bool)
     if sys.bauer_fike is not None:
         cond_v, defect = sys.bauer_fike
         dist = np.abs(s[:, np.newaxis] - sys.eig[0]).min(axis=1)
         unclear = ~(dist / cond_v - defect >= 2 * bound)
     guarded = np.zeros(s.size, dtype=bool)
-    guarded[unclear] = min_singular_value(res[unclear]) < bound[unclear]
-    X = np.full((s.size, sys.n, sys.m), np.nan, dtype=complex)
+    if unclear.any():
+        guarded[unclear] = min_singular_value(res[unclear]) < bound[unclear]
     B = sys.B.astype(complex)[np.newaxis]  # a stack of one (n, m) matrix, on numpy 1.x too
+    if not guarded.any():
+        return np.linalg.solve(res, B), guarded
+    X = np.full((s.size, sys.n, sys.m), np.nan, dtype=complex)
     X[~guarded] = np.linalg.solve(res[~guarded], B)
     return X, guarded
 

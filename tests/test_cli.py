@@ -109,6 +109,29 @@ class TestCertify:
         counts = linalg_calls["solve"], linalg_calls["slogdet"], linalg_calls["eigvalsh"]
         assert counts == (3, 0, 3)
 
+    @pytest.mark.parametrize("argv, guard_svds", [
+        (["rand6", "--property", "sni"], False),
+        (["rand6", "--property", "sni", "--tol-pole", "0.3"], True),
+    ])
+    def test_resolvent_guard_svd_only_where_unclear(self, argv, guard_svds, capsys,
+                                                     monkeypatch):
+        # rand6 is well conditioned, and the Bauer-Fike bound clears every point of
+        # every evaluation; the wide guard leaves some points to the SVD
+        import nistab.statespace
+
+        callers = []
+        real = nistab.statespace.min_singular_value
+
+        def counted(M):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(M)
+
+        monkeypatch.setattr(nistab.statespace, "min_singular_value", counted)
+        main(["certify", str(GOLDEN_SYSTEMS), *argv])
+        capsys.readouterr()
+        assert ("resolvent_stack" in callers) is guard_svds
+        assert "is_minimal" in callers
+
     def test_oscillator_not_sni(self, system_file, capsys):
         code = main(["certify", system_file, "osc", "--property", "sni"])
         report = json.loads(capsys.readouterr().out)

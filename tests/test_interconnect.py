@@ -48,6 +48,34 @@ class TestClosedLoop:
             closed_loop(osc, c)
 
 
+def _static_gain(D):
+    m = D.shape[0]
+    return StateSpace(-np.eye(m), np.eye(m), np.eye(m), D)
+
+
+class TestFeedthroughHypothesis:
+    def test_scaled_inverse_feedthroughs_violate_it(self):
+        # ||D1|| ||D2|| = 1e10 hides ||D1 @ D2|| = sqrt(2) from a tol-times-norms scale
+        D1 = np.diag([1e5, 1e-5])
+        plant, ctrl = _static_gain(D1), _static_gain(np.diag([1e-5, 1e5]))
+        checked = check_hypotheses(plant, ctrl, grid=GRID)
+        assert not checked.hypotheses["feedthrough_product_zero"]["satisfied"]
+        assert checked.hypotheses["feedthrough_product_zero"]["detail"] == "||D1 @ D2|| = 1.414e+00"
+        assert checked.closed_loop is None
+        with pytest.raises(FeedthroughError):
+            closed_loop(plant, ctrl)
+
+    @pytest.mark.parametrize("c1", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("c2", [1e-6, 1.0, 1e6])
+    def test_exactly_zero_products_pass_at_any_scale(self, c1, c2):
+        # D1 = 0, and feedthroughs on orthogonal ranges of a generic rotation
+        Q = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+        pairs = [(np.zeros((3, 3)), c2 * np.eye(3)),
+                 (c1 * Q[:, :1] @ Q[:, :1].T, c2 * Q[:, 1:] @ np.diag([0.3, 2.0]) @ Q[:, 1:].T)]
+        for D1, D2 in pairs:
+            assert closed_loop(_static_gain(D1), _static_gain(D2)).well_posed
+
+
 class TestFeedthroughProductOnce:
     def test_analyze_computes_the_product_once(self, osc, ctrl_half, monkeypatch):
         import nistab.interconnect

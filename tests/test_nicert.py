@@ -38,7 +38,7 @@ from nistab.exceptions import (
     NotCertifiedError,
     SingularAError,
 )
-from nistab.linalg import min_singular_value
+from nistab.linalg import DEFAULT_TOL, min_singular_value
 from nistab.nicert import _POLISH_FIRST, _POLISH_STEPS, _sym_maps, certificate_from_y
 
 GRID = FrequencyGrid(points=120)
@@ -812,10 +812,26 @@ class TestStrictnessFromCrossings:
         # the grid minimum sat at w_min / 2 = 5e-9, below tol, for a system that is SNI
         code = main(["certify", str(GOLDEN / "systems.json"), "ctrl_half", "--property", "sni",
                      "--wmin", "1e-8"])
-        lmi = json.loads(capsys.readouterr().out)["results"]["lmi"]
+        results = json.loads(capsys.readouterr().out)["results"]
+        lmi = results["lmi"]
         assert code == 0
         assert lmi["strict"] is True
         assert lmi["rank_condition_min_sv"] == pytest.approx(0.457, rel=1e-3)
+        # the same minimum sits in the +/-tol band of the sweep, which no crossing splits
+        assert results["frequency_sni"]["verdict"] == "SNI"
+
+    def test_grid_end_band_without_a_crossing_is_sni(self, ctrl_half):
+        resp = frequency_response(ctrl_half, FrequencyGrid(omega_min=1e-8))
+        assert resp.ni_min_eig.min() <= DEFAULT_TOL
+        report = freq_sni_test(resp)
+        assert report.verdict is Verdict.SNI and report.warnings == []
+
+    def test_band_with_a_confirmed_crossing_stays_inconclusive(self):
+        touch = touch_system()
+        sys = StateSpace(touch.A, 1e-7 * touch.B, touch.C, touch.D)
+        report = freq_sni_test(frequency_response(sys))
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.warnings == ["sweep minimum 1.800e-10 inside the +/-1.0e-08 band"]
 
 
 class TestWTransferZeroCheck:

@@ -134,12 +134,15 @@ class TestSimulate:
 
     @pytest.mark.parametrize("with_certs", [False, True], ids=["no-certs", "certs"])
     def test_singular_loop_raises(self, with_certs):
-        # ||D1 D2|| = sqrt(2) passes the product test at scale ||D1|| ||D2|| = 1e10,
-        # but D1 D2 = I leaves I - D1 D2 singular
+        # D1 D2 = I leaves I - D1 D2 singular.  The feedthrough hypothesis rejects the
+        # pair, and a loop assembled past it (a product the caller vouches for) is
+        # still refused by simulate
         big = np.diag([1e5, 1e-5])
         plant = StateSpace(-np.eye(2), np.eye(2), np.eye(2), big)
         ctrl = StateSpace(-np.eye(2), np.eye(2), np.eye(2), np.linalg.inv(big))
-        cl = closed_loop(plant, ctrl)
+        with pytest.raises(FeedthroughError, match="violates"):
+            closed_loop(plant, ctrl)
+        cl = closed_loop(plant, ctrl, product=(np.sqrt(2.0), True))
         assert not cl.well_posed
         certs = (lmi_ni_certificate(plant), lmi_ni_certificate(ctrl)) if with_certs else None
         with pytest.raises(FeedthroughError, match="not well posed"):

@@ -128,6 +128,14 @@ def _guard_systems():
         "axis-poles": StateSpace(rot, [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]]),
         "jordan-pair-at-j": StateSpace(np.block([[rot, np.eye(2)], [np.zeros((2, 2)), rot]]),
                                        np.ones((4, 1)), np.ones((1, 4)), [[0.0]]),
+        "repeated-axis-poles": StateSpace(np.kron(np.eye(2), rot), np.ones((4, 1)),
+                                          np.ones((1, 4)), [[0.0]]),
+        # cond(V) about 1e8: the eigenvalue gap is 2e-8 of a Jordan block
+        "near-defective-1e8": StateSpace([[-1.0, 1.0], [0.0, -1.0 - 2e-8]], [[0.0], [1.0]],
+                                         [[1.0, 0.0]], [[0.0]]),
+        "near-defective-pair-at-j": StateSpace(
+            np.block([[rot, np.eye(2)], [np.zeros((2, 2)), (1.0 + 2e-8) * rot]]),
+            np.ones((4, 1)), np.ones((1, 4)), [[0.0]]),
         "defective": StateSpace([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]],
                                 np.ones((3, 1)), np.ones((1, 3)), [[0.0]]),
         "non-normal-1e6": StateSpace([[-1.0, 1e6], [0.0, -2.0]], [[0.0], [1.0]],
@@ -136,6 +144,7 @@ def _guard_systems():
     }
     for n in (3, 6, 12):
         base = random_ni_system(40 + n, n, 2)[0]
+        systems[f"rand{n}"] = base
         for top in (3, 6, 12):
             systems[f"rand{n}-cond1e{top}"] = _similar(base, np.logspace(0, top, n))
     return systems
@@ -144,11 +153,21 @@ def _guard_systems():
 GUARD_SYSTEMS = _guard_systems()
 
 
+def _off_axis_points(sys, seed=0):
+    """Random points of the left and right half planes, and points at distances 1e-12 to 1
+    from each eigenvalue of A in random directions."""
+    rng = np.random.default_rng(seed)
+    near = 10.0 ** rng.uniform(-12, 0, (sys.n, 20)) * np.exp(2j * np.pi * rng.random((sys.n, 20)))
+    return np.concatenate([rng.uniform(-3, 3, 100) + 1j * rng.uniform(-3, 3, 100),
+                           (sys.eig[0][:, np.newaxis] + near).ravel()])
+
+
 class TestResolventGuard:
     @pytest.mark.parametrize("name", sorted(GUARD_SYSTEMS))
     def test_matches_full_svd_guard(self, name):
         sys = GUARD_SYSTEMS[name]
-        grids = (1j * FrequencyGrid().omegas(), 1j * np.linspace(0.5, 1.5, 401))
+        grids = (1j * FrequencyGrid().omegas(), 1j * np.linspace(0.5, 1.5, 401),
+                 _off_axis_points(sys))
         for points in grids:
             for tol_pole in (1e-12, 1e-8, 1e-4, 1e-2, 0.05, 0.5):
                 G, guarded = eval_tf_stack(sys, points, tol_pole)
@@ -161,7 +180,7 @@ class TestResolventGuard:
         svd_shapes.clear()  # the draw's own checks
         _, guarded = eval_tf_stack(sys, 1j * FrequencyGrid().omegas())
         assert not guarded.any()
-        assert sum(shape[0] for shape in svd_shapes) == 0
+        assert svd_shapes == []
 
     def test_near_pole_points_take_the_svd(self, osc, svd_shapes):
         points = 1j * np.linspace(0.5, 1.5, 400)
