@@ -76,6 +76,7 @@ from .statespace import (
     TOL_AXIS,
     TOL_POLE,
     StateSpace,
+    eval_tf_stack,
     is_minimal,
     residue_at_pole,
     resolvent_stack,
@@ -155,7 +156,7 @@ class FrequencyResponse:
     @functools.cached_property
     def ni_min_eig(self) -> np.ndarray:
         """min eig j(G - G*) at every "ok" point, computed once for the NI and SNI sweeps."""
-        return _min_eig_hermitian(1j * (self.G - self.G.conj().swapaxes(-1, -2)))
+        return _ni_min_eig(self.G)
 
     @functools.cached_property
     def crossing_minimum(self) -> tuple[float, float, np.ndarray] | None:
@@ -176,11 +177,11 @@ class FrequencyResponse:
         points = points[~covered]
         if not points.size:
             return None
-        X, guarded = resolvent_stack(self.sys, 1j * points, self.tol_pole)
+        G, guarded = eval_tf_stack(self.sys, 1j * points, self.tol_pole)
         if guarded.all():
             return None
-        points, G = points[~guarded], self.sys.C @ X[~guarded] + self.sys.D
-        values = _min_eig_hermitian(1j * (G - G.conj().swapaxes(-1, -2)))
+        points, G = points[~guarded], G[~guarded]
+        values = _ni_min_eig(G)
         k = int(np.argmin(values))
         return float(points[k]), float(values[k]), G[k]
 
@@ -234,10 +235,10 @@ class NICertificate:
     """Witness for the state-space NI conditions (or their infeasibility).
 
     Filled in after it is built: ``lmi_ni_certificate`` sets ``iterations`` and
-    ``polish_steps``, and ``sni_rank_condition`` sets ``strict``,
-    ``rank_condition_min_sv`` and ``rank_omegas``.  A ``strict`` decided from the
-    crossings holds on all of (0, inf), and ``rank_omegas`` is None; one decided on the
-    grid fallback holds on ``rank_omegas`` only."""
+    ``polish_steps``, and ``sni_rank_condition`` sets ``strict`` and
+    ``rank_condition_min_sv``.  A ``strict`` holds on all of (0, inf) when the system
+    decides it from the crossings (``StateSpace.crossings`` not None), else on the grid
+    of that call only."""
 
     verdict: CertStatus
     P: np.ndarray | None = None
@@ -250,9 +251,6 @@ class NICertificate:
     rank_condition_min_sv: float = float("nan")
     iterations: int = 0
     polish_steps: int = 0  # dual DR steps of the Farkas polish; not in any report
-    # the omegas the last sni_rank_condition's grid fallback covered (None after the
-    # crossings), read by w_transfer_zero_check; not in any report
-    rank_omegas: np.ndarray | None = None
     convention: str = SIGN_CONVENTION
     infeasibility_witness: np.ndarray | None = None
 
@@ -267,9 +265,9 @@ class WZeroReport:
 
     ``min_sv`` holds sigma_min W(j omega) per grid point.  NaN means one of two
     things: j omega I - A is exactly singular there, so W cannot be solved for, or
-    the certificate is strict on this grid, so only the first solvable point took
-    its SVD.  Neither kind of point is ever flagged.  No verdict reads this report:
-    it follows from ``NICertificate.strict`` (see ``w_transfer_zero_check``)."""
+    the certificate is strict from the crossings, so only the first solvable point
+    took its SVD.  Neither kind of point is ever flagged.  No verdict reads this
+    report: it follows from ``NICertificate.strict`` (see ``w_transfer_zero_check``)."""
 
     omegas: np.ndarray
     min_sv: np.ndarray
@@ -316,6 +314,11 @@ def _min_eig_hermitian(M: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((M + M.conj().swapaxes(-1, -2)) / 2).min(axis=-1)
 
 
+def _ni_min_eig(G: np.ndarray) -> np.ndarray:
+    """min eig j(G - G*) per matrix of the stack."""
+    return _min_eig_hermitian(1j * (G - G.conj().swapaxes(-1, -2)))
+
+
 def _pr_min_eig(omegas: np.ndarray, G: np.ndarray, D: np.ndarray) -> np.ndarray:
     """min eig F + F* per point of the stack, F(j omega) = j omega (G(j omega) - D)."""
     F = (1j * omegas)[:, np.newaxis, np.newaxis] * (G - D)
@@ -324,14 +327,18 @@ def _pr_min_eig(omegas: np.ndarray, G: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 def _report(resp: FrequencyResponse, values: np.ndarray, tol: float, notes: list[str],
             pole_failure: bool, origin_pole: bool | None, pole_findings: list,
-            strict: bool = False, no_points: str = "no usable grid points",
-            at_crossing: Callable[[float, np.ndarray], float] | None = None) -> FrequencyReport:
+            no_points: str = "no usable grid points",
+            at_crossing: Callable[[float, np.ndarray], float] | None = None,
+            confirmed: Callable[[], np.ndarray | None] | None = None) -> FrequencyReport:
     """The verdict rule shared by the routes, on the per-"ok"-point minimum eigenvalues.
 
     Pole failures decide NotNI, then a sweep minimum below -tol does, then
     ``resp.crossing_minimum`` below -tol does, as the report's ``crossing`` with
     the route's own value there (``at_crossing(omega, G)``; the NI value when
-    None); the strict (SNI) rule also answers Inconclusive inside the +/-tol band."""
+    None).  The NI rule then answers NI.  The strict (SNI) rule reads ``confirmed()``,
+    the confirmed crossings (None when undecided), once, if the sweep maximum exceeds
+    tol: a minimum inside the +/-tol band is Inconclusive unless they are decided and
+    none, a confirmed crossing is Inconclusive, and the rest is SNI."""
     worst = float(values.min()) if values.size else None
     crossing = None
     if pole_failure or (worst is not None and worst < -tol):
@@ -344,13 +351,19 @@ def _report(resp: FrequencyResponse, values: np.ndarray, tol: float, notes: list
     elif worst is None:
         verdict = Verdict.INCONCLUSIVE
         notes.append(no_points)
-    elif not strict:
+    elif confirmed is None:
         verdict = Verdict.NI
-    elif worst <= tol:
-        verdict = Verdict.INCONCLUSIVE
-        notes.append(f"sweep minimum {worst:.3e} inside the +/-{tol:.1e} band")
     else:
-        verdict = Verdict.SNI
+        band = worst <= tol
+        cut = None if band and values.max() <= tol else confirmed()
+        if band and (cut is None or cut.size):
+            verdict = Verdict.INCONCLUSIVE
+            notes.append(f"sweep minimum {worst:.3e} inside the +/-{tol:.1e} band")
+        elif cut is not None and cut.size:
+            verdict = Verdict.INCONCLUSIVE
+            notes.append(f"j(G - G*) is singular at the crossing w = {cut[0]:.6g}")
+        else:
+            verdict = Verdict.SNI
     min_eig = np.full(resp.omegas.shape, np.nan)
     min_eig[resp.status == "ok"] = values
     return FrequencyReport(resp.grid, resp.omegas, resp.status, min_eig, pole_findings,
@@ -378,29 +391,19 @@ def freq_ni_test(resp: FrequencyResponse, tol: float = DEFAULT_TOL) -> Frequency
 def freq_sni_test(resp: FrequencyResponse, tol: float = DEFAULT_TOL) -> FrequencyReport:
     """Strict test: all poles in the open left half plane, sweep strictly positive.
 
-    A crossing where j(G - G*) turns singular between grid points (the
-    ``_confirmed_crossings`` that ``sni_rank_condition`` reads) yields ``Inconclusive``,
-    and so does a sweep minimum inside the tolerance band, unless A is Hurwitz, the
-    crossings are decided with none confirmed, and the sweep maximum exceeds tol:
-    lambda_min j(G - G*) then keeps its sign on (0, inf), as at the grid ends, where it
-    tends to 0.  A negative crossing point still decides ``NotNI``.
+    ``_report``'s strict rule reads the ``_confirmed_crossings``, as ``sni_rank_condition``
+    does: those where j(G - G*) turns singular between grid points.  With none, and
+    decided, lambda_min j(G - G*) keeps its sign on (0, inf), so a band minimum, as at the
+    grid ends, where it tends to 0, is no obstacle.  A negative crossing point still
+    decides ``NotNI``, and a pole off the open left half plane decides it first, so A is
+    Hurwitz wherever the crossings are read.
     """
     notes = []
     pole_failure = resp.rhp_pole or resp.origin_pole or bool(resp.axis_pole_frequencies)
     if pole_failure:
         notes.append("poles outside the open left half plane")
-    values = resp.ni_min_eig
-    report = _report(resp, values, tol, notes, pole_failure, resp.origin_pole, [], strict=True)
-    band = report.verdict is Verdict.INCONCLUSIVE and values.size > 0 and values.max() > tol
-    if (report.verdict is Verdict.SNI or band) and resp.hurwitz:
-        confirmed = _confirmed_crossings(resp.sys, tol, resp.tol_pole)
-        if confirmed is not None and confirmed.size and not band:
-            report.verdict = Verdict.INCONCLUSIVE
-            report.warnings.append(f"j(G - G*) is singular at the crossing w = {confirmed[0]:.6g}")
-        elif confirmed is not None and not confirmed.size and band:
-            report.verdict = Verdict.SNI
-            report.warnings.pop()  # the band note
-    return report
+    return _report(resp, resp.ni_min_eig, tol, notes, pole_failure, resp.origin_pole, [],
+                   confirmed=lambda: _confirmed_crossings(resp.sys, tol, resp.tol_pole))
 
 
 def positive_real_check(resp: FrequencyResponse, tol: float = DEFAULT_TOL) -> FrequencyReport:
@@ -702,7 +705,7 @@ def _frequency_witness(sys: StateSpace, omega: float, tol_lyap: float, tol_coupl
         return None
     CR = sys.C @ R
     G = CR @ sys.B + sys.D
-    lam = float(_min_eig_hermitian(1j * (G - G.conj().T)))
+    lam = float(_ni_min_eig(G))
     norm_cr = float(np.linalg.norm(CR, 2))
     norm_r = float(np.linalg.norm(R))
     kappa = float(np.linalg.norm(shifted)) * norm_r
@@ -766,10 +769,8 @@ def _confirmed_crossings(sys: StateSpace, tol: float,
     w = sys.crossings
     if w is None or not w.size:
         return w
-    X, confirmed = resolvent_stack(sys, 1j * w, tol_pole)
-    G = sys.C @ X[~confirmed] + sys.D
-    confirmed[~confirmed] = (_min_eig_hermitian(1j * (G - G.conj().swapaxes(-1, -2)))
-                             <= tol * w[~confirmed])
+    G, confirmed = eval_tf_stack(sys, 1j * w, tol_pole)
+    confirmed[~confirmed] = _ni_min_eig(G[~confirmed]) <= tol * w[~confirmed]
     return w[confirmed]
 
 
@@ -778,8 +779,7 @@ def sni_rank_condition(sys: StateSpace, cert: NICertificate,
                        tol: float = DEFAULT_TOL,
                        tol_axis: float = TOL_AXIS) -> float:
     """The SNI lemma's rank condition on M(w) = [[A - jwI, B], [L P, -L C^T]]: sets
-    ``cert.strict``, ``cert.rank_condition_min_sv`` (the value returned) and
-    ``cert.rank_omegas``.
+    ``cert.strict`` and ``cert.rank_condition_min_sv`` (the value returned).
 
     Strictness needs A Hurwitz (in the axis band of relative width ``tol_axis``, as in
     ``frequency_response``).  Where A - jwI is invertible, M(w) has full column rank
@@ -790,10 +790,10 @@ def sni_rank_condition(sys: StateSpace, cert: NICertificate,
     When A is Hurwitz and the crossings are decided, the pencil takes one stacked SVD at
     the ``_confirmed_crossings`` and at the ``_interval_points`` between them (w = 1 when
     there is none).  The certificate is strict when there is no confirmed crossing and
-    that minimum exceeds ``tol``, and then on all of (0, inf) (``cert.rank_omegas`` is
-    None).  Otherwise the pencil takes one stacked SVD over the omegas of ``grid``, the
-    certificate is strict when A is Hurwitz and the grid minimum exceeds ``tol``, and that
-    holds on the grid only (``cert.rank_omegas`` is its omegas).
+    that minimum exceeds ``tol``, and then on all of (0, inf).  Otherwise (``sys.crossings``
+    is None) the pencil takes one stacked SVD over the omegas of ``grid``, the certificate
+    is strict when A is Hurwitz and the grid minimum exceeds ``tol``, and that holds on
+    the grid only.
     """
     if not cert.certified:
         raise NotCertifiedError("sni_rank_condition requires a certified system")
@@ -802,10 +802,9 @@ def sni_rank_condition(sys: StateSpace, cert: NICertificate,
     *_, hurwitz = sys.pole_classes(tol_axis)
     confirmed = _confirmed_crossings(sys, tol) if hurwitz else None
     if confirmed is None:
-        omegas = cert.rank_omegas = (grid or FrequencyGrid()).omegas()
+        omegas = (grid or FrequencyGrid()).omegas()
     else:
         omegas = np.concatenate([confirmed, _interval_points(confirmed)])
-        cert.rank_omegas = None
     if L.shape[0] < m:
         min_sv = 0.0  # fewer rows than columns: full column rank impossible
     else:
@@ -829,15 +828,14 @@ def w_transfer_zero_check(resp: FrequencyResponse, cert: NICertificate,
     (NaN where jwI - A is exactly singular).  W(s) = s M(s) vanishes at the origin
     by construction, so the value at the low end of the grid is recorded unflagged.
 
-    No point is flagged when ``sni_rank_condition`` found ``cert`` strict on the omegas
-    of ``resp`` or from the crossings (``cert.rank_omegas`` None), and then only the
-    first solvable point takes its SVD, for ``origin_value`` (``min_sv`` NaN at the
-    others).  Strictness from the crossings means W(jw) has full column rank on all of
-    (0, inf), so it holds on any grid, also where sigma_min W(jw) is below tol near the
-    origin.  Strictness on a grid does not reach past it, but there wherever A - jwI is
-    invertible, sigma_min W(jw) >= sigma_min M(w) > tol for the pencil M(w):
+    When ``sni_rank_condition`` found ``cert`` strict from the crossings (strict, and
+    ``sys.crossings`` not None), W(jw) has full column rank on all of (0, inf), so no
+    point is flagged on any grid, also where sigma_min W(jw) is below tol near the
+    origin, and only the first solvable point takes its SVD, for ``origin_value``
+    (``min_sv`` NaN at the others).  Any other certificate has every point evaluated.
+    One strict on the grid fallback flags none on that grid: wherever A - jwI is
+    invertible, sigma_min W(jw) >= sigma_min M(w) > tol for the pencil M(w), since
     x = -(A - jwI)^{-1} B u gives M(w) [x; u] = [0; W(jw) u], and ||[x; u]|| >= ||u||.
-    Any other certificate has every point evaluated.
     """
     if not cert.certified:
         raise NotCertifiedError("w_transfer_zero_check requires a certified system")
@@ -865,8 +863,7 @@ def w_transfer_zero_check(resp: FrequencyResponse, cert: NICertificate,
         if p < sys.m:
             min_sv[at] = 0.0
         else:
-            if cert.strict and (cert.rank_omegas is None
-                                or np.array_equal(cert.rank_omegas, omegas)):
+            if cert.strict and sys.crossings is not None:
                 at, X = at[:1], X[:1]  # nothing to flag: only origin_value is needed
             min_sv[at] = min_singular_value(LP @ X - LCt)
         flagged = omegas[(min_sv < tol) & (omegas > omegas[0])].tolist()

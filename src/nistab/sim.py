@@ -21,7 +21,7 @@ import numpy as np
 
 from .exceptions import DimensionError, FeedthroughError
 from .interconnect import ClosedLoop
-from .linalg import DEFAULT_TOL, matrix_exponential
+from .linalg import matrix_exponential
 from .lyapunov import block_gram
 from .nicert import NICertificate
 
@@ -62,9 +62,9 @@ def simulate(cl: ClosedLoop, x0: np.ndarray, t_final: float, dt: float = 1e-2,
     evaluations per step.  V and ||ytilde2||^2 are NaN unless certificates are
     provided.  After propagation, the loop output u2 = y1 is solved once with
     every row as a right-hand side, and both columns are row sums of
-    products over the whole (steps + 1, n) state array.  A loop whose
-    I - D1 D2 is singular raises FeedthroughError, with or without
-    certificates.
+    products over the whole (steps + 1, n) state array.  A loop that is not
+    ``cl.well_posed`` (I - D1 D2 singular) raises FeedthroughError, with or
+    without certificates.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = cl.n
@@ -80,10 +80,9 @@ def simulate(cl: ClosedLoop, x0: np.ndarray, t_final: float, dt: float = 1e-2,
         raise DimensionError("t_final must be at least one step long")
     if method not in METHODS:
         raise DimensionError(f"unknown method {method!r}; pick one of {METHODS}")
-    plant, ctrl = cl.plant, cl.controller
-    loop = np.eye(plant.m) - plant.D @ ctrl.D
-    if np.linalg.svd(loop, compute_uv=False).min() <= DEFAULT_TOL:
+    if not cl.well_posed:
         raise FeedthroughError("loop is not well posed: I - D1 D2 is singular")
+    plant, ctrl = cl.plant, cl.controller
     steps = int(round(t_final / dt))
     times = np.arange(steps + 1) * dt
 
@@ -118,6 +117,7 @@ def simulate(cl: ClosedLoop, x0: np.ndarray, t_final: float, dt: float = 1e-2,
         diss = np.full(steps + 1, np.nan)
     else:
         X1, X2 = X[:, :n1], X[:, n1:]
+        loop = np.eye(plant.m) - plant.D @ ctrl.D
         Y1 = np.linalg.solve(loop, (X1 @ plant.C.T + (X2 @ ctrl.C.T) @ plant.D.T).T).T
         XQ = X @ block_gram(certs[0].P, certs[1].P, plant, ctrl).Q
         XQ *= X     # in place: one (steps + 1, n) temporary, not two

@@ -568,6 +568,48 @@ class TestSelftest:
         assert "vacuous" in capsys.readouterr().err
 
 
+def _hard_systems(rng, n, m):
+    """One (A, B, C, D) per family of hard inputs, from one SNI draw of order n."""
+    sys, _ = random_ni_system(int(rng.integers(0, 2**31)), n, m, strict=True)
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    T = np.logspace(0, 8, n)
+    S = rng.standard_normal((n, n))
+    R = rng.standard_normal((m, m))
+    return {
+        "zero": (0 * A, 0 * B, 0 * C, 0 * D),
+        "near-zero": (1e-300 * A, 1e-300 * B, 1e-300 * C, 1e-300 * R @ R.T),
+        "jordan": (np.eye(n, k=1) - 1e-9 * np.eye(n), B, C, D),
+        "axis-only": (S - S.T, B, C, D),
+        "badly-scaled": (A * T / T[:, np.newaxis], B / T[:, np.newaxis], C * T, D),
+        "gain-1e-150": (A, 1e-150 * B, C, 1e-150 * D),
+        "gain-1e150": (A, 1e150 * B, C, 1e150 * D),
+        "zero-B": (A, 0 * B, C, D),
+        "zero-C": (A, B, 0 * C, D),
+        "large-D": (A, B, C, 1e8 * (R + R.T)),
+    }
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # non-minimal, asymmetric DC gain
+def test_hard_inputs_end_in_an_exit_code(tmp_path, capsys):
+    # every hard input ends in a verdict or a typed error: exit code 0-3, no exception
+    rng = np.random.default_rng(18)
+    codes = {}
+    for n in range(1, 5):
+        m = 1 + (n > 2)
+        partner, _ = random_ni_system(n, 2, m, strict=True)
+        for family, (A, B, C, D) in _hard_systems(rng, n, m).items():
+            path = tmp_path / f"{family}-{n}.json"
+            path.write_text(json.dumps({"schema_version": "1", "systems": {
+                "g": {"A": A.tolist(), "B": B.tolist(), "C": C.tolist(), "D": D.tolist()},
+                "h": {k: getattr(partner, k).tolist() for k in "ABCD"}}}))
+            for argv in (["certify", str(path), "g", "--property", "sni"],
+                         ["analyze", str(path), "g", "h"], ["analyze", str(path), "h", "g"]):
+                codes[family, n, argv[0], argv[2]] = main(argv)
+                capsys.readouterr()
+    assert len(codes) == 120
+    assert set(codes.values()) <= {0, 1, 2, 3}
+
+
 class TestUsage:
     def test_no_command(self):
         assert main([]) == 3

@@ -1,5 +1,7 @@
 """Block Gram matrix, equivalence with the DC-gain bound, dissipation identity."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -7,14 +9,18 @@ from nistab import (
     StateSpace,
     block_gram,
     closed_loop,
+    dc_gain_condition,
     dissipation_integral_check,
     gram_dc_equivalence,
     lmi_ni_certificate,
     lyapunov_derivative,
     make_state,
+    random_ni_system,
     simulate,
 )
 from nistab.exceptions import DimensionError, NotCertifiedError
+from nistab.lyapunov import worst_derivative_residual
+from nistab.nicert import certificate_from_y
 from nistab.selftest import random_certified_pair
 
 
@@ -197,6 +203,52 @@ class TestLyapunovDerivative:
                 chk = lyapunov_derivative(state, cl, (pcert, ccert), lyap)
                 scale = max(1.0, float(state.x @ state.x) * scale_q)
                 assert chk.residual <= 1e-7 * scale
+
+
+def rank_deficient_plant(rng, n, m, r):
+    """An NI plant A = (S - W/2) Y^-1, B = -A Y C' from Y > 0, a skew S and W = F F' with
+    F of shape n x r, and its certificate from that Y.  W is singular for r < n, and r = 0
+    makes the plant lossless: A Y + Y A' = 0, every pole on the imaginary axis."""
+    Qm, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    Y = Qm @ np.diag(rng.uniform(0.5, 2.0, n)) @ Qm.T
+    T = rng.standard_normal((n, n))
+    F = rng.standard_normal((n, r)) / np.sqrt(n)
+    A = ((T - T.T) / 2 - F @ F.T / 2) @ np.linalg.inv(Y)
+    C = rng.standard_normal((m, n))
+    plant = StateSpace(A, -A @ Y @ C.T, C, np.zeros((m, m)), label=f"rank-{r}")
+    return plant, certificate_from_y(plant, Y)
+
+
+class TestLosslessPlants:
+    """The paper's NI plants may have lossless modes or a singular W; its Lyapunov claims
+    hold for those as for W > 0."""
+
+    def test_claims_hold_for_lossless_and_rank_deficient_plants(self):
+        rng = np.random.default_rng(16)
+        hurwitz = collections.Counter()
+        for k in range(60):
+            n = (2, 4, 6, 8)[k % 4]  # even n: a lossless A = S Y^-1 of odd size is singular
+            m = 1 + k % 2
+            r = int(rng.integers(0, n))
+            plant, pcert = rank_deficient_plant(rng, n, m, r)
+            ctrl0, ccert0 = random_ni_system(int(rng.integers(0, 2**31)), int(rng.integers(2, 5)),
+                                             m, strict=True, with_feedthrough=k % 3 == 0)
+            lam = float(rng.uniform(0.2, 0.95) if k % 2 else rng.uniform(1.05, 2.5))
+            alpha = lam / dc_gain_condition(plant, ctrl0)[0]
+            ctrl = StateSpace(ctrl0.A, alpha * ctrl0.B, ctrl0.C, alpha * ctrl0.D)
+            ccert = certificate_from_y(ctrl, alpha * ccert0.Y)
+            assert dc_gain_condition(plant, ctrl)[0] == pytest.approx(lam, rel=1e-9)
+            assert gram_dc_equivalence(plant, ctrl, pcert.P, ccert.P).agree
+            lyap = block_gram(pcert.P, ccert.P, plant, ctrl)
+            cl = closed_loop(plant, ctrl)
+            scale_q = max(1.0, np.linalg.norm(lyap.Q, 2), np.linalg.norm(cl.A_cl, 2))
+            X = rng.standard_normal((20, cl.n))
+            assert worst_derivative_residual(cl, (pcert, ccert), lyap, X, scale_q) <= 1e-12
+            stable = bool(cl.eigenvalues.real.max() < 0)
+            assert stable is (lam < 1)
+            hurwitz[r == 0, stable] += 1
+        # lossless plants on both sides of lambda = 1
+        assert hurwitz[True, True] and hurwitz[True, False]
 
 
 class TestStackedStates:

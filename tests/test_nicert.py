@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nistab.nicert
+import nistab.statespace
 
 from nistab import (
     CertStatus,
@@ -40,6 +41,7 @@ from nistab.exceptions import (
 )
 from nistab.linalg import DEFAULT_TOL, min_singular_value
 from nistab.nicert import _POLISH_FIRST, _POLISH_STEPS, _sym_maps, certificate_from_y
+from nistab.statespace import resolvent_stack
 
 GRID = FrequencyGrid(points=120)
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -796,7 +798,7 @@ class TestStrictnessFromCrossings:
         for cert in (by_construction, lmi_ni_certificate(sys)):
             assert cert.certified
             sni_rank_condition(sys, cert)
-            assert not cert.strict and cert.rank_omegas is None
+            assert not cert.strict and from_crossings(sys)
         assert by_construction.rank_condition_min_sv < 1e-12
 
     def test_touch_between_grid_points_is_inconclusive(self):
@@ -832,6 +834,24 @@ class TestStrictnessFromCrossings:
         report = freq_sni_test(frequency_response(sys))
         assert report.verdict is Verdict.INCONCLUSIVE
         assert report.warnings == ["sweep minimum 1.800e-10 inside the +/-1.0e-08 band"]
+
+    def test_not_ni_sweep_evaluates_no_crossing(self, monkeypatch, capsys):
+        # certify --property sni on notch3 evaluates G on the grid and at one crossing
+        # interval, where NotNI is decided; the strict rule never evaluates its crossings
+        points = []
+
+        def counted(sys, s, tol_pole):
+            points.append(np.asarray(s).imag)
+            return resolvent_stack(sys, s, tol_pole)
+
+        for module in (nistab.nicert, nistab.statespace):
+            monkeypatch.setattr(module, "resolvent_stack", counted)
+        code = main(["certify", str(GOLDEN / "dr_exits.json"), "notch3", "--property", "sni"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["results"]["frequency_sni"]["verdict"] == "NotNI"
+        assert [p.size for p in points] == [FrequencyGrid().points, 1]
+        crossings = dr_exit_system("notch3").crossings
+        assert crossings.size == 2 and not np.isin(crossings, np.concatenate(points)).any()
 
 
 class TestWTransferZeroCheck:
@@ -934,6 +954,11 @@ def _certified_systems():
     return [(sys, cert or lmi_ni_certificate(sys)) for sys, cert in out]
 
 
+def from_crossings(sys):
+    """Whether sni_rank_condition decides the strictness of ``sys`` from the crossings."""
+    return sys.pole_classes()[3] and sys.crossings is not None
+
+
 def counted_rows(monkeypatch, keep=lambda M: True):
     """Rows of the stacks that nistab.nicert hands min_singular_value from here on,
     those ``keep`` accepts."""
@@ -962,7 +987,7 @@ class TestStackedStrictnessChecks:
             assert cert.certified
             for grid in self.GRIDS:
                 rank = sni_rank_condition(sys, cert, grid)
-                if cert.rank_omegas is not None:
+                if not from_crossings(sys):
                     fallback += 1
                     assert np.float64(rank).tobytes() == np.float64(
                         per_point_rank(sys, cert, grid)).tobytes()
@@ -1019,7 +1044,7 @@ class TestStackedStrictnessChecks:
             cert = certificate_from_y(scaled, gain * cert.Y)
             for grid in self.GRIDS + self.HARD_GRIDS:
                 rank = sni_rank_condition(scaled, cert, grid)
-                if cert.rank_omegas is not None:
+                if not from_crossings(scaled):
                     fallback += 1
                     assert np.float64(rank).tobytes() == np.float64(
                         per_point_rank(scaled, cert, grid)).tobytes()
@@ -1036,7 +1061,7 @@ class TestStackedStrictnessChecks:
         sys = StateSpace(sys.A, gain * sys.B, sys.C, gain * sys.D)
         cert = certificate_from_y(sys, gain * cert.Y)
         rank = sni_rank_condition(sys, cert)
-        assert cert.rank_omegas is None
+        assert from_crossings(sys)
         assert cert.strict is (full_stack_rank(sys, cert, FrequencyGrid()) > 1e-8)
         if not sys.crossings.size:
             assert np.float64(rank).tobytes() == np.float64(
@@ -1066,15 +1091,16 @@ class TestStackedStrictnessChecks:
             rank = sni_rank_condition(sys, cert)
             monkeypatch.undo()
             assert sum(pencils) == 1
-            assert cert.strict and cert.rank_omegas is None
+            assert cert.strict and from_crossings(sys)
             assert rank == full_stack_rank(sys, cert, UNIT_POINT)
 
     def test_skip_keeps_the_verdict(self):
-        # after a rank condition, a strict certificate takes the W SVD at its first
-        # solvable point only and a non-strict one at every point, and every value
-        # computed is the full path's, bit for bit.  Strict on a grid (the fallback), or
-        # not strict, the flags and origin value are per_point_w's.  Strict from the
-        # crossings, nothing is flagged on any grid: per_point_w flags the low end of
+        # after a rank condition, a certificate strict from the crossings takes the W SVD
+        # at its first solvable point only, and any other at every solvable point; every
+        # value computed is the full path's, bit for bit, and the origin value is
+        # per_point_w's.  Strict on a grid (the fallback), or not strict, the flags are
+        # per_point_w's too, and the fallback's are empty on its own grid.  Strict from
+        # the crossings, nothing is flagged on any grid: per_point_w flags the low end of
         # the twelve-decade grid at 1e-3 G only because W(0) = 0
         systems = _certified_systems() + [(SECOND_ORDER, lmi_ni_certificate(SECOND_ORDER))]
         grids = [g for g in self.GRIDS + self.HARD_GRIDS if isinstance(g, FrequencyGrid)]
@@ -1093,25 +1119,27 @@ class TestStackedStrictnessChecks:
                     assert report.min_sv[computed].tobytes() == full.min_sv[computed].tobytes()
                     assert report.origin_value == origin
                     solvable = int((~np.isnan(full.min_sv)).sum())
-                    crossings = cert.rank_omegas is None
-                    if cert.strict:
+                    if cert.strict and from_crossings(sys):
                         assert int(computed.sum()) == min(solvable, 1)
                         assert report.flagged == [] and report.passed
                         kinds["flags past W(0) = 0" if flagged else "strict"] += 1
-                        assert not flagged or (crossings and gain == 1e-3
-                                               and grid.omega_min == 1e-6)
+                        assert not flagged or (gain == 1e-3 and grid.omega_min == 1e-6)
+                        continue
+                    assert int(computed.sum()) == solvable
+                    assert (report.flagged, report.passed) == (flagged, not flagged)
+                    if cert.strict:
+                        assert not flagged
+                        kinds["strict on the grid"] += 1
                     else:
-                        assert not crossings
-                        assert int(computed.sum()) == solvable
-                        assert (report.flagged, report.passed) == (flagged, not flagged)
+                        assert not from_crossings(sys)
                         kinds["not strict"] += 1
-        assert kinds["flags past W(0) = 0"] > 0 and kinds["not strict"] > 0
+        assert kinds["flags past W(0) = 0"] and kinds["strict on the grid"] and kinds["not strict"]
 
     def test_rank_condition_on_another_grid_evaluates_every_point(self, monkeypatch):
         # strictness on a grid (the fallback: R = 0 here) does not reach another grid
         cert = lmi_ni_certificate(SECOND_ORDER)
         sni_rank_condition(SECOND_ORDER, cert, GRID)
-        assert cert.strict and cert.rank_omegas is not None
+        assert cert.strict and not from_crossings(SECOND_ORDER)
         resp = frequency_response(SECOND_ORDER, FrequencyGrid())
         rows = counted_rows(monkeypatch)
         report = w_transfer_zero_check(resp, cert)
