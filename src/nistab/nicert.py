@@ -10,9 +10,12 @@ point of a NotNI sweep to the third as a candidate frequency witness:
   the sign can change (``StateSpace.crossings``) can still show one,
 * a positive-real reduction that sweeps F(jw) = jw (G(jw) - D) instead
   (cross-validation route; F + F* equals w * j(G - G*) analytically),
-* a state-space certificate search for a symmetric Y > 0 with
+* a state-space certificate for a symmetric Y > 0 with
   A Y + Y A^T <= 0 and A Y C^T = -B, returning P = Y^{-1} and a factor L
-  with L^T L = -(A Y + Y A^T).
+  with L^T L = -(A Y + Y A^T): first the Riccati solution of the positive-real
+  lemma of F, from the stable invariant subspace of the transpose of the
+  Hamiltonian that ``StateSpace.crossings`` reads (0 iterations; W has rank m),
+  and where that does not pass the Certified test, a search.
 
 Strictness (SNI) of a certificate is the rank condition of ``sni_rank_condition``,
 decided from the crossings where A is Hurwitz and they are decided, and then on all
@@ -21,7 +24,7 @@ of (0, inf); otherwise from a pencil grid, and then on that grid only.
 Sign convention used throughout: A Y + Y A^T = -L^T L.  Every certificate
 carries this convention string so downstream checks are unambiguous.
 
-The certificate search is Douglas-Rachford splitting between the affine
+The certificate search (DR) is Douglas-Rachford splitting between the affine
 family that encodes the coupling constraint exactly (parametrized through
 its nullspace) and the product of PSD cones {Y - eps I >= 0} x
 {-(A Y + Y A^T) >= 0}, with eigenvalue clamping as the cone projection and
@@ -234,9 +237,9 @@ class FrequencyReport:
 class NICertificate:
     """Witness for the state-space NI conditions (or their infeasibility).
 
-    Filled in after it is built: ``lmi_ni_certificate`` sets ``iterations`` and
-    ``polish_steps``, and ``sni_rank_condition`` sets ``strict`` and
-    ``rank_condition_min_sv``.  A ``strict`` holds on all of (0, inf) when the system
+    Filled in after it is built: the DR search sets ``iterations`` and ``polish_steps``
+    (both stay 0 on the Riccati route and at a frequency witness), and
+    ``sni_rank_condition`` sets ``strict`` and ``rank_condition_min_sv``.  A ``strict`` holds on all of (0, inf) when the system
     decides it from the crossings (``StateSpace.crossings`` not None), else on the grid
     of that call only."""
 
@@ -458,41 +461,100 @@ def _sym_maps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
             np.concatenate([flat, flat + n * n]), np.tile(div.reshape(-1)[flat], 2))
 
 
+def _tolerances(sys: StateSpace, tol: float) -> tuple[float, float, float]:
+    """``(tol_lyap, eps, tol_coupling)`` of the Certified test: tol_lyap = tol max(1, ||A||_2),
+    the floor eps = _EPS_SCALE / max(1, ||A||_2) of Y, tol_coupling = tol max(1, ||B||_F)."""
+    norm_a = sys.norm2
+    return (tol * max(1.0, norm_a), _EPS_SCALE / max(1.0, norm_a),
+            tol * max(1.0, float(np.linalg.norm(sys.B, "fro"))))
+
+
+def _accepted(tols: tuple[float, float, float], lyap_min: float, y_min: float,
+              coupling: float) -> bool:
+    """The one Certified test, for both routes: lambda_min -(A Y + Y A^T) >= -tol_lyap,
+    lambda_min Y >= eps / 2 and ||A Y C^T + B||_F <= tol_coupling (``_tolerances``)."""
+    tol_lyap, eps, tol_coupling = tols
+    return lyap_min >= -tol_lyap and y_min >= eps / 2 and coupling <= tol_coupling
+
+
 def lmi_ni_certificate(sys: StateSpace, tol: float = DEFAULT_TOL,
                        omega_hint: float | None = None) -> NICertificate:
     """Search for Y = Y^T > 0 with A Y + Y A^T <= 0 and A Y C^T = -B.
 
     On success the certificate carries P = Y^{-1}, the factor L with
     L^T L = -(A Y + Y A^T), and the three residuals that make it checkable
-    by direct matrix arithmetic.  An empty affine constraint set yields an
-    ``Infeasible`` verdict with a separating-functional witness (n, m); a
-    Farkas pair (2, n, n) that separates the family from the cone sets, found
-    by the iteration itself or by a short dual search polishing its candidate,
-    does too.  A search that finds neither a certificate nor a witness ends
-    ``MaxIterations``: no verdict without proof.
+    by direct matrix arithmetic.
 
-    ``omega_hint`` is a candidate frequency, such as the worst point of a
-    NotNI sweep.  A hint that passes ``_frequency_witness`` ends the search
-    before its set-up: ``Infeasible``, 0 iterations, no Y, and the witness
-    (omega, lambda_min, bound).  Any other hint is ignored, bit for bit.
+    The routes, in order.  ``omega_hint`` is a candidate frequency, such as the
+    worst point of a NotNI sweep.  A hint that passes ``_frequency_witness`` ends
+    the search first: ``Infeasible``, 0 iterations, no Y, and the witness
+    (omega, lambda_min, bound).  Any other hint is ignored, bit for bit.  Then a
+    ``_riccati_y`` that passes the Certified test is the certificate, with 0
+    iterations and an L of m rows.  Otherwise ``_dr_certificate`` decides.  Its
+    Certified exits take at least 1 iteration, so a Certified certificate with 0
+    iterations is the Riccati route's.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    n, m = sys.n, sys.m
-    A, B, C = sys.A, sys.B, sys.C
-    norm_a = sys.norm2
     if sys.singular_a(tol):
         raise SingularAError("A is numerically singular; the NI certificate requires det(A) != 0")
     d_asym = float(np.linalg.norm(sys.D - sys.D.T, "fro"))
     if d_asym > tol * max(1.0, float(np.linalg.norm(sys.D, "fro"))):
         raise AsymmetricDError(f"D is not symmetric (defect {d_asym:.3e})")
-    tol_lyap = tol * max(1.0, norm_a)
-    scale_b = max(1.0, float(np.linalg.norm(B, "fro")))
+    tols = _tolerances(sys, tol)
     if omega_hint is not None:
-        witness = _frequency_witness(sys, omega_hint, tol_lyap, tol * scale_b, d_asym)
+        witness = _frequency_witness(sys, omega_hint, tols[0], tols[2], d_asym)
         if witness is not None:
             return NICertificate(verdict=CertStatus.INFEASIBLE, infeasibility_witness=witness)
+    Y = _riccati_y(sys, tols)
+    if Y is not None:
+        return certificate_from_y(sys, Y, tol)
+    return _dr_certificate(sys, tol)
 
+
+def _riccati_y(sys: StateSpace, tols: tuple[float, float, float]) -> np.ndarray | None:
+    """Y = X2 X1^-1 from [X1; X2], the n - m eigenvectors of the transpose of
+    ``sys.hamiltonian`` with the most negative real parts and its kernel (F(0) = 0
+    puts 2m eigenvalues at 0, in Jordan pairs; its m smallest right singular
+    vectors), real part, symmetrized: the Riccati solution of the positive-real lemma
+    of F = s (G - D) (Willems 1971), whose W = -(A Y + Y A^T) has rank m.
+
+    None, and DR decides, when the Hamiltonian is None (R = CB + B'C' singular or
+    ill-conditioned), a factorization fails, Y is not finite, or Y fails ``_accepted``."""
+    H = sys.hamiltonian
+    if H is None:
+        return None
+    n, m, A = sys.n, sys.m, sys.A
+    with np.errstate(all="ignore"):
+        try:
+            lam, V = np.linalg.eig(H.T)
+            kernel = np.linalg.svd(H.T)[2][2 * n - m:].conj().T
+            X = np.hstack([V[:, np.argsort(lam.real)[:max(n - m, 0)]], kernel])
+            Y = np.linalg.solve(X[:n].T, X[n:].T).T.real
+        except np.linalg.LinAlgError:
+            return None
+        Y = (Y + Y.T) / 2
+        if not np.isfinite(Y).all():
+            return None
+        AY = A @ Y
+        eigs = np.linalg.eigvalsh(np.stack([AY + Y @ A.T, Y]))
+        coupling = float(np.linalg.norm(AY @ sys.C.T + sys.B))
+    return Y if _accepted(tols, float(-eigs[0, -1]), float(eigs[1, 0]), coupling) else None
+
+
+def _dr_certificate(sys: StateSpace, tol: float = DEFAULT_TOL) -> NICertificate:
+    """The Douglas-Rachford search of the module docstring, for a system that
+    ``lmi_ni_certificate`` has checked (A nonsingular, D symmetric).
+
+    An empty affine constraint set yields ``Infeasible`` with a separating-functional
+    witness (n, m); a Farkas pair (2, n, n) that separates the family from the cone
+    sets, found by the iteration itself or by a short dual search polishing its
+    candidate, does too.  A search that finds neither a certificate nor a witness
+    ends ``MaxIterations``: no verdict without proof."""
+    n, m = sys.n, sys.m
+    A, B, C = sys.A, sys.B, sys.C
+    tols = _tolerances(sys, tol)
+    tol_lyap, eps, _ = tols
     nsym = n * (n + 1) // 2
     gather, div, scatter, mult = _sym_maps(n)
 
@@ -523,7 +585,6 @@ def lmi_ni_certificate(sys: StateSpace, tol: float = DEFAULT_TOL,
     Yp = s_particular[gather[0]] / div
     null_mats = null_basis.T[:, gather[0]] / div  # the free directions N_k
 
-    eps = _EPS_SCALE / max(1.0, norm_a)
     eye = np.eye(n)
 
     def lyap(Y):
@@ -562,8 +623,7 @@ def lmi_ni_certificate(sys: StateSpace, tol: float = DEFAULT_TOL,
         y_min = float(eigs[1, 0])
         defect = (AY @ C.T + B).ravel()
         coupling = float(np.sqrt(defect @ defect))
-        ok = lyap_min >= -tol_lyap and y_min >= eps / 2 and coupling <= tol * scale_b
-        return lyap_min, coupling, ok, eigs[2:]
+        return lyap_min, coupling, _accepted(tols, lyap_min, y_min, coupling), eigs[2:]
 
     # Farkas exit: w = pc - proj(pc), with proj the projection onto the
     # family, is orthogonal to every free direction, so <w, f> = <w, f0> on

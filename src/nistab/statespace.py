@@ -106,18 +106,13 @@ class StateSpace:
         return np.linalg.norm(V) * inv_norm, np.linalg.norm(self.A @ V - V * lam) * inv_norm
 
     @functools.cached_property
-    def crossings(self) -> np.ndarray | None:
-        """Ascending w > 0 where F(jw) + F(jw)* turns singular, read-only.
+    def hamiltonian(self) -> np.ndarray | None:
+        """The 2n x 2n Hamiltonian of F(s) = s (G(s) - D), read-only.
 
-        F(s) = s (G(s) - D), so F(jw) + F(jw)* = w j(G(jw) - G(jw)*) for symmetric D.  F
-        has the realization (A, B, CA, CB), so with R = CB + B'C'
-        invertible these jw are the imaginary eigenvalues of the 2n x 2n Hamiltonian
-        [[A - B R^-1 CA, -B R^-1 B'], [(CA)' R^-1 CA, -A' + (CA)' R^-1 B']], from one eig.
-        They are all the sign changes of j(G - G*) on (0, inf) only when A is Hurwitz, which
-        the caller checks in its own axis band.  Those with w <= _CROSSING_BAND max(1, ||A||_2)
-        are the cluster of F(0) = 0 and are dropped; the band is narrow, since an extra
-        crossing only splits an interval, while a missing one can merge two.
-        None when cond(R) exceeds 1 / DEFAULT_TOL or eig fails.
+        F has the realization (A, B, CA, CB); with R = CB + B'C' it is
+        [[A - B R^-1 CA, -B R^-1 B'], [(CA)' R^-1 CA, -A' + (CA)' R^-1 B']].
+        ``crossings`` reads its eigenvalues, the NI certificate its transpose's stable
+        invariant subspace.  None when cond(R) exceeds 1 / DEFAULT_TOL or the solve fails.
         """
         CA, CB = self.C @ self.A, self.C @ self.B
         R = CB + CB.T
@@ -126,8 +121,31 @@ class StateSpace:
             return None
         try:
             RiCA, RiB = np.split(np.linalg.solve(R, np.hstack([CA, self.B.T])), 2, axis=1)
-            lam = np.linalg.eigvals(np.block([[self.A - self.B @ RiCA, -self.B @ RiB],
-                                              [CA.T @ RiCA, CA.T @ RiB - self.A.T]]))
+        except np.linalg.LinAlgError:
+            return None
+        H = np.block([[self.A - self.B @ RiCA, -self.B @ RiB],
+                      [CA.T @ RiCA, CA.T @ RiB - self.A.T]])
+        H.setflags(write=False)
+        return H
+
+    @functools.cached_property
+    def crossings(self) -> np.ndarray | None:
+        """Ascending w > 0 where F(jw) + F(jw)* turns singular, read-only.
+
+        F(s) = s (G(s) - D), so F(jw) + F(jw)* = w j(G(jw) - G(jw)*) for symmetric D.  With
+        R = CB + B'C' invertible these jw are the imaginary eigenvalues of ``hamiltonian``,
+        from one eig.
+        They are all the sign changes of j(G - G*) on (0, inf) only when A is Hurwitz, which
+        the caller checks in its own axis band.  Those with w <= _CROSSING_BAND max(1, ||A||_2)
+        are the cluster of F(0) = 0 and are dropped; the band is narrow, since an extra
+        crossing only splits an interval, while a missing one can merge two.
+        None when ``hamiltonian`` is None or eig fails.
+        """
+        H = self.hamiltonian
+        if H is None:
+            return None
+        try:
+            lam = np.linalg.eigvals(H)
         except np.linalg.LinAlgError:
             return None
         on_axis = ((np.abs(lam.real) <= _CROSSING_BAND * np.maximum(1.0, np.abs(lam)))

@@ -90,19 +90,20 @@ class TestCertify:
 
     def test_sni_certify_takes_one_spectrum(self, linalg_calls, capsys):
         # every route of the run reads the cached eigendecomposition of A, and
-        # the crossing frequencies the cached spectrum of one Hamiltonian
+        # the crossing frequencies the cached spectrum of one Hamiltonian; the
+        # other eig is the certificate's, of that Hamiltonian's transpose
         code = main(["certify", str(GOLDEN_SYSTEMS), "ctrl_half", "--property", "sni"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["certified"] is True
-        assert (linalg_calls["eig"], linalg_calls["eigvals"]) == (1, 1)
+        assert (linalg_calls["eig"], linalg_calls["eigvals"]) == (2, 1)
 
     def test_sni_certify_solves_the_resolvent_once(self, linalg_calls, capsys):
         # the W(jw) zero check reads the X of the sweep, and the NI and SNI sweeps
-        # share one eigvalsh; the other solves are DR's A^-1 B and the crossing
-        # Hamiltonian's R^-1 [CA, B'] (no crossing, and the grid shows the one
+        # share one eigvalsh; the other solves are the certificate's X2 X1^-1 and the
+        # crossing Hamiltonian's R^-1 [CA, B'] (no crossing, and the grid shows the one
         # interval positive, so no point is evaluated there).  The other eigvalsh
-        # calls are the positive-real sweep's and DR's one residual check; the
-        # certificate's W takes one eigh and no eigvalsh
+        # calls are the positive-real sweep's and the certificate's one Certified
+        # test; its W takes one eigh and no eigvalsh
         code = main(["certify", str(GOLDEN_SYSTEMS), "ctrl_half", "--property", "sni"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["certified"] is True
@@ -307,12 +308,16 @@ class TestCrossingWitness:
 
 
 class TestTolerancesReachTheRoutes:
-    def test_tol_reaches_certificate_search(self, random_file, capsys):
+    def test_tol_reaches_certificate_search(self, tmp_path, capsys):
+        # 1/(s^2 + s + 1): R = CB + B'C' = 0, so the Riccati route declines and DR
+        # decides, in a number of iterations that moves with --tol
+        lag2 = StateSpace([[0.0, 1.0], [-1.0, -1.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]])
+        path = _write_systems(tmp_path / "lag2.json", plant=lag2)
         iterations = {}
         for tol in ("1e-2", "1e-8"):
-            main(["certify", random_file, "plant", "--tol", tol])
+            main(["certify", path, "plant", "--tol", tol])
             iterations[tol] = json.loads(capsys.readouterr().out)["results"]["lmi"]["iterations"]
-        assert iterations == {"1e-2": 3, "1e-8": 4}
+        assert iterations == {"1e-2": 7, "1e-8": 48}
 
     def test_tol_pole_reaches_analyze(self, random_file, capsys):
         main(["certify", random_file, "plant", "--tol-pole", "0.3"])

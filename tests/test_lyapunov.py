@@ -20,7 +20,7 @@ from nistab import (
 )
 from nistab.exceptions import DimensionError, NotCertifiedError
 from nistab.lyapunov import worst_derivative_residual
-from nistab.nicert import certificate_from_y
+from nistab.nicert import _dr_certificate, certificate_from_y
 from nistab.selftest import random_certified_pair
 
 
@@ -249,6 +249,34 @@ class TestLosslessPlants:
             hurwitz[r == 0, stable] += 1
         # lossless plants on both sides of lambda = 1
         assert hurwitz[True, True] and hurwitz[True, False]
+
+
+class TestEveryCertificate:
+    """The paper's Lyapunov claims hold for every NI certificate, so for the Riccati route's
+    boundary certificate, whose W = -(A Y + Y A') has rank m (its singular-W case), as for
+    DR's."""
+
+    def test_claims_hold_for_the_route_and_dr_certificates(self):
+        rng = np.random.default_rng(30)
+        for k in range(12):
+            lam = float(rng.uniform(0.2, 0.9) if k % 2 else rng.uniform(1.1, 2.0))
+            n1, n2, m = int(rng.integers(2, 7)), int(rng.integers(2, 7)), 1 + k % 2
+            plant, _, ctrl, _ = random_certified_pair(int(rng.integers(0, 2**31)), lam,
+                                                      n1=n1, n2=n2, m=m)
+            cl = closed_loop(plant, ctrl)
+            X = rng.standard_normal((20, cl.n))
+            route = lmi_ni_certificate(plant), lmi_ni_certificate(ctrl)
+            dr = _dr_certificate(plant), _dr_certificate(ctrl)
+            assert [c.iterations for c in route] == [0, 0]
+            assert [c.L.shape[0] for c in route] == [m, m]
+            assert min(c.iterations for c in dr) >= 1
+            for pcert, ccert in (route, dr):
+                rep = gram_dc_equivalence(plant, ctrl, pcert.P, ccert.P)
+                assert rep.agree and not rep.borderline
+                assert (rep.min_eig_Q > 0) is (lam < 1)
+                lyap = block_gram(pcert.P, ccert.P, plant, ctrl)
+                scale_q = max(1.0, np.linalg.norm(lyap.Q, 2), np.linalg.norm(cl.A_cl, 2))
+                assert worst_derivative_residual(cl, (pcert, ccert), lyap, X, scale_q) <= 1e-10
 
 
 class TestStackedStates:

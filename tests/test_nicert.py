@@ -3,6 +3,9 @@
 import collections
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -40,7 +43,15 @@ from nistab.exceptions import (
     SingularAError,
 )
 from nistab.linalg import DEFAULT_TOL, min_singular_value
-from nistab.nicert import _POLISH_FIRST, _POLISH_STEPS, _sym_maps, certificate_from_y
+from nistab.nicert import (
+    _POLISH_FIRST,
+    _POLISH_STEPS,
+    _dr_certificate,
+    _riccati_y,
+    _sym_maps,
+    _tolerances,
+    certificate_from_y,
+)
 from nistab.statespace import resolvent_stack
 
 GRID = FrequencyGrid(points=120)
@@ -279,15 +290,18 @@ class TestLmiCertificate:
 
     def test_diagonally_scaled_sni_realization_certifies(self):
         # T^-1 A T, T^-1 B, C T with T = diag(logspace(0, 2)): still SNI, and
-        # the search certifies it after 4,174 iterations with no early stop
+        # DR certifies it after 4,174 iterations with no early stop; the public
+        # search takes the Riccati route, 0 iterations
         g, _ = random_ni_system(3, 6, 2, strict=True)
         t = np.logspace(0, 2, g.n)
         sys = StateSpace(g.A * t / t[:, np.newaxis], g.B / t[:, np.newaxis], g.C * t, g.D)
-        cert = lmi_ni_certificate(sys)
-        assert (cert.verdict, cert.iterations) == (CertStatus.CERTIFIED, 4174)
-        assert float(np.linalg.eigvalsh(cert.Y).min()) > 0
-        assert cert.lyap_residual >= -1e-8 * max(1.0, sys.norm2)
-        assert cert.coupling_residual <= 1e-8 * max(1.0, float(np.linalg.norm(sys.B)))
+        dr, route = _dr_certificate(sys), lmi_ni_certificate(sys)
+        assert (dr.verdict, dr.iterations) == (CertStatus.CERTIFIED, 4174)
+        assert (route.verdict, route.iterations) == (CertStatus.CERTIFIED, 0)
+        for cert in (dr, route):
+            assert float(np.linalg.eigvalsh(cert.Y).min()) > 0
+            assert cert.lyap_residual >= -1e-8 * max(1.0, sys.norm2)
+            assert cert.coupling_residual <= 1e-8 * max(1.0, float(np.linalg.norm(sys.B)))
 
     def test_asymmetric_d_rejected(self):
         sys = StateSpace(np.diag([-1.0, -2.0]), np.eye(2), np.eye(2),
@@ -361,7 +375,7 @@ class TestDrIteration:
         # residual spectra and the witness blocks; the exit reuses the last
         # check.  Each polish step adds one of each: this notch polishes at
         # iterations 8, 16, ..., 4,096, ten times in full, and finds no witness
-        cert = lmi_ni_certificate(notch(3.3))
+        cert = _dr_certificate(notch(3.3))
         assert cert.verdict is CertStatus.MAX_ITERATIONS
         assert cert.infeasibility_witness is None
         assert cert.polish_steps == 10 * _POLISH_STEPS
@@ -371,7 +385,7 @@ class TestDrIteration:
     def test_one_stacked_call_per_polish_step(self, linalg_calls):
         # neg_rand6 fails the exit test at iteration 8, and its polish passes
         # it at the second step
-        cert = lmi_ni_certificate(dr_exit_system("neg_rand6"))
+        cert = _dr_certificate(dr_exit_system("neg_rand6"))
         assert (cert.verdict, cert.iterations) == (CertStatus.INFEASIBLE, _POLISH_FIRST)
         assert cert.infeasibility_witness.shape == (2, 6, 6)
         assert cert.polish_steps == 2
@@ -674,9 +688,12 @@ class TestNoFalseWitnessExit:
         for alpha in (1e-3, 1.0, 1e3):
             for tol in (1e-8, 1e-2):
                 sys = StateSpace(g.A, alpha * g.B, g.C, alpha * g.D)
-                cert = lmi_ni_certificate(sys, tol=tol)
+                cert = _dr_certificate(sys, tol=tol)
                 assert cert.verdict is CertStatus.CERTIFIED
                 got.append(cert.iterations)
+                # the public search certifies them by the Riccati route
+                route = lmi_ni_certificate(sys, tol=tol)
+                assert (route.verdict, route.iterations) == (CertStatus.CERTIFIED, 0)
         assert got == iterations
 
 
@@ -711,8 +728,8 @@ class TestPinnedDrRuns:
     }
 
     @staticmethod
-    def outcome(sys):
-        cert = lmi_ni_certificate(sys)
+    def outcome(sys, search=lmi_ni_certificate):
+        cert = search(sys)
         assert np.array_equal(cert.Y, cert.Y.T)
         witness = cert.infeasibility_witness
         # no Infeasible without a witness
@@ -741,8 +758,105 @@ class TestPinnedDrRuns:
     def test_random_draws(self, n):
         g, _ = random_ni_system(500 + n, n, min(n, 1 + n % 3), with_feedthrough=n % 2 == 0)
         certified, negated_outcome = self.DRAWS[n]
-        assert self.outcome(g) == ("Certified", certified, None)
+        assert self.outcome(g, _dr_certificate) == ("Certified", certified, None)
+        assert self.outcome(negated(g), _dr_certificate) == negated_outcome
+        # the public search: the Riccati route on the draw, DR's run on its negation
+        assert self.outcome(g) == ("Certified", 0, None)
         assert self.outcome(negated(g)) == negated_outcome
+
+
+def _thread_digests(threads):
+    """sha256 of the (A, B, C) and of the certificate's (Y, P, L) bytes, and its iterations,
+    for random_ni_system(2, n, 2, strict=True) at n = 20 and 50, certified in a fresh
+    interpreter with OpenBLAS at the given thread count."""
+    code = (
+        "import hashlib, json\n"
+        "from nistab import lmi_ni_certificate, random_ni_system\n"
+        "def digest(*arrays):\n"
+        "    return hashlib.sha256(b''.join(a.tobytes() for a in arrays)).hexdigest()\n"
+        "out = {}\n"
+        "for n in (20, 50):\n"
+        "    g, _ = random_ni_system(2, n, 2, strict=True)\n"
+        "    c = lmi_ni_certificate(g)\n"
+        "    out[n] = [digest(g.A, g.B, g.C), digest(c.Y, c.P, c.L), c.iterations]\n"
+        "print(json.dumps(out))\n")
+    src = str(Path(nistab.nicert.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+class TestRiccatiRoute:
+    """The Riccati certificate ahead of DR.  ``lmi_ni_certificate`` returns Certified with
+    0 iterations exactly when ``_riccati_y`` returns a Y (no hint, A nonsingular, D
+    symmetric), and runs DR unchanged wherever it returns None."""
+
+    @staticmethod
+    def declines(sys):
+        return _riccati_y(sys, _tolerances(sys, DEFAULT_TOL)) is None
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 12), m=st.integers(1, 3),
+           strict=st.booleans(), feedthrough=st.booleans(), exponent=st.floats(-3.0, 3.0))
+    def test_negated_draws_never_take_the_route(self, seed, n, m, strict, feedthrough,
+                                                exponent):
+        g, _ = random_ni_system(seed, n, min(n, m), strict=strict, with_feedthrough=feedthrough)
+        gain = 10.0 ** exponent
+        assert self.declines(StateSpace(g.A, -gain * g.B, g.C, -gain * g.D))
+
+    @pytest.mark.parametrize("w0", NOTCH_OMEGAS)
+    def test_notches_never_take_the_route(self, w0):
+        sys = notch(w0)
+        assert sys.hamiltonian is not None and self.declines(sys)
+
+    @pytest.mark.parametrize("sys", [
+        # R = CB + B'C' = 0: no Hamiltonian
+        StateSpace([[0.0, 1.0], [-1.0, -1.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]]),
+        StateSpace([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]]),
+        # not NI: the route's Y fails the Certified test
+        dr_exit_system("neg_rand6"),
+    ], ids=["lag2", "osc", "neg_rand6"])
+    def test_dr_decides_where_the_route_declines(self, sys):
+        assert self.declines(sys)
+        cert = lmi_ni_certificate(sys)
+        assert cert.iterations > 0
+        same_run(cert, _dr_certificate(sys))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 12), m=st.integers(1, 3),
+           feedthrough=st.booleans(), exponent=st.floats(-3.0, 3.0))
+    def test_sni_draws_take_the_route(self, seed, n, m, feedthrough, exponent):
+        g, _ = random_ni_system(seed, n, min(n, m), strict=True, with_feedthrough=feedthrough)
+        gain = 10.0 ** exponent
+        sys = StateSpace(g.A, gain * g.B, g.C, gain * g.D)
+        cert = lmi_ni_certificate(sys)
+        assert (cert.verdict, cert.iterations, cert.polish_steps) == (CertStatus.CERTIFIED, 0, 0)
+        # a boundary certificate: W = -(A Y + Y A') has rank m, so L has m rows
+        assert cert.L.shape == (sys.m, sys.n)
+        assert float(np.linalg.eigvalsh(cert.Y).min()) > 0
+        assert cert.lyap_residual >= -DEFAULT_TOL * max(1.0, sys.norm2)
+        assert cert.coupling_residual <= DEFAULT_TOL * max(1.0, float(np.linalg.norm(sys.B)))
+
+    def test_route_bytes_do_not_depend_on_the_blas_thread_count(self):
+        one, two = _thread_digests(1), _thread_digests(2)
+        assert one == two
+        assert [iterations for *_, iterations in one.values()] == [0, 0]
+
+    def test_certify_sni_at_n_50_takes_the_route(self, tmp_path, monkeypatch, capsys):
+        def no_dr(*args, **kwargs):
+            raise AssertionError("DR ran")
+
+        monkeypatch.setattr(nistab.nicert, "_dr_certificate", no_dr)
+        g, _ = random_ni_system(2, 50, 2, strict=True)
+        path = tmp_path / "n50.json"
+        path.write_text(json.dumps({"schema_version": "1", "systems": {
+            "g": {k: getattr(g, k).tolist() for k in "ABCD"}}}))
+        assert main(["certify", str(path), "g", "--property", "sni"]) == 0
+        lmi = json.loads(capsys.readouterr().out)["results"]["lmi"]
+        assert (lmi["verdict"], lmi["iterations"], lmi["strict"]) == ("Certified", 0, True)
 
 
 class TestSniRankCondition:
