@@ -75,48 +75,56 @@ NOTATION_WARNINGS = [
 
 
 def _fmt_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        return "null"
-    return f"{x:.17g}"
+    return f"{x:.17g}" if x - x == 0 else "null"  # x - x is NaN for NaN and +-inf
+
+
+_str = json.encoder.encode_basestring_ascii  # a str as json.dumps writes it
 
 
 def dumps_canonical(obj, indent: int = 0) -> str:
-    """JSON with insertion-ordered keys and fixed float formatting."""
-    pad = "  " * indent
-    pad_in = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
-    if isinstance(obj, enum.Enum):
-        return dumps_canonical(obj.value, indent)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, (complex, np.complexfloating)):
-        return dumps_canonical({"re": float(obj.real), "im": float(obj.imag)}, indent)
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=True)
+    """JSON with insertion-ordered keys and fixed float formatting: two-space indent,
+    ``": "`` after each key, NaN and +-inf as null, and an array on one line when every
+    item renders in under 24 characters with no newline."""
+    return _encode(obj, "  " * indent)
+
+
+def _encode(obj, pad: str) -> str:
+    kind = type(obj)  # the exact types of a report first, then the isinstance order
+    if kind is float:
+        return _fmt_float(obj)
+    if kind is str:
+        return _str(obj)
+    if kind not in (dict, list, tuple, np.ndarray):
+        if obj is None:
+            return "null"
+        if isinstance(obj, (bool, np.bool_)):
+            return "true" if obj else "false"
+        if isinstance(obj, enum.Enum):
+            return _encode(obj.value, pad)
+        if isinstance(obj, (int, np.integer)):
+            return str(int(obj))
+        if isinstance(obj, (float, np.floating)):
+            return _fmt_float(float(obj))
+        if isinstance(obj, (complex, np.complexfloating)):
+            return _encode({"re": float(obj.real), "im": float(obj.imag)}, pad)
+        if isinstance(obj, str):
+            return _str(obj)
     if isinstance(obj, np.ndarray):
-        return dumps_canonical(obj.tolist(), indent)
+        return _encode(obj.tolist(), pad)
+    inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f'{pad_in}{json.dumps(str(k))}: {dumps_canonical(v, indent + 1)}'
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if all(type(v) is float for v in obj):  # the per-point arrays, from tolist()
-            rendered = [_fmt_float(v) for v in obj]
-        else:
-            rendered = [dumps_canonical(v, indent + 1) for v in obj]
-        if all(len(r) < 24 and "\n" not in r for r in rendered):
-            return "[" + ", ".join(rendered) + "]"
-        return "[\n" + ",\n".join(pad_in + r for r in rendered) + f"\n{pad}]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+        items = ",\n".join([f"{inner}{_str(str(k))}: {_encode(v, inner)}" for k, v in obj.items()])
+        return "{\n" + items + "\n" + pad + "}"
+    if not isinstance(obj, (list, tuple)):
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+    rendered = (list(map(_fmt_float, obj)) if all(type(v) is float for v in obj)  # tolist() rows
+                else [_encode(v, inner) for v in obj])
+    line = ", ".join(rendered)
+    if "\n" not in line and max(map(len, rendered), default=0) < 24:
+        return "[" + line + "]"
+    return "[\n" + inner + (",\n" + inner).join(rendered) + "\n" + pad + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -152,37 +160,13 @@ def load_system_file(path: str) -> tuple[dict[str, StateSpace], str]:
 # report fragments
 
 
-def _grid_dict(grid: FrequencyGrid) -> dict:
-    return {
-        "omega_min": grid.omega_min,
-        "omega_max": grid.omega_max,
-        "points": grid.points,
-        "spacing": grid.spacing,
-        "exclusion_radius": grid.exclusion_radius,
-    }
-
-
 def _system_dict(sys: StateSpace) -> dict:
     return {"A": sys.A, "B": sys.B, "C": sys.C, "D": sys.D, "label": sys.label}
 
 
 def _cert_dict(cert: NICertificate | None) -> dict | None:
-    if cert is None:
-        return None
-    return {
-        "verdict": cert.verdict,
-        "P": cert.P,
-        "Y": cert.Y,
-        "L": cert.L,
-        "lyap_residual": cert.lyap_residual,
-        "coupling_residual": cert.coupling_residual,
-        "factor_residual": cert.factor_residual,
-        "strict": cert.strict,
-        "rank_condition_min_sv": cert.rank_condition_min_sv,
-        "iterations": cert.iterations,
-        "convention": cert.convention,
-        "infeasibility_witness": cert.infeasibility_witness,
-    }
+    """Every field of ``cert`` but ``polish_steps``, in declaration order; None for None."""
+    return None if cert is None else {k: v for k, v in vars(cert).items() if k != "polish_steps"}
 
 
 def _freq_dict(report: FrequencyReport) -> dict:
@@ -191,18 +175,11 @@ def _freq_dict(report: FrequencyReport) -> dict:
         "verdict": report.verdict,
         "worst_point": None if worst is None else {"omega": worst.omega,
                                                    "min_eig": worst.min_eig},
-        "points_ok": int(np.sum(report.status == "ok")),
-        "points_excluded": int(np.sum(report.status == "excluded")),
-        "points_ill_conditioned": int(np.sum(report.status == "near-pole")),
-        "pole_findings": [
-            {
-                "omega0": f.omega0,
-                "is_simple": f.is_simple,
-                "hermitian_residual": f.hermitian_residual,
-                "min_eig": f.min_eig,
-            }
-            for f in report.pole_findings
-        ],
+        "points_ok": report.counts[0],
+        "points_excluded": report.counts[1],
+        "points_ill_conditioned": report.counts[2],
+        "pole_findings": [{k: v for k, v in vars(f).items() if k != "K0"}
+                          for f in report.pole_findings],
         "warnings": list(report.warnings),
     }
     if report.origin_pole is not None:
@@ -219,16 +196,6 @@ def _freq_csv(report: FrequencyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tol_dict(args) -> dict:
-    return {
-        "tol": args.tol,
-        "tol_axis": args.tol_axis,
-        "tol_pole": args.tol_pole,
-        "tol_hurwitz": args.tol_hurwitz,
-        "tol_int": args.tol_int,
-    }
-
-
 def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -238,18 +205,18 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _base_report(command: str, path: str, digest: str, args) -> dict:
-    report = {
+    return {
         "schema": "nistab-report/1",
         "tool": {"name": "nistab", "version": __version__},
         "command": command,
         "input": {"path": path, "sha256": digest},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         if args.timestamps else None,
-        "tolerances": _tol_dict(args),
-        "grid": _grid_dict(_grid_from_args(args)),
+        "tolerances": {k: getattr(args, k)
+                       for k in ("tol", "tol_axis", "tol_pole", "tol_hurwitz", "tol_int")},
+        "grid": vars(_grid_from_args(args)),
         "notation_warnings": NOTATION_WARNINGS,
     }
-    return report
 
 
 def _grid_from_args(args) -> FrequencyGrid:
@@ -292,7 +259,7 @@ def cmd_certify(args) -> int:
     if args.prop == "sni":
         results["frequency_sni"] = _freq_dict(freq_sni_test(resp, tol))
         if cert is not None and cert.certified:
-            sni_rank_condition(sys_, cert, grid, tol, args.tol_axis)
+            sni_rank_condition(sys_, cert, grid, tol, args.tol_axis, args.tol_pole)
             wz = w_transfer_zero_check(resp, cert, tol)
             results["lmi"] = _cert_dict(cert)
             results["w_transfer_zeros"] = {
@@ -392,7 +359,8 @@ def cmd_simulate(args) -> int:
     plant, controller = systems[args.plant], systems[args.controller]
 
     outcome = check_hypotheses(plant, controller, grid=_grid_from_args(args), tol=args.tol,
-                               tol_axis=args.tol_axis, hurwitz_tol=args.tol_hurwitz)
+                               tol_axis=args.tol_axis, tol_pole=args.tol_pole,
+                               hurwitz_tol=args.tol_hurwitz)
     for name in outcome.verdict.violated_hypotheses:
         print(f"warning: hypothesis {name} violated: "
               f"{outcome.hypotheses[name]['detail']}", file=sys.stderr)

@@ -162,19 +162,19 @@ def check_hypotheses(plant: StateSpace, controller: StateSpace,
                      grid: FrequencyGrid | None = None,
                      tol: float = DEFAULT_TOL,
                      tol_axis: float = TOL_AXIS,
+                     tol_pole: float = TOL_POLE,
                      hurwitz_tol: float = HURWITZ_TOL,
                      plant_hint: float | None = None,
                      controller_hint: float | None = None) -> LoopHypotheses:
     """Stability hypotheses and closed loop of the positive-feedback interconnection.
 
     Certifies the plant (NI) and controller (SNI: the rank condition of
-    ``sni_rank_condition``, on all of (0, inf) from the crossings where they decide
-    it, else on ``grid`` only), checks the feedthrough and DC-gain hypotheses,
-    and computes the closed-loop spectrum.  The hints are handed to the two
-    certificate searches as ``omega_hint``.  Nothing short-circuits:
-    hypothesis violations are collected, and the spectrum is still reported
-    when it is computable, so the prediction can be compared with the ground
-    truth.
+    ``sni_rank_condition``, on all of (0, inf) from the crossings, confirmed under the
+    resolvent guard ``tol_pole``, where they decide it, else on ``grid`` only), checks the
+    feedthrough and DC-gain hypotheses, and computes the closed-loop spectrum.  The hints
+    are handed to the two certificate searches as ``omega_hint``.  Nothing short-circuits:
+    hypothesis violations are collected, and the spectrum is still reported when it is
+    computable, so the prediction can be compared with the ground truth.
     """
     _check_dims(plant, controller)
     grid = grid or FrequencyGrid()
@@ -199,7 +199,7 @@ def check_hypotheses(plant: StateSpace, controller: StateSpace,
     try:
         controller_cert = lmi_ni_certificate(controller, tol, controller_hint)
         if controller_cert.certified:
-            sni_rank_condition(controller, controller_cert, grid, tol, tol_axis)
+            sni_rank_condition(controller, controller_cert, grid, tol, tol_axis, tol_pole)
         ok = controller_cert.certified and controller_cert.strict
         record("controller_sni", ok,
                f"certificate verdict {controller_cert.verdict.value}, "
@@ -243,12 +243,8 @@ def check_hypotheses(plant: StateSpace, controller: StateSpace,
     except FeedthroughError:
         notes.append("closed-loop matrix not assembled: feedthrough hypothesis fails")
 
-    if violated:
-        verdict = Stability.HYPOTHESIS_VIOLATED
-    elif spectrum_class is None:
-        verdict = Stability.HYPOTHESIS_VIOLATED
-    else:
-        verdict = spectrum_class
+    verdict = (Stability.HYPOTHESIS_VIOLATED if violated or spectrum_class is None
+               else spectrum_class)
     return LoopHypotheses(
         verdict=StabilityVerdict(verdict, violated, margin),
         closed_loop=cl,
@@ -274,7 +270,7 @@ def analyze(plant: StateSpace, controller: StateSpace,
     grid = grid or FrequencyGrid()
     plant_freq = freq_ni_test(frequency_response(plant, grid, tol_axis, tol_pole), tol)
     controller_freq = freq_sni_test(frequency_response(controller, grid, tol_axis, tol_pole), tol)
-    checked = check_hypotheses(plant, controller, grid, tol, tol_axis, hurwitz_tol,
+    checked = check_hypotheses(plant, controller, grid, tol, tol_axis, tol_pole, hurwitz_tol,
                                plant_freq.omega_hint, controller_freq.omega_hint)
     pc = checked.plant_certificate
     if pc is not None and pc.certified and plant_freq.verdict is Verdict.NOT_NI:

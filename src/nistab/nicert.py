@@ -12,10 +12,10 @@ point of a NotNI sweep to the third as a candidate frequency witness:
   (cross-validation route; F + F* equals w * j(G - G*) analytically),
 * a state-space certificate for a symmetric Y > 0 with
   A Y + Y A^T <= 0 and A Y C^T = -B, returning P = Y^{-1} and a factor L
-  with L^T L = -(A Y + Y A^T): first the Riccati solution of the positive-real
-  lemma of F, from the stable invariant subspace of the transpose of the
-  Hamiltonian that ``StateSpace.crossings`` reads (0 iterations; W has rank m),
-  and where that does not pass the Certified test, a search.
+  with L^T L = -(A Y + Y A^T): first the Riccati solutions of the positive-real
+  lemma of F, from the stable, then the antistable, invariant subspace of the transpose
+  of the Hamiltonian that ``StateSpace.crossings`` reads (0 iterations; W has rank m),
+  and where neither passes the Certified test, a search.
 
 Strictness (SNI) of a certificate is the rank condition of ``sni_rank_condition``,
 decided from the crossings where A is Hurwitz and they are decided, and then on all
@@ -137,8 +137,9 @@ class GridPoint:
 @dataclass(frozen=True, eq=False)
 class FrequencyResponse:
     """G(j omega) = C X + D and X = (j omega I - A)^{-1} B at the "ok" grid points (``status``
-    is "ok", "excluded" or "near-pole" per point), and the pole data every route reads;
-    ``tol_pole`` is the resolvent guard the grid was evaluated with.
+    is "ok", "excluded" or "near-pole" per point, ``ok`` its read-only "ok" mask and ``counts``
+    the numbers of the three), and the pole data every route reads; ``tol_pole`` is the
+    resolvent guard the grid was evaluated with.
 
     Equality and hashing are by identity, as for ``StateSpace``: the fields hold arrays."""
 
@@ -146,6 +147,8 @@ class FrequencyResponse:
     grid: FrequencyGrid
     omegas: np.ndarray
     status: np.ndarray
+    ok: np.ndarray
+    counts: tuple[int, int, int]
     G: np.ndarray
     X: np.ndarray
     origin_pole: bool
@@ -176,7 +179,7 @@ class FrequencyResponse:
             return None
         points = _interval_points(w)
         covered = np.zeros(points.size, dtype=bool)
-        covered[np.searchsorted(w, self.omegas[self.status == "ok"][self.ni_min_eig > 0])] = True
+        covered[np.searchsorted(w, self.omegas[self.ok][self.ni_min_eig > 0])] = True
         points = points[~covered]
         if not points.size:
             return None
@@ -191,13 +194,14 @@ class FrequencyResponse:
 
 @dataclass
 class FrequencyReport:
-    """One route's verdict and per-point minimum eigenvalues (NaN where not "ok");
-    ``origin_pole`` is None for the positive-real route, which does not test it, and
-    ``crossing`` is the off-grid point that decided NotNI, if one did."""
+    """One route's verdict, its response's ``status``, ``ok`` and ``counts``, and per-point
+    minimum eigenvalues (NaN where not "ok"); ``origin_pole`` is None for the positive-real
+    route, which does not test it, and ``crossing`` is the off-grid point that decided NotNI."""
 
-    grid: FrequencyGrid
     omegas: np.ndarray
     status: np.ndarray
+    ok: np.ndarray
+    counts: tuple[int, int, int]
     min_eig: np.ndarray
     pole_findings: list
     origin_pole: bool | None
@@ -226,7 +230,7 @@ class FrequencyReport:
         """The deciding crossing point, else the lowest "ok" grid point (None if there is none)."""
         if self.crossing is not None:
             return self.crossing
-        ok = np.flatnonzero(self.status == "ok")
+        ok = np.flatnonzero(self.ok)
         if ok.size == 0:
             return None
         i = ok[np.argmin(self.min_eig[ok])]
@@ -297,19 +301,22 @@ def frequency_response(sys: StateSpace, grid: FrequencyGrid | None = None,
     omegas = grid.omegas()
     excluded = np.any(np.abs(omegas[:, np.newaxis] - pole_ws)
                       <= grid.exclusion_radius * np.maximum(1.0, pole_ws), axis=1)
-    X, guarded = resolvent_stack(sys, 1j * omegas[~excluded], tol_pole)
-    status = np.where(excluded, "excluded", "ok").astype("<U9")
+    ok = ~excluded
+    X, guarded = resolvent_stack(sys, 1j * omegas[ok], tol_pole)
     if guarded.any():
         X = X[~guarded]
-        status[np.flatnonzero(~excluded)[guarded]] = "near-pole"
+        ok[np.flatnonzero(ok)[guarded]] = False
+    ok.setflags(write=False)
+    status = np.where(ok, "ok", np.where(excluded, "excluded", "near-pole"))
+    counts = (int(ok.sum()), int(excluded.sum()), int(guarded.sum()))
     findings, problems = [], []
     for w0 in pole_ws.tolist():
         try:
             findings.append(residue_at_pole(sys, w0, tol_axis))
         except (NIStabError, np.linalg.LinAlgError) as exc:  # NotSimple / Degenerate / NotAPole
             problems.append(f"pole at j*{w0:.6g}: {exc}")
-    return FrequencyResponse(sys, grid, omegas, status, sys.C @ X + sys.D, X, origin, rhp,
-                             pole_ws.tolist(), findings, problems, hurwitz, tol_pole)
+    return FrequencyResponse(sys, grid, omegas, status, ok, counts, sys.C @ X + sys.D, X,
+                             origin, rhp, pole_ws.tolist(), findings, problems, hurwitz, tol_pole)
 
 
 def _min_eig_hermitian(M: np.ndarray) -> np.ndarray:
@@ -368,9 +375,9 @@ def _report(resp: FrequencyResponse, values: np.ndarray, tol: float, notes: list
         else:
             verdict = Verdict.SNI
     min_eig = np.full(resp.omegas.shape, np.nan)
-    min_eig[resp.status == "ok"] = values
-    return FrequencyReport(resp.grid, resp.omegas, resp.status, min_eig, pole_findings,
-                           origin_pole, resp.rhp_pole, verdict, notes, crossing)
+    min_eig[resp.ok] = values
+    return FrequencyReport(resp.omegas, resp.status, resp.ok, resp.counts, min_eig,
+                           pole_findings, origin_pole, resp.rhp_pole, verdict, notes, crossing)
 
 
 def _residues_fail(resp: FrequencyResponse, tol: float) -> bool:
@@ -420,7 +427,7 @@ def positive_real_check(resp: FrequencyResponse, tol: float = DEFAULT_TOL) -> Fr
         raise SingularAError("A is numerically singular; F(s) = s(G(s) - D) is undefined at 0")
     D = resp.sys.D
     pole_failure = resp.rhp_pole or _residues_fail(resp, tol)
-    return _report(resp, _pr_min_eig(resp.omegas[resp.status == "ok"], resp.G, D), tol,
+    return _report(resp, _pr_min_eig(resp.omegas[resp.ok], resp.G, D), tol,
                    list(resp.pole_problems), pole_failure, None, resp.pole_findings,
                    at_crossing=lambda omega, G: float(_pr_min_eig(np.array([omega]),
                                                                   G[np.newaxis], D)[0]))
@@ -516,11 +523,13 @@ def _riccati_y(sys: StateSpace, tols: tuple[float, float, float]) -> np.ndarray 
     """Y = X2 X1^-1 from [X1; X2], the n - m eigenvectors of the transpose of
     ``sys.hamiltonian`` with the most negative real parts and its kernel (F(0) = 0
     puts 2m eigenvalues at 0, in Jordan pairs; its m smallest right singular
-    vectors), real part, symmetrized: the Riccati solution of the positive-real lemma
-    of F = s (G - D) (Willems 1971), whose W = -(A Y + Y A^T) has rank m.
+    vectors), real part, symmetrized: the stabilizing Riccati solution Y_- of the
+    positive-real lemma of F = s (G - D) (Willems 1971), whose W = -(A Y + Y A^T) has
+    rank m.  Where Y_- fails ``_accepted``, the antistabilizing Y_+ from the n - m with
+    the most positive real parts of the same eig, and the same kernel, is tried.
 
     None, and DR decides, when the Hamiltonian is None (R = CB + B'C' singular or
-    ill-conditioned), a factorization fails, Y is not finite, or Y fails ``_accepted``."""
+    ill-conditioned), a factorization fails, or neither Y is finite and passes ``_accepted``."""
     H = sys.hamiltonian
     if H is None:
         return None
@@ -529,17 +538,21 @@ def _riccati_y(sys: StateSpace, tols: tuple[float, float, float]) -> np.ndarray 
         try:
             lam, V = np.linalg.eig(H.T)
             kernel = np.linalg.svd(H.T)[2][2 * n - m:].conj().T
-            X = np.hstack([V[:, np.argsort(lam.real)[:max(n - m, 0)]], kernel])
-            Y = np.linalg.solve(X[:n].T, X[n:].T).T.real
+            order, k = np.argsort(lam.real), max(n - m, 0)
+            for cols in (order[:k], order[::-1][:k]):  # Y_-, then Y_+
+                X = np.hstack([V[:, cols], kernel])
+                Y = np.linalg.solve(X[:n].T, X[n:].T).T.real
+                Y = (Y + Y.T) / 2
+                if not np.isfinite(Y).all():
+                    continue
+                AY = A @ Y
+                eigs = np.linalg.eigvalsh(np.stack([AY + Y @ A.T, Y]))
+                coupling = float(np.linalg.norm(AY @ sys.C.T + sys.B))
+                if _accepted(tols, float(-eigs[0, -1]), float(eigs[1, 0]), coupling):
+                    return Y
         except np.linalg.LinAlgError:
-            return None
-        Y = (Y + Y.T) / 2
-        if not np.isfinite(Y).all():
-            return None
-        AY = A @ Y
-        eigs = np.linalg.eigvalsh(np.stack([AY + Y @ A.T, Y]))
-        coupling = float(np.linalg.norm(AY @ sys.C.T + sys.B))
-    return Y if _accepted(tols, float(-eigs[0, -1]), float(eigs[1, 0]), coupling) else None
+            pass
+    return None
 
 
 def _dr_certificate(sys: StateSpace, tol: float = DEFAULT_TOL) -> NICertificate:
@@ -837,7 +850,8 @@ def _confirmed_crossings(sys: StateSpace, tol: float,
 def sni_rank_condition(sys: StateSpace, cert: NICertificate,
                        grid: FrequencyGrid | None = None,
                        tol: float = DEFAULT_TOL,
-                       tol_axis: float = TOL_AXIS) -> float:
+                       tol_axis: float = TOL_AXIS,
+                       tol_pole: float = TOL_POLE) -> float:
     """The SNI lemma's rank condition on M(w) = [[A - jwI, B], [L P, -L C^T]]: sets
     ``cert.strict`` and ``cert.rank_condition_min_sv`` (the value returned).
 
@@ -848,19 +862,19 @@ def sni_rank_condition(sys: StateSpace, cert: NICertificate,
     (0, inf) is j(G - G*) > 0 there.
 
     When A is Hurwitz and the crossings are decided, the pencil takes one stacked SVD at
-    the ``_confirmed_crossings`` and at the ``_interval_points`` between them (w = 1 when
-    there is none).  The certificate is strict when there is no confirmed crossing and
-    that minimum exceeds ``tol``, and then on all of (0, inf).  Otherwise (``sys.crossings``
-    is None) the pencil takes one stacked SVD over the omegas of ``grid``, the certificate
-    is strict when A is Hurwitz and the grid minimum exceeds ``tol``, and that holds on
-    the grid only.
+    the ``_confirmed_crossings`` (under the guard ``tol_pole``, as in ``freq_sni_test``) and
+    at the ``_interval_points`` between them (w = 1 when there is none).  The certificate is
+    strict when there is no confirmed crossing and that minimum exceeds ``tol``, and then on
+    all of (0, inf).  Otherwise (``sys.crossings`` is None) the pencil takes one stacked SVD
+    over the omegas of ``grid``, the certificate is strict when A is Hurwitz and the grid
+    minimum exceeds ``tol``, and that holds on the grid only.
     """
     if not cert.certified:
         raise NotCertifiedError("sni_rank_condition requires a certified system")
     n, m = sys.n, sys.m
     L, P = cert.L, cert.P
     *_, hurwitz = sys.pole_classes(tol_axis)
-    confirmed = _confirmed_crossings(sys, tol) if hurwitz else None
+    confirmed = _confirmed_crossings(sys, tol, tol_pole) if hurwitz else None
     if confirmed is None:
         omegas = (grid or FrequencyGrid()).omegas()
     else:
@@ -906,7 +920,7 @@ def w_transfer_zero_check(resp: FrequencyResponse, cert: NICertificate,
         min_sv = np.zeros(omegas.size)
         flagged = omegas.tolist()
     else:
-        solved = resp.status == "ok"
+        solved = resp.ok.copy()
         X = np.empty((omegas.size, sys.n, sys.m), dtype=complex)
         X[solved] = resp.X
         rest = np.flatnonzero(~solved)

@@ -158,16 +158,21 @@ class StateSpace:
         """``(origin, rhp, axis_frequencies, hurwitz)``: a pole within tol_axis max(1, ||A||_2)
         of 0, one right of the band |Re| <= tol_axis max(1, |lam|), the ascending Im > 0 of
         those in the band, one per pole (a repeated eigenvalue, its copies within the band of
-        each other, is listed once), and whether all lie left of it."""
-        lam = self.eig[0]
-        band = tol_axis * np.maximum(1.0, np.abs(lam))
-        axis = np.sort(lam.imag[(np.abs(lam.real) <= band) & (lam.imag > 0)])
-        first = np.ones(axis.size, dtype=bool)
-        first[1:] = np.diff(axis) > tol_axis * np.maximum(1.0, axis[1:])
-        return (bool(np.any(np.abs(lam) <= tol_axis * max(1.0, self.norm2))),
-                bool(np.any(lam.real > band)),
-                axis[first],
-                bool(np.all(lam.real < -band)))
+        each other, is listed once), and whether all lie left of it.  Computed once per
+        tol_axis; the array is read-only."""
+        cache = self.__dict__.setdefault("_pole_classes", {})
+        if tol_axis not in cache:
+            lam = self.eig[0]
+            band = tol_axis * np.maximum(1.0, np.abs(lam))
+            axis = np.sort(lam.imag[(np.abs(lam.real) <= band) & (lam.imag > 0)])
+            first = np.ones(axis.size, dtype=bool)
+            first[1:] = np.diff(axis) > tol_axis * np.maximum(1.0, axis[1:])
+            axis = axis[first]
+            axis.setflags(write=False)
+            cache[tol_axis] = (bool(np.any(np.abs(lam) <= tol_axis * max(1.0, self.norm2))),
+                               bool(np.any(lam.real > band)), axis,
+                               bool(np.all(lam.real < -band)))
+        return cache[tol_axis]
 
     def singular_a(self, tol: float = DEFAULT_TOL) -> bool:
         """A is numerically singular: sigma_min(A) <= tol * max(1, ||A||_2)."""
@@ -221,10 +226,14 @@ def resolvent_stack(sys: StateSpace, points, tol_pole: float = TOL_POLE):
     if not np.all(np.isfinite(s)):
         raise DimensionError("evaluation points must be finite")
     # sI - A with the bits of s * I - A, signed zeros included, without the stacked
-    # multiply: s * 0 - A off the diagonal and s * 1 - A on it
-    diag = np.arange(sys.n)
-    res = (s * 0.0)[:, np.newaxis, np.newaxis] - sys.A
-    res[:, diag, diag] = (s * 1.0)[:, np.newaxis] - sys.A[diag, diag]
+    # multiply: s * 0 - A off the diagonal, which is a copy of 0 - A wherever s * 0 has
+    # no negative zero (Re s > 0, or Re s = +0 as on the axis), and s * 1 - A on it
+    zero = s * 0.0
+    res = np.broadcast_to(0.0 - sys.A, (s.size, sys.n, sys.n)).astype(zero.dtype)
+    signed = np.signbit(zero.real) | np.signbit(zero.imag)
+    if signed.any():
+        res[signed] = zero[signed, np.newaxis, np.newaxis] - sys.A
+    res.reshape(s.size, -1)[:, ::sys.n + 1] = (s * 1.0)[:, np.newaxis] - np.diagonal(sys.A)
     bound = tol_pole * np.maximum(np.maximum(1.0, np.abs(s)), sys.norm2)
     # Bauer-Fike: with R = A V - V diag(lam), sI - A = V (sI - diag(lam)) V^-1 - R V^-1, so
     # sigma_min(sI - A) >= min|s - lam| / cond_2(V) - ||R||_2 ||V^-1||_2 >= lower, by the
@@ -233,7 +242,7 @@ def resolvent_stack(sys: StateSpace, points, tol_pole: float = TOL_POLE):
     unclear = np.ones(s.size, dtype=bool)
     if sys.bauer_fike is not None:
         cond_v, defect = sys.bauer_fike
-        dist = np.abs(s[:, np.newaxis] - sys.eig[0]).min(axis=1)
+        dist = np.abs(sys.eig[0][:, np.newaxis] - s).min(axis=0)
         unclear = ~(dist / cond_v - defect >= 2 * bound)
     guarded = np.zeros(s.size, dtype=bool)
     if unclear.any():

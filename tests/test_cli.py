@@ -1,5 +1,6 @@
 """CLI: file parsing, exit codes, report determinism, offline re-validation."""
 
+import enum
 import hashlib
 import json
 import os
@@ -9,10 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_nicert import recheck_frequency_witness
 
-from nistab import FrequencyResponse, StateSpace, random_ni_system
+from nistab import (CertStatus, FrequencyResponse, Stability, StateSpace, Verdict,
+                    random_ni_system)
 from nistab.cli import dumps_canonical, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -96,6 +100,21 @@ class TestCertify:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["certified"] is True
         assert (linalg_calls["eig"], linalg_calls["eigvals"]) == (2, 1)
+
+    def test_sni_certify_classifies_the_poles_once(self, monkeypatch, capsys):
+        # frequency_response and sni_rank_condition read one cached pole_classes: its
+        # body, which takes one np.diff, runs once
+        callers = []
+        real = np.diff
+
+        def counted(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "diff", counted)
+        assert main(["certify", str(GOLDEN_SYSTEMS), "ctrl_half", "--property", "sni"]) == 0
+        capsys.readouterr()
+        assert callers.count("pole_classes") == 1
 
     def test_sni_certify_solves_the_resolvent_once(self, linalg_calls, capsys):
         # the W(jw) zero check reads the X of the sweep, and the NI and SNI sweeps
@@ -326,6 +345,27 @@ class TestTolerancesReachTheRoutes:
         analyze = json.loads(capsys.readouterr().out)["frequency"]["plant_ni"]
         assert certify["points_ill_conditioned"] > 0
         assert analyze["points_ill_conditioned"] == certify["points_ill_conditioned"]
+
+    @pytest.mark.parametrize("flags, strict", [([], True), (["--tol-pole", "0.5"], False)])
+    def test_tol_pole_reaches_the_rank_condition(self, tmp_path, capsys, flags, strict):
+        # one crossing, at w = 7.7e-5, where the wide guard trips: the SNI sweep and the
+        # rank condition confirm it under the same guard
+        g, _ = random_ni_system(2, 3, 3)
+        sys_ = StateSpace(g.A, 1e3 * g.B, g.C, 1e3 * g.D)
+        assert sys_.crossings.size == 1
+        small = StateSpace(-np.eye(3), 1e-6 * np.eye(3), np.eye(3), np.zeros((3, 3)))
+        path = _write_systems(tmp_path / "g.json", g=sys_, small=small)
+        code = main(["certify", path, "g", "--property", "sni", *flags])
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert code == (0 if strict else 1)
+        assert (results["frequency_sni"]["verdict"] == "SNI") is strict
+        assert results["lmi"]["strict"] is strict
+        main(["analyze", path, "small", "g", *flags])
+        hypotheses = json.loads(capsys.readouterr().out)["hypotheses"]
+        assert hypotheses["controller_sni"]["satisfied"] is strict
+        main(["simulate", path, "small", "g", "--t-final", "0.02", *flags])
+        violated = "hypothesis controller_sni violated" in capsys.readouterr().err
+        assert violated is not strict
 
 
     def test_tol_axis_reaches_certify_strictness(self, system_file, capsys):
@@ -652,8 +692,72 @@ class TestParserBuiltOnce:
         assert (info.misses, info.hits) == (1, 4)
 
 
+def reference_dumps(obj, indent: int = 0) -> str:
+    """The recursive encoder ``dumps_canonical`` replaced, kept as its reference."""
+    pad = "  " * indent
+    pad_in = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, enum.Enum):
+        return reference_dumps(obj.value, indent)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        return "null" if x != x or x in (float("inf"), float("-inf")) else f"{x:.17g}"
+    if isinstance(obj, (complex, np.complexfloating)):
+        return reference_dumps({"re": float(obj.real), "im": float(obj.imag)}, indent)
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=True)
+    if isinstance(obj, np.ndarray):
+        return reference_dumps(obj.tolist(), indent)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f'{pad_in}{json.dumps(str(k))}: {reference_dumps(v, indent + 1)}'
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        rendered = [reference_dumps(v, indent + 1) for v in obj]
+        if all(len(r) < 24 and "\n" not in r for r in rendered):
+            return "[" + ", ".join(rendered) + "]"
+        return "[\n" + ",\n".join(pad_in + r for r in rendered) + f"\n{pad}]"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+# report leaves: floats with the special values and 24-character %.17g forms, integers,
+# booleans and complex numbers, Python and numpy alike; the three enums, None, strings
+# with escapes and non-ASCII characters, and 1-d and 2-d float arrays
+_SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324,
+            -1.2345678901234567e-308, -2.2250738585072014e-308]
+_FLOATS = st.one_of(st.floats(), st.sampled_from(_SPECIAL))
+_LEAVES = st.one_of(
+    _FLOATS, _FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans(), st.booleans().map(np.bool_),
+    st.complex_numbers(), st.complex_numbers().map(np.complex128),
+    st.sampled_from([*CertStatus, *Verdict, *Stability, None]),
+    st.text(st.characters(codec="utf-8"), max_size=8),
+    st.lists(_FLOATS, max_size=6).map(np.array),
+    st.lists(st.lists(_FLOATS, min_size=2, max_size=2), max_size=3).map(np.array),
+)
+_TREES = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=5), st.lists(inner, max_size=5).map(tuple),
+    st.dictionaries(st.one_of(st.text(max_size=6), st.integers()), inner, max_size=5)),
+    max_leaves=30)
+
+
 class TestDumpsCanonical:
     FLOATS = [0.5, -0.0, float("nan"), float("inf"), 1e-300, -1.2345678901234567e-308, 3.0]
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(obj=_TREES, indent=st.integers(0, 3))
+    def test_matches_the_recursive_reference(self, obj, indent):
+        assert dumps_canonical(obj, indent) == reference_dumps(obj, indent)
 
     @pytest.mark.parametrize("values", [FLOATS[:2], FLOATS[2:4], FLOATS[:4] + [3.0], FLOATS])
     def test_float_lists_render_as_items_one_by_one(self, values):
@@ -689,7 +793,8 @@ def _cold_run(*argvs):
 
 
 class TestColdStart:
-    """scipy is loaded by ``simulate`` only, and only when a fresh interpreter needs it."""
+    """scipy.linalg is loaded by ``simulate`` only, and only when a fresh interpreter needs it;
+    scipy.integrate never is."""
 
     def test_certify_analyze_selftest_load_no_scipy(self, tmp_path):
         digests = json.loads((GOLDEN / "digests.json").read_text())
@@ -717,4 +822,4 @@ class TestColdStart:
         assert codes == [expected["exit_code"]]
         digest = hashlib.sha256(csv.read_text(encoding="utf-8").encode("utf-8")).hexdigest()
         assert digest == expected["csv_sha256"]
-        assert {"scipy.linalg", "scipy.integrate"} <= scipy
+        assert "scipy.linalg" in scipy and "scipy.integrate" not in scipy

@@ -19,7 +19,7 @@ from nistab import (
     simulate,
 )
 from nistab.exceptions import DimensionError, NotCertifiedError
-from nistab.lyapunov import worst_derivative_residual
+from nistab.lyapunov import _cumulative_simpson, worst_derivative_residual
 from nistab.nicert import _dr_certificate, certificate_from_y
 from nistab.selftest import random_certified_pair
 
@@ -360,6 +360,18 @@ class TestDissipationIntegral:
             trace = simulate(cl, np.array([1.0, 0.0, 0.0]), 20.0, dt, certs=(pcert, ccert))
             vals.append(dissipation_integral_check(trace).integral)
         assert abs(vals[0] - vals[1]) < 1e-4
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 5, 6, 7, 100, 101, 5001, 5002])
+    @pytest.mark.parametrize("spacing", ["uniform", "random"])
+    def test_quadrature_is_scipys_cumulative_simpson(self, size, spacing):
+        from scipy.integrate import cumulative_simpson
+
+        rng = np.random.default_rng(size)
+        t = (np.arange(size) * 1e-2 if spacing == "uniform"
+             else np.cumsum(rng.uniform(1e-3, 1.0, size)))
+        f = rng.standard_normal(size) ** 2
+        expected = cumulative_simpson(f, x=t, initial=0.0)
+        assert np.array_equal(_cumulative_simpson(f, t), expected)
 
     def test_ytilde2_zero_forces_trivial_solution(self, ctrl_half):
         # inject ytilde2 = 0 into the pencil: only x2 = u2 = 0 solves it

@@ -803,6 +803,7 @@ class TestRiccatiRoute:
            strict=st.booleans(), feedthrough=st.booleans(), exponent=st.floats(-3.0, 3.0))
     def test_negated_draws_never_take_the_route(self, seed, n, m, strict, feedthrough,
                                                 exponent):
+        # neither Y_- nor the antistable Y_+ passes the Certified test
         g, _ = random_ni_system(seed, n, min(n, m), strict=strict, with_feedthrough=feedthrough)
         gain = 10.0 ** exponent
         assert self.declines(StateSpace(g.A, -gain * g.B, g.C, -gain * g.D))
@@ -839,6 +840,28 @@ class TestRiccatiRoute:
         assert float(np.linalg.eigvalsh(cert.Y).min()) > 0
         assert cert.lyap_residual >= -DEFAULT_TOL * max(1.0, sys.norm2)
         assert cert.coupling_residual <= DEFAULT_TOL * max(1.0, float(np.linalg.norm(sys.B)))
+
+    def test_antistable_solution_certifies_where_the_stable_one_fails(self, monkeypatch):
+        # a benchmark draw (certify-sni, seed 2, n = 9, m = 1): the stable Y_- has
+        # lambda_min 9.5e-8, below the floor eps / 2, and Y_+ passes without DR
+        def no_dr(*args, **kwargs):
+            raise AssertionError("DR ran")
+
+        monkeypatch.setattr(nistab.nicert, "_dr_certificate", no_dr)
+        s = json.loads((Path(__file__).parent / "data" / "riccati_plus.json").read_text())
+        sys = StateSpace(**s["systems"]["sni15_seed2"])
+        n, m = sys.n, sys.m
+        lam, V = np.linalg.eig(sys.hamiltonian.T)
+        X = np.hstack([V[:, np.argsort(lam.real)[:n - m]],
+                       np.linalg.svd(sys.hamiltonian.T)[2][2 * n - m:].conj().T])
+        y_minus = np.linalg.solve(X[:n].T, X[n:].T).T.real
+        eps = _tolerances(sys, DEFAULT_TOL)[1]
+        assert np.linalg.eigvalsh((y_minus + y_minus.T) / 2).min() < eps / 2
+        cert = lmi_ni_certificate(sys)
+        assert (cert.verdict, cert.iterations, cert.polish_steps) == (CertStatus.CERTIFIED, 0, 0)
+        assert np.linalg.eigvalsh(cert.Y).min() >= eps / 2
+        sni_rank_condition(sys, cert)
+        assert cert.strict
 
     def test_route_bytes_do_not_depend_on_the_blas_thread_count(self):
         one, two = _thread_digests(1), _thread_digests(2)
