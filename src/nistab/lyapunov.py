@@ -223,8 +223,8 @@ def dissipation_integral_check(trace, tol_int: float = 1e-6) -> DissipationRepor
     """
     f = np.asarray(trace.ytilde2_normsq, dtype=float)
     t = np.asarray(trace.times, dtype=float)
-    if f.shape != t.shape:
-        raise DimensionError("trace time and dissipation arrays differ in length")
+    if f.shape != t.shape or not np.all(np.diff(t) > 0):
+        raise DimensionError("trace times must increase strictly, one per dissipation value")
     v0 = float(trace.V[0]) if len(trace.V) else 0.0
     if len(t) < 2:
         return DissipationReport(0.0, v0, tol_int, passed=True)

@@ -233,7 +233,7 @@ def resolvent_stack(sys: StateSpace, points, tol_pole: float = TOL_POLE):
     signed = np.signbit(zero.real) | np.signbit(zero.imag)
     if signed.any():
         res[signed] = zero[signed, np.newaxis, np.newaxis] - sys.A
-    res.reshape(s.size, -1)[:, ::sys.n + 1] = (s * 1.0)[:, np.newaxis] - np.diagonal(sys.A)
+    res.reshape(s.size, sys.n ** 2)[:, ::sys.n + 1] = (s * 1.0)[:, np.newaxis] - np.diagonal(sys.A)
     bound = tol_pole * np.maximum(np.maximum(1.0, np.abs(s)), sys.norm2)
     # Bauer-Fike: with R = A V - V diag(lam), sI - A = V (sI - diag(lam)) V^-1 - R V^-1, so
     # sigma_min(sI - A) >= min|s - lam| / cond_2(V) - ||R||_2 ||V^-1||_2 >= lower, by the

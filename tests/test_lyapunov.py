@@ -1,6 +1,7 @@
 """Block Gram matrix, equivalence with the DC-gain bound, dissipation identity."""
 
 import collections
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -360,6 +361,12 @@ class TestDissipationIntegral:
             trace = simulate(cl, np.array([1.0, 0.0, 0.0]), 20.0, dt, certs=(pcert, ccert))
             vals.append(dissipation_integral_check(trace).integral)
         assert abs(vals[0] - vals[1]) < 1e-4
+
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0]])
+    def test_times_must_increase_strictly(self, times):
+        trace = SimpleNamespace(times=np.array(times), ytilde2_normsq=np.ones(3), V=np.ones(3))
+        with pytest.raises(DimensionError, match="increase strictly"):
+            dissipation_integral_check(trace)
 
     @pytest.mark.parametrize("size", [2, 3, 4, 5, 6, 7, 100, 101, 5001, 5002])
     @pytest.mark.parametrize("spacing", ["uniform", "random"])

@@ -80,6 +80,16 @@ class TestFrequencyResponse:
         with pytest.raises(TypeError, match="broken residue"):
             frequency_response(osc, GRID)
 
+    def test_every_point_excluded(self, osc):
+        # the resolvent stack is empty: no point is solved, and the sweep has nothing to read
+        grid = FrequencyGrid(omega_min=0.999, omega_max=1.001, points=5)
+        resp = frequency_response(osc, grid)
+        assert resp.counts == (0, 5, 0) and not resp.ok.any() and resp.G.shape == (0, 1, 1)
+        report = freq_ni_test(resp)
+        assert report.verdict is Verdict.INCONCLUSIVE and report.worst_point() is None
+        X, guarded = resolvent_stack(osc, np.empty(0, dtype=complex))
+        assert X.shape == (0, 2, 1) and guarded.shape == (0,)
+
     def test_stack_matches_eval_tf_per_point(self, osc):
         # linear grid through the pole at j: 1.0 is excluded, and a wide
         # resolvent guard marks its neighbours near-pole
