@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -651,8 +652,50 @@ def test_hard_inputs_end_in_an_exit_code(tmp_path, capsys):
                          ["analyze", str(path), "g", "h"], ["analyze", str(path), "h", "g"]):
                 codes[family, n, argv[0], argv[2]] = main(argv)
                 capsys.readouterr()
-    assert len(codes) == 120
+            x0 = "--x0=" + ",".join(["1"] + ["0"] * (n + partner.n - 1))
+            for order in (["g", "h"], ["h", "g"]):
+                # a NaN trace or an overflow warning is not a defined outcome
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    codes[family, n, "simulate", order[0]] = main(
+                        ["simulate", str(path), *order, x0, "--t-final", "0.05"])
+                capsys.readouterr()
+    assert len(codes) == 200
     assert set(codes.values()) <= {0, 1, 2, 3}
+
+
+def test_rows_past_the_trace_end_do_not_warn(tmp_path):
+    # max Re lambda(A_cl) = 3,818: the 32-row block's powers and rows past t = 0.05
+    # overflow, the six rows written do not
+    g, _ = random_ni_system(2, 3, 3)
+    path = _write_systems(tmp_path / "g.json", g=StateSpace(g.A, 1e3 * g.B, g.C, 1e3 * g.D))
+    out = tmp_path / "trace.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", path, "g", "g", "--x0=1,0,0,0,0,0", "--t-final", "0.05",
+                     "--out", str(out)]) == 0
+    assert out.read_text() == """\
+t,x1,x2,x3,x4,x5,x6,V,ytilde2sq
+0,1,0,0,0,0,0,0.00116267923942,2866.13231588
+0.01,-3.67014164631e+15,-6.50651581386e+15,7.885826771e+15,-3.67014164631e+15,-6.50651581386e+15,7.885826771e+15,-4.36530036931e+32,1.66653686296e+36
+0.02,-1.39541976063e+32,-2.4738338774e+32,2.99825989447e+32,-1.39541976063e+32,-2.4738338774e+32,2.99825989447e+32,-6.31041931202e+65,2.40912320218e+69
+0.03,-5.30550724196e+48,-9.40573146681e+48,1.13996447751e+49,-5.30550724196e+48,-9.40573146681e+48,1.13996447751e+49,-9.12225700972e+98,3.48259599431e+102
+0.04,-2.01719997729e+65,-3.57614087324e+65,4.33424404733e+65,-2.01719997729e+65,-3.57614087324e+65,4.33424404733e+65,-1.31870116449e+132,5.03439377802e+135
+0.05,-7.66956968073e+81,-1.3596798495e+82,1.64791726693e+82,-7.66956968073e+81,-1.3596798495e+82,1.64791726693e+82,-1.90629660989e+165,7.27765171544e+168
+"""
+
+
+def test_non_finite_step_is_a_dimension_error(tmp_path, capsys):
+    # |A_cl| of order 1e7: e^{A_cl dt} overflows at the default --dt, not at 1e-6
+    g, _ = random_ni_system(1, 2, 1, strict=True)
+    big = StateSpace(g.A, g.B, g.C, 1e8 * np.ones((1, 1)))
+    path = _write_systems(tmp_path / "g.json", g=big, h=g)
+    assert main(["simulate", path, "g", "h", "--x0=1,0,0,0", "--t-final", "0.05"]) == 3
+    err = capsys.readouterr().err
+    assert "error: e^{A_cl dt} is not finite at --dt 0.01" in err
+    assert "FAIL" not in err
+    assert main(["simulate", path, "g", "h", "--x0=1,0,0,0", "--t-final", "2e-6",
+                 "--dt", "1e-6"]) == 0
 
 
 class TestUsage:

@@ -1,6 +1,7 @@
 """Time propagation, CSV serialization, Lyapunov monotonicity along traces."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from nistab.exceptions import DimensionError, FeedthroughError
 from nistab.linalg import matrix_exponential
 from nistab.lyapunov import ytilde
 from nistab.selftest import random_certified_pair
-from nistab.sim import _BLOCK_STEPS, _CSV_VALUES, METHODS, SimulationTrace, _format_rows
+from nistab.sim import (_BLOCK_STEPS, _CSV_VALUES, METHODS, SimulationTrace, _format_rows,
+                        _significands)
 
 
 def _one_row_at_a_time(table):
@@ -188,6 +190,18 @@ class TestSimulate:
             exact = scipy.linalg.expm(cl.A_cl * (k * 1e-2)) @ x0
             assert np.linalg.norm(trace.x[k] - exact) <= 1e-10 * np.linalg.norm(exact), k
 
+    @pytest.mark.parametrize("method, t", [("expm_exact", "7.1"), ("rk4", "7.07")])
+    def test_overflowing_state_raises(self, method, t):
+        # e^{100 t} passes the largest double near t = 7.1 (RK4's stages a step or
+        # three sooner): a typed error, not inf and nan rows
+        p = StateSpace([[100.0]], [[0.0]], [[1.0]], [[0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionError, match=f"overflows at t = {t};"):
+                simulate(closed_loop(p, p), np.ones(2), 10.0, 1e-2, method=method)
+            assert np.isfinite(simulate(closed_loop(p, p), np.ones(2), 7.0, 1e-2,
+                                        method=method).x).all()
+
     @pytest.mark.parametrize("t_final, dt", [(np.inf, 1e-2), (np.nan, 1e-2),
                                              (1.0, np.nan), (1.0, np.inf)])
     def test_non_finite_times_rejected(self, stable_cl, t_final, dt):
@@ -307,6 +321,27 @@ class TestFormatRows:
         (6.517029709475e+210, "6.51702970948e+210"),
     ])
     def test_pinned(self, value, text):
+        assert _format_rows(np.array([[value]])) == text + "\n"
+
+    @pytest.mark.parametrize("e", [*range(-4, 12), -5, -99, 12, 99, -100, -280, 100, 279])
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_every_class(self, e, d):
+        # one value of d significant digits and decimal exponent e, and its negative, per
+        # class of the keep table: fixed notation for -4 <= e < 12, else scientific
+        # with a two- or three-digit exponent
+        digits = "987654321987"[:d]
+        v = float(f"{digits[0]}.{digits[1:]}e{e}")
+        table = np.array([[v, -v]])
+        assert _significands(table.ravel())[2].all()    # decided by the block arithmetic
+        assert _format_rows(table) == "%.12g,%.12g\n" % (v, -v)
+
+    @pytest.mark.parametrize("value, text", [
+        (-999999999999.7, "-1e+12"),
+        (9.999999999997e-5, "0.0001"),              # the carry leaves scientific notation
+        (9.999999999996e99, "1e+100"),              # and gains an exponent digit
+    ])
+    def test_rounding_carries_into_the_next_decade(self, value, text):
+        # unlike the exact tie of test_pinned, these carries are not ties
         assert _format_rows(np.array([[value]])) == text + "\n"
 
     def test_powers_of_ten_less_one_ulp(self):
