@@ -371,11 +371,6 @@ def cmd_simulate(args) -> int:
         return EXIT_PROPERTY
 
     x0 = args.x0 if args.x0 is not None else np.zeros(outcome.closed_loop.n)
-    if x0.shape != (outcome.closed_loop.n,):
-        print(f"error: --x0 must have {outcome.closed_loop.n} entries, got {len(x0)}",
-              file=sys.stderr)
-        return EXIT_USAGE
-
     pc, cc = outcome.plant_certificate, outcome.controller_certificate
     certs = (pc, cc) if (pc is not None and cc is not None
                          and pc.certified and cc.certified) else None

@@ -11,17 +11,6 @@ class DimensionError(NIStabError):
     """Matrix or vector dimensions are inconsistent with the operation."""
 
 
-class NearPoleError(NIStabError):
-    """Transfer-function evaluation point is too close to a pole.
-
-    Carries the offending eigenvalue of the state matrix.
-    """
-
-    def __init__(self, message: str, eigenvalue: complex):
-        super().__init__(message)
-        self.eigenvalue = eigenvalue
-
-
 class SingularAError(NIStabError):
     """State matrix A is numerically singular (pole at the origin)."""
 

@@ -15,7 +15,8 @@ point of a NotNI sweep to the third as a candidate frequency witness:
   with L^T L = -(A Y + Y A^T): first the Riccati solutions of the positive-real
   lemma of F, from the stable, then the antistable, invariant subspace of the transpose
   of the Hamiltonian that ``StateSpace.crossings`` reads (0 iterations; W has rank m),
-  and where neither passes the Certified test, a search.
+  each returned as the certificate whose residuals passed the Certified test, and where
+  neither passes, a search.
 
 Strictness (SNI) of a certificate is the rank condition of ``sni_rank_condition``,
 decided from the crossings where A is Hurwitz and they are decided, and then on all
@@ -61,7 +62,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -390,7 +390,6 @@ def freq_ni_test(resp: FrequencyResponse, tol: float = DEFAULT_TOL) -> Frequency
     notes = []
     if not is_minimal(resp.sys):
         notes.append("realization is not minimal; pole-based conditions may be spurious")
-        warnings.warn(f"{resp.sys.label or 'system'}: realization is not minimal", stacklevel=2)
     notes.extend(resp.pole_problems)
     pole_failure = resp.origin_pole or resp.rhp_pole or _residues_fail(resp, tol)
     return _report(resp, resp.ni_min_eig, tol, notes, pole_failure, resp.origin_pole,
@@ -495,11 +494,11 @@ def lmi_ni_certificate(sys: StateSpace, tol: float = DEFAULT_TOL,
     The routes, in order.  ``omega_hint`` is a candidate frequency, such as the
     worst point of a NotNI sweep.  A hint that passes ``_frequency_witness`` ends
     the search first: ``Infeasible``, 0 iterations, no Y, and the witness
-    (omega, lambda_min, bound).  Any other hint is ignored, bit for bit.  Then a
-    ``_riccati_y`` that passes the Certified test is the certificate, with 0
-    iterations and an L of m rows.  Otherwise ``_dr_certificate`` decides.  Its
-    Certified exits take at least 1 iteration, so a Certified certificate with 0
-    iterations is the Riccati route's.
+    (omega, lambda_min, bound).  Any other hint is ignored, bit for bit.  Then the
+    first ``_riccati_certificate`` whose own residuals pass the Certified test is
+    returned as tested, with 0 iterations and an L of m rows.  Otherwise
+    ``_dr_certificate`` decides.  Its Certified exits take at least 1 iteration, so
+    a Certified certificate with 0 iterations is the Riccati route's.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -513,45 +512,45 @@ def lmi_ni_certificate(sys: StateSpace, tol: float = DEFAULT_TOL,
         witness = _frequency_witness(sys, omega_hint, tols[0], tols[2], d_asym)
         if witness is not None:
             return NICertificate(verdict=CertStatus.INFEASIBLE, infeasibility_witness=witness)
-    Y = _riccati_y(sys, tols)
-    if Y is not None:
-        return certificate_from_y(sys, Y, tol)
-    return _dr_certificate(sys, tol)
+    cert = _riccati_certificate(sys, tol, tols)
+    return cert if cert is not None else _dr_certificate(sys, tol)
 
 
-def _riccati_y(sys: StateSpace, tols: tuple[float, float, float]) -> np.ndarray | None:
-    """Y = X2 X1^-1 from [X1; X2], the n - m eigenvectors of the transpose of
-    ``sys.hamiltonian`` with the most negative real parts and its kernel (F(0) = 0
-    puts 2m eigenvalues at 0, in Jordan pairs; its m smallest right singular
-    vectors), real part, symmetrized: the stabilizing Riccati solution Y_- of the
-    positive-real lemma of F = s (G - D) (Willems 1971), whose W = -(A Y + Y A^T) has
-    rank m.  Where Y_- fails ``_accepted``, the antistabilizing Y_+ from the n - m with
-    the most positive real parts of the same eig, and the same kernel, is tried.
+def _riccati_certificate(sys: StateSpace, tol: float,
+                         tols: tuple[float, float, float]) -> NICertificate | None:
+    """``certificate_from_y`` of Y = X2 X1^-1 from [X1; X2], the n - m eigenvectors of the
+    transpose of ``sys.hamiltonian`` with the most negative real parts and its kernel
+    (F(0) = 0 puts 2m eigenvalues at 0, in Jordan pairs; its m smallest right singular
+    vectors), real part: the stabilizing Riccati solution Y_- of the positive-real lemma
+    of F = s (G - D) (Willems 1971), whose W = -(A Y + Y A^T) has rank m.  Where that
+    certificate's residuals fail ``_accepted``, or a factorization fails, the
+    antistabilizing Y_+ from the n - m with the most positive real parts is tried.
 
     None, and DR decides, when the Hamiltonian is None (R = CB + B'C' singular or
-    ill-conditioned), a factorization fails, or neither Y is finite and passes ``_accepted``."""
+    ill-conditioned), its eig or SVD fails, or neither certificate passes."""
     H = sys.hamiltonian
     if H is None:
         return None
-    n, m, A = sys.n, sys.m, sys.A
+    n, m = sys.n, sys.m
     with np.errstate(all="ignore"):
         try:
             lam, V = np.linalg.eig(H.T)
             kernel = np.linalg.svd(H.T)[2][2 * n - m:].conj().T
-            order, k = np.argsort(lam.real), max(n - m, 0)
-            for cols in (order[:k], order[::-1][:k]):  # Y_-, then Y_+
-                X = np.hstack([V[:, cols], kernel])
+        except np.linalg.LinAlgError:
+            return None
+        order, k = np.argsort(lam.real), max(n - m, 0)
+        for cols in (order[:k], order[::-1][:k]):  # Y_-, then Y_+
+            X = np.hstack([V[:, cols], kernel])
+            try:
                 Y = np.linalg.solve(X[:n].T, X[n:].T).T.real
-                Y = (Y + Y.T) / 2
                 if not np.isfinite(Y).all():
                     continue
-                AY = A @ Y
-                eigs = np.linalg.eigvalsh(np.stack([AY + Y @ A.T, Y]))
-                coupling = float(np.linalg.norm(AY @ sys.C.T + sys.B))
-                if _accepted(tols, float(-eigs[0, -1]), float(eigs[1, 0]), coupling):
-                    return Y
-        except np.linalg.LinAlgError:
-            pass
+                cert = certificate_from_y(sys, Y, tol)
+                y_min = float(np.linalg.eigvalsh(cert.Y)[0])
+            except np.linalg.LinAlgError:
+                continue
+            if _accepted(tols, cert.lyap_residual, y_min, cert.coupling_residual):
+                return cert
     return None
 
 

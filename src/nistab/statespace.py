@@ -1,4 +1,4 @@
-"""LTI state-space systems: transfer evaluation, poles, residues, minimality.
+"""LTI state-space systems: transfer evaluation, pole classes, residues, minimality.
 
 A system is the quadruple (A, B, C, D) with square transfer matrix
 G(s) = C (sI - A)^{-1} B + D.  Systems are immutable value objects that cache
@@ -16,7 +16,6 @@ import numpy as np
 from .exceptions import (
     DegenerateEigenvectorsError,
     DimensionError,
-    NearPoleError,
     NotAPoleError,
     NotSimplePoleError,
     SingularAError,
@@ -261,26 +260,6 @@ def eval_tf_stack(sys: StateSpace, points, tol_pole: float = TOL_POLE):
     G = np.full((guarded.size, sys.m, sys.m), np.nan, dtype=complex)
     G[~guarded] = sys.C @ X[~guarded] + sys.D
     return G, guarded
-
-
-def eval_tf(sys: StateSpace, s: complex, tol_pole: float = TOL_POLE) -> np.ndarray:
-    """Evaluate G(s) at one complex point.
-
-    Raises NearPoleError when sI - A fails the resolvent guard, reporting the
-    eigenvalue of A closest to s.
-    """
-    G, guarded = eval_tf_stack(sys, [s], tol_pole)
-    if guarded[0]:
-        worst = poles(sys)[np.argmin(np.abs(poles(sys) - s))]
-        raise NearPoleError(
-            f"evaluation point {s} is within the resolvent guard of pole {worst}", worst
-        )
-    return G[0]
-
-
-def poles(sys: StateSpace) -> np.ndarray:
-    """Eigenvalues of A (the poles of G for a minimal realization), read-only."""
-    return sys.eig[0]
 
 
 def is_minimal(sys: StateSpace, tol: float = DEFAULT_TOL) -> MinimalityReport:

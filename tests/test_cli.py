@@ -238,7 +238,6 @@ class TestAxisPolesAreNotStrict:
 
 class TestRepeatedAxisPoles:
     # osc_twice has four states for a second-order G, and certify says so
-    @pytest.mark.filterwarnings("ignore:osc_twice. realization is not minimal:UserWarning")
     @pytest.mark.parametrize("name", ["osc_mimo", "osc_twice"])
     def test_semisimple_double_eigenvalue_is_ni(self, system_file, name, capsys):
         code = main(["certify", system_file, name, "--property", "ni"])
@@ -250,6 +249,22 @@ class TestRepeatedAxisPoles:
             [finding] = res[route]["pole_findings"]
             assert finding["is_simple"] and finding["min_eig"] > 0
             assert not [w for w in res[route]["warnings"] if w.startswith("pole at")]
+
+    def test_non_minimal_realization_is_a_report_note_only(self, system_file, tmp_path,
+                                                          capsys):
+        # osc_twice, and zero B and C (G = D = 0): NI, with the note in the report and
+        # no Python warning
+        zero = _write_systems(tmp_path / "z.json",
+                              z=StateSpace([[-1.0]], [[0.0]], [[0.0]], [[0.0]]))
+        for path, name in ((system_file, "osc_twice"), (zero, "z")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["certify", path, name])
+            res = json.loads(capsys.readouterr().out)["results"]
+            assert code == 0
+            assert res["frequency_ni"]["verdict"] == "NI"
+            assert "realization is not minimal; pole-based conditions may be spurious" \
+                in res["frequency_ni"]["warnings"]
 
     def test_jordan_pair_is_not_ni(self, system_file, capsys):
         code = main(["certify", system_file, "jordan", "--property", "ni"])
@@ -481,6 +496,7 @@ class TestSimulate:
     def test_x0_length_mismatch(self, system_file, capsys):
         assert main(["simulate", system_file, "osc", "ctrl_half",
                      "--x0", "1,0"]) == 3
+        assert "error: x0 must have shape (3,), got (2,)" in capsys.readouterr().err
 
     def test_hypothesis_warning_does_not_block(self, system_file, tmp_path, capsys):
         out = tmp_path / "trace.csv"

@@ -21,7 +21,8 @@ from nistab import (
 )
 from nistab.exceptions import DimensionError, NotCertifiedError
 from nistab.lyapunov import _cumulative_simpson, worst_derivative_residual
-from nistab.nicert import _dr_certificate, certificate_from_y
+from nistab.linalg import DEFAULT_TOL
+from nistab.nicert import _accepted, _dr_certificate, _tolerances, certificate_from_y
 from nistab.selftest import random_certified_pair
 
 
@@ -250,6 +251,25 @@ class TestLosslessPlants:
             hurwitz[r == 0, stable] += 1
         # lossless plants on both sides of lambda = 1
         assert hurwitz[True, True] and hurwitz[True, False]
+
+    def test_certified_residuals_pass_the_test(self):
+        # every Certified result, of the route or of DR, passes the Certified test on the
+        # residuals it reports; DR runs on its own where the route certified
+        rng = np.random.default_rng(33)
+        routes = collections.Counter()
+        for k in range(32):
+            n = (2, 4, 6, 8)[k % 4]
+            r = 0 if k % 3 == 0 else int(rng.integers(1, n))
+            plant, _ = rank_deficient_plant(rng, n, 1 + k % 2, r)
+            tols = _tolerances(plant, DEFAULT_TOL)
+            cert = lmi_ni_certificate(plant)
+            for c in [cert, _dr_certificate(plant)] if not cert.iterations else [cert]:
+                assert c.certified
+                assert _accepted(tols, c.lyap_residual, float(np.linalg.eigvalsh(c.Y)[0]),
+                                 c.coupling_residual)
+                routes[r == 0, c.iterations > 0] += 1
+        # the route and DR certify rank-deficient plants; the route declines lossless ones
+        assert set(routes) == {(False, False), (False, True), (True, True)}
 
 
 class TestEveryCertificate:

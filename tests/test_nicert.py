@@ -23,7 +23,6 @@ from nistab import (
     StateSpace,
     Verdict,
     check_hypotheses,
-    eval_tf,
     eval_tf_stack,
     freq_ni_test,
     freq_sni_test,
@@ -38,7 +37,6 @@ from nistab.cli import main
 from nistab.exceptions import (
     AsymmetricDError,
     GenerationFailedError,
-    NearPoleError,
     NotCertifiedError,
     SingularAError,
 )
@@ -46,8 +44,9 @@ from nistab.linalg import DEFAULT_TOL, min_singular_value
 from nistab.nicert import (
     _POLISH_FIRST,
     _POLISH_STEPS,
+    _accepted,
     _dr_certificate,
-    _riccati_y,
+    _riccati_certificate,
     _sym_maps,
     _tolerances,
     certificate_from_y,
@@ -56,6 +55,11 @@ from nistab.statespace import resolvent_stack
 
 GRID = FrequencyGrid(points=120)
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def transfer_at(sys, s):
+    """G(s) = C (sI - A)^-1 B + D at one point, by one solve: the reference of the stack."""
+    return sys.C @ np.linalg.solve(s * np.eye(sys.n) - sys.A, sys.B) + sys.D
 
 
 def dr_exit_system(name):
@@ -92,22 +96,22 @@ class TestFrequencyResponse:
 
     def test_stack_matches_eval_tf_per_point(self, osc):
         # linear grid through the pole at j: 1.0 is excluded, and a wide
-        # resolvent guard marks its neighbours near-pole
+        # resolvent guard marks its neighbours near-pole; the guard of each point
+        # is read from its own SVD, and its value from ``transfer_at``
         grid = FrequencyGrid(omega_min=0.5, omega_max=1.5, points=101, spacing="linear")
         resp = frequency_response(osc, grid, tol_pole=0.05)
         assert set(resp.status) == {"ok", "excluded", "near-pole"}
         G, guarded = eval_tf_stack(osc, 1j * resp.omegas, 0.05)
         ok_values = iter(resp.G)
         for omega, status, g, is_guarded in zip(resp.omegas, resp.status, G, guarded):
-            try:
-                expected = eval_tf(osc, 1j * omega, 0.05)
-            except NearPoleError:
+            shifted = 1j * omega * np.eye(osc.n) - osc.A
+            if min_singular_value(shifted) < 0.05 * max(1.0, omega, osc.norm2):
                 assert is_guarded and np.isnan(g).all() and status != "ok"
                 continue
             assert not is_guarded
-            np.testing.assert_array_equal(g, expected)
+            np.testing.assert_array_equal(g, transfer_at(osc, 1j * omega))
             if status == "ok":
-                np.testing.assert_array_equal(next(ok_values), expected)
+                np.testing.assert_array_equal(next(ok_values), g)
         assert next(ok_values, None) is None
 
     @pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (4, 1), (5, 2)])
@@ -119,16 +123,14 @@ class TestFrequencyResponse:
         G, guarded = eval_tf_stack(sys, points)
         assert G.shape == (30, m, m) and not guarded.any()
         for s, g in zip(points, G):
-            np.testing.assert_array_equal(g, eval_tf(sys, s))
-            direct = sys.C @ np.linalg.inv(s * np.eye(n) - sys.A) @ sys.B + sys.D
-            np.testing.assert_allclose(g, direct, rtol=1e-9, atol=1e-12)
+            np.testing.assert_array_equal(g, transfer_at(sys, s))
 
     def test_routes_match_per_point_formulas(self):
         sys, _ = random_ni_system(4, 4, 2, strict=True, with_feedthrough=True)
         resp = frequency_response(sys, GRID)
         ni, pr = freq_ni_test(resp), positive_real_check(resp)
         for p_ni, p_pr in zip(ni.per_point, pr.per_point):
-            G = eval_tf(sys, 1j * p_ni.omega)
+            G = transfer_at(sys, 1j * p_ni.omega)
             M = 1j * (G - G.conj().T)
             assert p_ni.min_eig == float(np.linalg.eigvalsh((M + M.conj().T) / 2).min())
             F = 1j * p_pr.omega * (G - sys.D)
@@ -801,12 +803,12 @@ def _thread_digests(threads):
 
 class TestRiccatiRoute:
     """The Riccati certificate ahead of DR.  ``lmi_ni_certificate`` returns Certified with
-    0 iterations exactly when ``_riccati_y`` returns a Y (no hint, A nonsingular, D
-    symmetric), and runs DR unchanged wherever it returns None."""
+    0 iterations exactly when ``_riccati_certificate`` returns a certificate (no hint, A
+    nonsingular, D symmetric), and runs DR unchanged wherever it returns None."""
 
     @staticmethod
     def declines(sys):
-        return _riccati_y(sys, _tolerances(sys, DEFAULT_TOL)) is None
+        return _riccati_certificate(sys, DEFAULT_TOL, _tolerances(sys, DEFAULT_TOL)) is None
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 12), m=st.integers(1, 3),
@@ -890,6 +892,44 @@ class TestRiccatiRoute:
         assert main(["certify", str(path), "g", "--property", "sni"]) == 0
         lmi = json.loads(capsys.readouterr().out)["results"]["lmi"]
         assert (lmi["verdict"], lmi["iterations"], lmi["strict"]) == ("Certified", 0, True)
+
+
+def certified_results(sys):
+    """The Certified results of ``lmi_ni_certificate`` and of DR on sys, each paired with
+    the Certified test read from the residuals it carries.  DR runs on its own only where
+    the route certified: elsewhere ``lmi_ni_certificate`` has run it."""
+    try:
+        cert = lmi_ni_certificate(sys)
+    except (SingularAError, AsymmetricDError):
+        return []
+    certs = [cert, _dr_certificate(sys)] if cert.certified and not cert.iterations else [cert]
+    tols = _tolerances(sys, DEFAULT_TOL)
+    return [(c, _accepted(tols, c.lyap_residual, float(np.linalg.eigvalsh(c.Y)[0]),
+                          c.coupling_residual)) for c in certs if c.certified]
+
+
+class TestCertifiedResidualsPassTheTest:
+    """A Certified certificate, of the Riccati route or of DR, passes the Certified test
+    on the residuals it reports."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 12), m=st.integers(1, 3),
+           strict=st.booleans(), feedthrough=st.booleans())
+    def test_random_draws(self, seed, n, m, strict, feedthrough):
+        g, _ = random_ni_system(seed, n, min(n, m), strict=strict, with_feedthrough=feedthrough)
+        results = certified_results(g)
+        assert [cert.iterations > 0 for cert, _ in results] == [False, True]
+        assert all(ok for _, ok in results)
+
+    def test_golden_systems(self):
+        iterations = []
+        for name in ("systems.json", "dr_exits.json"):
+            for s in json.loads((GOLDEN / name).read_text())["systems"].values():
+                for cert, ok in certified_results(StateSpace(s["A"], s["B"], s["C"], s["D"])):
+                    assert ok
+                    iterations.append(cert.iterations)
+        # the route certifies four systems, and DR those and osc, which the route declines
+        assert sorted(it > 0 for it in iterations) == [False] * 4 + [True] * 5
 
 
 class TestSniRankCondition:
