@@ -32,7 +32,8 @@ its nullspace) and the product of PSD cones {Y - eps I >= 0} x
 a least-squares map back to the family.  The candidate checked each
 iteration is the shadow point: the cone projection pulled back to the
 family.  The search stops Certified when the shadow point meets all three
-conditions.  It stops Infeasible at a Farkas witness: w = pc - proj(pc), the
+conditions and the certificate built from it passes them on its own reported
+residuals.  It stops Infeasible at a Farkas witness: w = pc - proj(pc), the
 cone point minus its projection onto the family, is orthogonal to every free
 direction, and with its smat blocks (Z_Y, Z_W) of w/||w||, lambda_min their
 smallest eigenvalue and s = <w, f0 - floors>/||w||, the exit needs s < 0 and
@@ -81,7 +82,9 @@ from .statespace import (
     StateSpace,
     eval_tf_stack,
     is_minimal,
+    modal_tf_stack,
     residue_at_pole,
+    resolvent_guard,
     resolvent_stack,
 )
 
@@ -136,10 +139,10 @@ class GridPoint:
 
 @dataclass(frozen=True, eq=False)
 class FrequencyResponse:
-    """G(j omega) = C X + D and X = (j omega I - A)^{-1} B at the "ok" grid points (``status``
-    is "ok", "excluded" or "near-pole" per point, ``ok`` its read-only "ok" mask and ``counts``
-    the numbers of the three), and the pole data every route reads; ``tol_pole`` is the
-    resolvent guard the grid was evaluated with.
+    """G(j omega) at the "ok" grid points (``status`` is "ok", "excluded" or "near-pole" per
+    point, ``ok`` its read-only "ok" mask and ``counts`` the numbers of the three), and the
+    pole data every route reads; ``tol_pole`` is the resolvent guard the grid was evaluated
+    with.
 
     Equality and hashing are by identity, as for ``StateSpace``: the fields hold arrays."""
 
@@ -150,7 +153,6 @@ class FrequencyResponse:
     ok: np.ndarray
     counts: tuple[int, int, int]
     G: np.ndarray
-    X: np.ndarray
     origin_pole: bool
     rhp_pole: bool
     axis_pole_frequencies: list[float]
@@ -293,8 +295,10 @@ def frequency_response(sys: StateSpace, grid: FrequencyGrid | None = None,
     """Evaluate G(j omega) once over the grid and classify the poles of G.
 
     Points inside the exclusion radius of an imaginary-axis pole are skipped
-    first; the rest go through one stacked resolvent solve, whose guard marks
-    the ill-conditioned ones "near-pole".  Its X is kept for ``w_transfer_zero_check``.
+    first; the resolvent guard marks the ill-conditioned ones among the rest
+    "near-pole".  G at the others is the pole sum ``modal_tf_stack`` when
+    ``sys.modal`` exists (cond_2(V) bound at most MODAL_COND_MAX), else C X + D
+    from one stacked resolvent solve.
     """
     grid = grid or FrequencyGrid()
     origin, rhp, pole_ws, hurwitz = sys.pole_classes(tol_axis)
@@ -302,10 +306,13 @@ def frequency_response(sys: StateSpace, grid: FrequencyGrid | None = None,
     excluded = np.any(np.abs(omegas[:, np.newaxis] - pole_ws)
                       <= grid.exclusion_radius * np.maximum(1.0, pole_ws), axis=1)
     ok = ~excluded
-    X, guarded = resolvent_stack(sys, 1j * omegas[ok], tol_pole)
-    if guarded.any():
-        X = X[~guarded]
-        ok[np.flatnonzero(ok)[guarded]] = False
+    if sys.modal is None:
+        X, guarded = resolvent_stack(sys, 1j * omegas[ok], tol_pole)
+        G = sys.C @ X[~guarded] + sys.D
+    else:
+        guarded = resolvent_guard(sys, 1j * omegas[ok], tol_pole)
+        G = modal_tf_stack(sys, omegas[ok][~guarded])
+    ok[np.flatnonzero(ok)[guarded]] = False
     ok.setflags(write=False)
     status = np.where(ok, "ok", np.where(excluded, "excluded", "near-pole"))
     counts = (int(ok.sum()), int(excluded.sum()), int(guarded.sum()))
@@ -315,13 +322,17 @@ def frequency_response(sys: StateSpace, grid: FrequencyGrid | None = None,
             findings.append(residue_at_pole(sys, w0, tol_axis))
         except (NIStabError, np.linalg.LinAlgError) as exc:  # NotSimple / Degenerate / NotAPole
             problems.append(f"pole at j*{w0:.6g}: {exc}")
-    return FrequencyResponse(sys, grid, omegas, status, ok, counts, sys.C @ X + sys.D, X,
-                             origin, rhp, pole_ws.tolist(), findings, problems, hurwitz, tol_pole)
+    return FrequencyResponse(sys, grid, omegas, status, ok, counts, G, origin, rhp,
+                             pole_ws.tolist(), findings, problems, hurwitz, tol_pole)
 
 
 def _min_eig_hermitian(M: np.ndarray) -> np.ndarray:
-    """min eig (M + M*)/2 per matrix of the stack, from one stacked eigvalsh."""
-    return np.linalg.eigvalsh((M + M.conj().swapaxes(-1, -2)) / 2).min(axis=-1)
+    """min eig (M + M*)/2 per matrix of the stack, from one stacked eigvalsh; for 1 x 1
+    matrices the real diagonal, which is what eigvalsh (zheevd) returns there."""
+    H = (M + M.conj().swapaxes(-1, -2)) / 2
+    if H.shape[-1] == 1:
+        return H[..., 0, 0].real.copy()
+    return np.linalg.eigvalsh(H).min(axis=-1)
 
 
 def _ni_min_eig(G: np.ndarray) -> np.ndarray:
@@ -545,13 +556,22 @@ def _riccati_certificate(sys: StateSpace, tol: float,
                 Y = np.linalg.solve(X[:n].T, X[n:].T).T.real
                 if not np.isfinite(Y).all():
                     continue
-                cert = certificate_from_y(sys, Y, tol)
-                y_min = float(np.linalg.eigvalsh(cert.Y)[0])
+                cert = _tested_certificate(sys, Y, tol, tols)
             except np.linalg.LinAlgError:
                 continue
-            if _accepted(tols, cert.lyap_residual, y_min, cert.coupling_residual):
+            if cert is not None:
                 return cert
     return None
+
+
+def _tested_certificate(sys: StateSpace, Y: np.ndarray, tol: float,
+                        tols: tuple[float, float, float]) -> NICertificate | None:
+    """``certificate_from_y(sys, Y, tol)`` when its own ``lyap_residual``, lambda_min of its
+    Y and ``coupling_residual`` pass ``_accepted``, else None: both routes return only a
+    certificate whose reported numbers passed the Certified test."""
+    cert = certificate_from_y(sys, Y, tol)
+    y_min = float(np.linalg.eigvalsh(cert.Y)[0])
+    return cert if _accepted(tols, cert.lyap_residual, y_min, cert.coupling_residual) else None
 
 
 def _dr_certificate(sys: StateSpace, tol: float = DEFAULT_TOL) -> NICertificate:
@@ -712,10 +732,12 @@ def _dr_certificate(sys: StateSpace, tol: float = DEFAULT_TOL) -> NICertificate:
             np.divide(wn[gather], div, out=stack[2:])
         res = residuals(4 if sep < 0 else 2)
         _, _, ok, eig_w = res
-        if ok:
-            status = CertStatus.CERTIFIED
-            iterations = it
-            break
+        # the shadow point is exactly symmetric, so certificate_from_y keeps its bits; a
+        # certificate whose own residuals fail the test does not end the search
+        if ok and (cert := _tested_certificate(sys, Y, tol, tols)) is not None:
+            cert.iterations = it
+            cert.polish_steps = polish_steps
+            return cert
         if separates(sep, eig_w):
             witness = stack[2:].copy()
         elif sep < 0 and it >= _POLISH_FIRST and it & (it - 1) == 0:
@@ -725,22 +747,16 @@ def _dr_certificate(sys: StateSpace, tol: float = DEFAULT_TOL) -> NICertificate:
             iterations = it
             break
 
-    if status is not CertStatus.CERTIFIED:
-        lyap_min, coupling, *_ = res
-        return NICertificate(
-            verdict=status,
-            Y=Y.copy(),
-            lyap_residual=lyap_min,
-            coupling_residual=coupling,
-            iterations=iterations,
-            polish_steps=polish_steps,
-            infeasibility_witness=witness,
-        )
-    # the shadow point is exactly symmetric, so certificate_from_y keeps its bits
-    cert = certificate_from_y(sys, Y, tol)
-    cert.iterations = iterations
-    cert.polish_steps = polish_steps
-    return cert
+    lyap_min, coupling, *_ = res
+    return NICertificate(
+        verdict=status,
+        Y=Y.copy(),
+        lyap_residual=lyap_min,
+        coupling_residual=coupling,
+        iterations=iterations,
+        polish_steps=polish_steps,
+        infeasibility_witness=witness,
+    )
 
 
 def _frequency_witness(sys: StateSpace, omega: float, tol_lyap: float, tol_coupling: float,
@@ -897,15 +913,16 @@ def w_transfer_zero_check(resp: FrequencyResponse, cert: NICertificate,
                           tol: float = DEFAULT_TOL) -> WZeroReport:
     """Zeros of W(jw) = L P (jwI - A)^{-1} B - L C^T for w > 0, on the grid of ``resp``.
 
-    W reads ``resp.X`` at the "ok" points; only the others take their own solve
-    (NaN where jwI - A is exactly singular).  W(s) = s M(s) vanishes at the origin
-    by construction, so the value at the low end of the grid is recorded unflagged.
+    W takes X = (jwI - A)^{-1} B from one ``resolvent_stack`` call at the points it
+    reads, with no guard: the "ok" points and the others where jwI - A has no zero LU
+    pivot (NaN at the rest, where it is exactly singular).  W(s) = s M(s) vanishes at the
+    origin by construction, so the value at the low end of the grid is recorded unflagged.
 
     When ``sni_rank_condition`` found ``cert`` strict from the crossings (strict, and
     ``sys.crossings`` not None), W(jw) has full column rank on all of (0, inf), so no
     point is flagged on any grid, also where sigma_min W(jw) is below tol near the
-    origin, and only the first solvable point takes its SVD, for ``origin_value``
-    (``min_sv`` NaN at the others).  Any other certificate has every point evaluated.
+    origin, and only the first of those points is read, for ``origin_value``
+    (``min_sv`` NaN at the others).  Any other certificate has every one read.
     One strict on the grid fallback flags none on that grid: wherever A - jwI is
     invertible, sigma_min W(jw) >= sigma_min M(w) > tol for the pencil M(w), since
     x = -(A - jwI)^{-1} B u gives M(w) [x; u] = [0; W(jw) u], and ||[x; u]|| >= ||u||.
@@ -919,26 +936,21 @@ def w_transfer_zero_check(resp: FrequencyResponse, cert: NICertificate,
         min_sv = np.zeros(omegas.size)
         flagged = omegas.tolist()
     else:
-        solved = resp.ok.copy()
-        X = np.empty((omegas.size, sys.n, sys.m), dtype=complex)
-        X[solved] = resp.X
-        rest = np.flatnonzero(~solved)
+        solvable = resp.ok.copy()
+        rest = np.flatnonzero(~solvable)
         if rest.size:
             res = 1j * omegas[rest, np.newaxis, np.newaxis] * np.eye(sys.n) - sys.A
             # a zero LU pivot: exactly the points where solve would raise
-            solvable = np.linalg.slogdet(res)[0] != 0
-            X[rest[solvable]] = np.linalg.solve(res[solvable], sys.B.astype(complex)[np.newaxis])
-            solved[rest[solvable]] = True
-        LP, LCt = L @ cert.P, L @ sys.C.T
-        X = X[solved]
-        at = np.flatnonzero(solved)
+            solvable[rest] = np.linalg.slogdet(res)[0] != 0
+        at = np.flatnonzero(solvable)
         min_sv = np.full(omegas.size, np.nan)
         if p < sys.m:
             min_sv[at] = 0.0
         else:
             if cert.strict and sys.crossings is not None:
-                at, X = at[:1], X[:1]  # nothing to flag: only origin_value is needed
-            min_sv[at] = min_singular_value(LP @ X - LCt)
+                at = at[:1]  # nothing to flag: only origin_value is needed
+            X = resolvent_stack(sys, 1j * omegas[at], tol_pole=0.0)[0]
+            min_sv[at] = min_singular_value(L @ cert.P @ X - L @ sys.C.T)
         flagged = omegas[(min_sv < tol) & (omegas > omegas[0])].tolist()
     known = min_sv[~np.isnan(min_sv)]
     origin_value = float(known[0]) if known.size else 0.0

@@ -26,6 +26,8 @@ from .linalg import DEFAULT_TOL, min_singular_value
 TOL_AXIS = 1e-7
 #: resolvent guard: evaluation fails when sigma_min(sI - A) < TOL_POLE * max(1, |s|, ||A||_2)
 TOL_POLE = 1e-12
+#: ``StateSpace.modal`` exists when the cond_2(V) bound of ``bauer_fike`` is at most this
+MODAL_COND_MAX = 1e4
 #: StateSpace.crossings: lam is imaginary when |Re| <= _CROSSING_BAND max(1, |lam|), and in
 #: the w = 0 cluster when Im lam <= _CROSSING_BAND max(1, ||A||_2)
 _CROSSING_BAND = 1e-6
@@ -103,6 +105,23 @@ class StateSpace:
         except np.linalg.LinAlgError:
             return None
         return np.linalg.norm(V) * inv_norm, np.linalg.norm(self.A @ V - V * lam) * inv_norm
+
+    @functools.cached_property
+    def modal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+        """``(Re lam, Im lam, Re K, Im K)`` for the pole sum G(s) = D + sum_j K_j / (s - lam_j),
+        K_j = (C v_j)(w_j B) flattened to m*m entries, w_j row j of V^-1 from one solve V^-1 B;
+        read-only.  None when ``bauer_fike`` is None or its cond_2(V) bound exceeds
+        MODAL_COND_MAX: the sum is then the exact G of an A + dA with ||dA|| up to about
+        eps cond_2(V) ||A||, too far from A to stand for it."""
+        if self.bauer_fike is None or not self.bauer_fike[0] <= MODAL_COND_MAX:
+            return None
+        lam, V = self.eig
+        K = ((self.C @ V).T[:, :, np.newaxis]
+             * np.linalg.solve(V, self.B)[:, np.newaxis, :]).reshape(self.n, -1)
+        parts = lam.real.copy(), lam.imag.copy(), K.real.copy(), K.imag.copy()
+        for part in parts:
+            part.setflags(write=False)
+        return parts
 
     @functools.cached_property
     def hamiltonian(self) -> np.ndarray | None:
@@ -212,40 +231,54 @@ class MinimalityReport:
         return self.minimal
 
 
-def resolvent_stack(sys: StateSpace, points, tol_pole: float = TOL_POLE):
-    """X = (sI - A)^{-1} B at each point by one stacked solve.
-
-    Returns ``(X, guarded)``; ``guarded`` marks the points failing the resolvent
-    guard sigma_min(sI - A) < tol_pole * max(1, |s|, ||A||_2), where X is NaN.  Only
-    the points the Bauer-Fike bound below cannot clear take an SVD (all of them when V
-    is singular); with no guarded point X is one solve over the whole stack.  Non-finite
-    points raise DimensionError.
-    """
-    s = np.asarray(points).reshape(-1)
-    if not np.all(np.isfinite(s)):
-        raise DimensionError("evaluation points must be finite")
-    # sI - A with the bits of s * I - A, signed zeros included, without the stacked
-    # multiply: s * 0 - A off the diagonal, which is a copy of 0 - A wherever s * 0 has
-    # no negative zero (Re s > 0, or Re s = +0 as on the axis), and s * 1 - A on it
+def _shifted(sys: StateSpace, s: np.ndarray) -> np.ndarray:
+    """The stack sI - A with the bits of s * I - A, signed zeros included, without the
+    stacked multiply: s * 0 - A off the diagonal, which is a copy of 0 - A wherever s * 0 has
+    no negative zero (Re s > 0, or Re s = +0 as on the axis), and s * 1 - A on it."""
     zero = s * 0.0
     res = np.broadcast_to(0.0 - sys.A, (s.size, sys.n, sys.n)).astype(zero.dtype)
     signed = np.signbit(zero.real) | np.signbit(zero.imag)
     if signed.any():
         res[signed] = zero[signed, np.newaxis, np.newaxis] - sys.A
     res.reshape(s.size, sys.n ** 2)[:, ::sys.n + 1] = (s * 1.0)[:, np.newaxis] - np.diagonal(sys.A)
+    return res
+
+
+def resolvent_guard(sys: StateSpace, points, tol_pole: float = TOL_POLE) -> np.ndarray:
+    """The points failing the resolvent guard sigma_min(sI - A) < tol_pole * max(1, |s|, ||A||_2).
+
+    Only the points the Bauer-Fike bound below cannot clear take an SVD (all of them when
+    V is singular).  Non-finite points raise DimensionError.
+    """
+    s = np.asarray(points).reshape(-1)
+    if not np.all(np.isfinite(s)):
+        raise DimensionError("evaluation points must be finite")
     bound = tol_pole * np.maximum(np.maximum(1.0, np.abs(s)), sys.norm2)
     # Bauer-Fike: with R = A V - V diag(lam), sI - A = V (sI - diag(lam)) V^-1 - R V^-1, so
     # sigma_min(sI - A) >= min|s - lam| / cond_2(V) - ||R||_2 ||V^-1||_2 >= lower, by the
     # Frobenius bounds of ``bauer_fike``.  Where lower >= 2 * bound the guard cannot fail,
-    # with room for rounding; a NaN lower takes the SVD.
-    unclear = np.ones(s.size, dtype=bool)
+    # with room for rounding; a NaN lower takes the SVD.  No point fails a zero bound.
+    unclear = bound > 0
     if sys.bauer_fike is not None:
         cond_v, defect = sys.bauer_fike
         dist = np.abs(sys.eig[0][:, np.newaxis] - s).min(axis=0)
-        unclear = ~(dist / cond_v - defect >= 2 * bound)
+        unclear &= ~(dist / cond_v - defect >= 2 * bound)
     guarded = np.zeros(s.size, dtype=bool)
     if unclear.any():
-        guarded[unclear] = min_singular_value(res[unclear]) < bound[unclear]
+        guarded[unclear] = min_singular_value(_shifted(sys, s[unclear])) < bound[unclear]
+    return guarded
+
+
+def resolvent_stack(sys: StateSpace, points, tol_pole: float = TOL_POLE):
+    """X = (sI - A)^{-1} B at each point by one stacked solve.
+
+    Returns ``(X, guarded)``; ``guarded`` is ``resolvent_guard``, and X is NaN there.  With
+    no guarded point X is one solve over the whole stack.  Non-finite points raise
+    DimensionError.
+    """
+    s = np.asarray(points).reshape(-1)
+    guarded = resolvent_guard(sys, s, tol_pole)
+    res = _shifted(sys, s)
     B = sys.B.astype(complex)[np.newaxis]  # a stack of one (n, m) matrix, on numpy 1.x too
     if not guarded.any():
         return np.linalg.solve(res, B), guarded
@@ -260,6 +293,44 @@ def eval_tf_stack(sys: StateSpace, points, tol_pole: float = TOL_POLE):
     G = np.full((guarded.size, sys.m, sys.m), np.nan, dtype=complex)
     G[~guarded] = sys.C @ X[~guarded] + sys.D
     return G, guarded
+
+
+def modal_tf_stack(sys: StateSpace, omegas) -> np.ndarray:
+    """G(j omega) = D + sum_j K_j / (j omega - lam_j) at each real omega, from ``sys.modal``
+    (which must not be None), with no resolvent guard.
+
+    Each bit of a point's G depends on that point alone, neither on the stack nor on BLAS:
+    every quotient 1 / (j omega - lam_j) and every term comes from real ufuncs, one per IEEE
+    operation, and the terms are added one pole at a time in the order of ``eig``.  (numpy's
+    complex multiply rounds a one-point stack differently, and add.reduce over the poles
+    sums a one-point stack pairwise.)
+    """
+    lam_re, lam_im, K_re, K_im = sys.modal
+    w = np.asarray(omegas, dtype=float).reshape(-1)
+    # 1 / (dr + j di) = (dr - j di) / (dr^2 + di^2) for dr = -Re lam_j, di = omega - Im lam_j,
+    # all j at once; dr and di are first scaled by the power of two 2^-e that takes the
+    # larger into [1/2, 1), which changes no rounding and keeps the squares in range
+    dr = np.broadcast_to(-lam_re[:, np.newaxis], (lam_re.size, w.size))
+    di = w - lam_im[:, np.newaxis]
+    e = np.frexp(np.maximum(np.abs(dr), np.abs(di)))[1]
+    dr, di = np.ldexp(dr, -e), np.ldexp(di, -e)
+    den = dr * dr + di * di
+    q_re = np.ldexp(dr / den, -e)
+    q_im = np.ldexp(-di / den, -e)
+    # one row per entry of G, so that every product runs along the points
+    G_re = np.zeros((K_re.shape[1], w.size))
+    G_im = np.zeros_like(G_re)
+    term = np.empty_like(G_re)
+    for j in range(lam_re.size):  # (K_re + j K_im)(q_re + j q_im), pole by pole
+        k_re, k_im = K_re[j, :, np.newaxis], K_im[j, :, np.newaxis]
+        G_re += np.multiply(k_re, q_re[j], out=term)
+        G_re -= np.multiply(k_im, q_im[j], out=term)
+        G_im += np.multiply(k_re, q_im[j], out=term)
+        G_im += np.multiply(k_im, q_re[j], out=term)
+    G = np.empty((w.size, sys.m, sys.m), dtype=complex)
+    G.real = (G_re.T + sys.D.reshape(-1)).reshape(G.shape)
+    G.imag = G_im.T.reshape(G.shape)
+    return G
 
 
 def is_minimal(sys: StateSpace, tol: float = DEFAULT_TOL) -> MinimalityReport:

@@ -118,17 +118,18 @@ class TestCertify:
         assert callers.count("pole_classes") == 1
 
     def test_sni_certify_solves_the_resolvent_once(self, linalg_calls, capsys):
-        # the W(jw) zero check reads the X of the sweep, and the NI and SNI sweeps
-        # share one eigvalsh; the other solves are the certificate's X2 X1^-1 and the
-        # crossing Hamiltonian's R^-1 [CA, B'] (no crossing, and the grid shows the one
-        # interval positive, so no point is evaluated there).  The other eigvalsh
-        # calls are the positive-real sweep's and the certificate's one Certified
-        # test; its W takes one eigh and no eigvalsh
+        # the sweep sums over the poles from one solve V^-1 B, and the W(jw) zero check,
+        # strict from the crossings, solves the resolvent at its first point only; the
+        # other solves are the certificate's X2 X1^-1 and the crossing Hamiltonian's
+        # R^-1 [CA, B'] (no crossing, and the grid shows the one interval positive, so no
+        # point is evaluated there).  The sweeps of a 1 x 1 G read their minima without
+        # eigvalsh; the one eigvalsh is the certificate's Certified test, and its W takes
+        # one eigh
         code = main(["certify", str(GOLDEN_SYSTEMS), "ctrl_half", "--property", "sni"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["certified"] is True
         counts = linalg_calls["solve"], linalg_calls["slogdet"], linalg_calls["eigvalsh"]
-        assert counts == (3, 0, 3)
+        assert counts == (4, 0, 1)
 
     @pytest.mark.parametrize("argv, guard_svds", [
         (["rand6", "--property", "sni"], False),
@@ -150,7 +151,7 @@ class TestCertify:
         monkeypatch.setattr(nistab.statespace, "min_singular_value", counted)
         main(["certify", str(GOLDEN_SYSTEMS), *argv])
         capsys.readouterr()
-        assert ("resolvent_stack" in callers) is guard_svds
+        assert ("resolvent_guard" in callers) is guard_svds
         assert "is_minimal" in callers
 
     def test_oscillator_not_sni(self, system_file, capsys):

@@ -51,7 +51,7 @@ from nistab.nicert import (
     _tolerances,
     certificate_from_y,
 )
-from nistab.statespace import resolvent_stack
+from nistab.statespace import MODAL_COND_MAX, modal_tf_stack, resolvent_guard, resolvent_stack
 
 GRID = FrequencyGrid(points=120)
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -60,6 +60,18 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 def transfer_at(sys, s):
     """G(s) = C (sI - A)^-1 B + D at one point, by one solve: the reference of the stack."""
     return sys.C @ np.linalg.solve(s * np.eye(sys.n) - sys.A, sys.B) + sys.D
+
+
+def modal_bound(sys, omegas):
+    """The stated bound on max |G_modal - G_LU| per point j omega, for a system whose
+    ``modal`` exists: eps (n + 4) kappa ||C||_2 ||B||_2 r (1 + ||A||_2 r), with kappa the
+    cond_2(V) bound of ``bauer_fike`` and r = kappa / dist(j omega, eig A) the Bauer-Fike
+    bound of ||(j omega I - A)^-1||_2.  It covers the rounding of n terms and the backward
+    error of the eigenbasis, a dA of about eps kappa ||A|| that moves G by r^2 ||dA||."""
+    kappa = sys.bauer_fike[0]
+    r = kappa / np.abs(sys.eig[0][:, np.newaxis] - 1j * np.asarray(omegas)).min(axis=0)
+    return (np.finfo(float).eps * (sys.n + 4) * kappa * np.linalg.norm(sys.C, 2)
+            * np.linalg.norm(sys.B, 2) * r * (1 + sys.norm2 * r))
 
 
 def dr_exit_system(name):
@@ -97,7 +109,9 @@ class TestFrequencyResponse:
     def test_stack_matches_eval_tf_per_point(self, osc):
         # linear grid through the pole at j: 1.0 is excluded, and a wide
         # resolvent guard marks its neighbours near-pole; the guard of each point
-        # is read from its own SVD, and its value from ``transfer_at``
+        # is read from its own SVD, and its value from ``transfer_at``: bit for bit
+        # through the LU of ``eval_tf_stack``, within ``modal_bound`` for the sweep's
+        # pole sum, which gives each "ok" point the bits of its one-point sum
         grid = FrequencyGrid(omega_min=0.5, omega_max=1.5, points=101, spacing="linear")
         resp = frequency_response(osc, grid, tol_pole=0.05)
         assert set(resp.status) == {"ok", "excluded", "near-pole"}
@@ -109,9 +123,12 @@ class TestFrequencyResponse:
                 assert is_guarded and np.isnan(g).all() and status != "ok"
                 continue
             assert not is_guarded
-            np.testing.assert_array_equal(g, transfer_at(osc, 1j * omega))
+            reference = transfer_at(osc, 1j * omega)
+            np.testing.assert_array_equal(g, reference)
             if status == "ok":
-                np.testing.assert_array_equal(next(ok_values), g)
+                value = next(ok_values)
+                np.testing.assert_array_equal(value, modal_tf_stack(osc, [omega])[0])
+                assert np.abs(value - reference).max() <= modal_bound(osc, omega)
         assert next(ok_values, None) is None
 
     @pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (4, 1), (5, 2)])
@@ -130,7 +147,7 @@ class TestFrequencyResponse:
         resp = frequency_response(sys, GRID)
         ni, pr = freq_ni_test(resp), positive_real_check(resp)
         for p_ni, p_pr in zip(ni.per_point, pr.per_point):
-            G = transfer_at(sys, 1j * p_ni.omega)
+            G = modal_tf_stack(sys, [p_ni.omega])[0]
             M = 1j * (G - G.conj().T)
             assert p_ni.min_eig == float(np.linalg.eigvalsh((M + M.conj().T) / 2).min())
             F = 1j * p_pr.omega * (G - sys.D)
@@ -156,6 +173,107 @@ class TestFrequencyResponse:
         assert (ni.verdict, sni.verdict, pr.verdict) == (Verdict.NI, Verdict.NOT_NI, Verdict.NI)
         assert ni.origin_pole is False and pr.origin_pole is None
         assert ni.passed and pr.passed and not sni.passed
+
+
+class TestModalSweep:
+    """The grid sweep's pole sum G = D + sum_j K_j / (j omega - lam_j) (``modal_tf_stack``),
+    taken where the cond_2(V) bound of ``bauer_fike`` is at most MODAL_COND_MAX."""
+
+    @staticmethod
+    def systems():
+        out = {"osc": StateSpace([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]],
+                                 [[0.0]])}
+        out.update({f"notch{w0}": notch(w0) for w0 in NOTCH_OMEGAS})
+        for seed in range(6):
+            n = 1 + 3 * seed
+            g, _ = random_ni_system(seed, n, min(n, 1 + seed % 3), with_feedthrough=seed % 2 == 1)
+            out[f"draw{seed}"] = g
+        return out
+
+    @pytest.mark.parametrize("name", ["osc", "notch3.3", "draw0", "draw2", "draw4", "draw5"])
+    def test_one_point_sums_and_sub_stacks_have_the_bits_of_the_grid(self, name):
+        sys = self.systems()[name]
+        resp = frequency_response(sys)
+        assert sys.modal is not None
+        omegas = resp.omegas[resp.ok]
+        for k, omega in enumerate(omegas):
+            np.testing.assert_array_equal(modal_tf_stack(sys, [omega])[0], resp.G[k])
+        for part in (slice(0, 3), slice(1, None, 7), slice(None, None, -1), slice(200, 201)):
+            np.testing.assert_array_equal(modal_tf_stack(sys, omegas[part]), resp.G[part])
+
+    def test_accuracy_against_the_lu(self):
+        # draws with n 1-20, m 1-3 and gains 1e-3 to 1e3, the notches and osc, on the
+        # default grid; the largest ratio to ``modal_bound`` measured here is 0.40
+        # (n = 1, m = 1, gain 1e-3), the largest cond_2(V) bound 70
+        systems = list(self.systems().values())
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 21))
+            g, _ = random_ni_system(seed, n, min(n, int(rng.integers(1, 4))),
+                                    strict=seed % 2 == 1, with_feedthrough=seed % 3 == 0)
+            systems += [StateSpace(g.A, gain * g.B, g.C, gain * g.D)
+                        for gain in (1e-3, 1.0, 1e3)]
+        omegas = FrequencyGrid().omegas()
+        ratios = []
+        for sys in systems:
+            assert sys.modal is not None
+            G, guarded = eval_tf_stack(sys, 1j * omegas)
+            err = np.abs(modal_tf_stack(sys, omegas) - G).max(axis=(1, 2))
+            ratios.append((err / modal_bound(sys, omegas))[~guarded].max())
+        assert max(ratios) <= 1.0
+
+    @pytest.mark.parametrize("name", ["jordan", "cond-1e6"])
+    def test_ill_conditioned_eigenbases_keep_the_lu(self, name, monkeypatch):
+        # a Jordan pair at +-j driven through its chain, and ROADMAP item 3's SNI draw
+        # under a diagonal similarity of condition 1e6: G is C X + D from the resolvent
+        # stack, with the bits it had before the pole sum
+        if name == "jordan":
+            sys = StateSpace([[0, 1, 1, 0], [-1, 0, 0, 1], [0, 0, 0, 1], [0, 0, -1, 0]],
+                             [[0], [0], [0], [1]], [[1, 0, 0, 0]], [[0]])
+        else:
+            g, _ = random_ni_system(3, 6, 2, strict=True)
+            T = np.logspace(0, 6, 6)
+            sys = StateSpace(g.A * T / T[:, np.newaxis], g.B / T[:, np.newaxis], g.C * T, g.D)
+        assert sys.modal is None
+        assert sys.bauer_fike is None or sys.bauer_fike[0] > MODAL_COND_MAX
+
+        def no_modal(*args):
+            raise AssertionError("pole sum taken")
+
+        monkeypatch.setattr(nistab.nicert, "modal_tf_stack", no_modal)
+        resp = frequency_response(sys)
+        X, guarded = resolvent_stack(sys, 1j * resp.omegas[resp.status != "excluded"])
+        assert resp.counts[2] == guarded.sum()
+        np.testing.assert_array_equal(resp.G, sys.C @ X[~guarded] + sys.D)
+
+    def test_a_zero_guard_takes_no_svd(self, monkeypatch):
+        # w_transfer_zero_check solves with tol_pole = 0, which no point can fail, also
+        # where V is singular and the Bauer-Fike bound clears nothing
+        sys = StateSpace([[0, 1, 1, 0], [-1, 0, 0, 1], [0, 0, 0, 1], [0, 0, -1, 0]],
+                         [[0], [0], [0], [1]], [[1, 0, 0, 0]], [[0]])
+
+        def no_svd(M):
+            raise AssertionError("guard SVD taken")
+
+        monkeypatch.setattr(nistab.statespace, "min_singular_value", no_svd)
+        assert not resolvent_guard(sys, 1j * GRID.omegas(), 0.0).any()
+
+    def test_siso_minima_are_the_real_diagonal(self, linalg_calls):
+        # 1 x 1: the real part of the symmetrized entry, which is what zheevd returns,
+        # bit for bit, through signed zeros, subnormals, overflow to inf and infinities
+        values = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1 / 3, -3.5, 1e308, -1e308,
+                           1.7e308, np.inf, -np.inf])
+        M = np.empty((values.size, values.size), dtype=complex)
+        M.real, M.imag = values[:, np.newaxis], values
+        M = M.reshape(-1, 1, 1)
+        with np.errstate(all="ignore"):
+            got = nistab.nicert._min_eig_hermitian(M)
+            assert linalg_calls["eigvalsh"] == 0
+            reference = np.linalg.eigvalsh((M + M.conj().swapaxes(-1, -2)) / 2).min(axis=-1)
+        assert got.tobytes() == reference.tobytes()
+        # 2 x 2 and up keep the stacked eigvalsh
+        nistab.nicert._min_eig_hermitian(np.ones((3, 2, 2), dtype=complex))
+        assert linalg_calls["eigvalsh"] == 2
 
 
 class TestFreqNiTest:
@@ -779,18 +897,22 @@ class TestPinnedDrRuns:
 
 def _thread_digests(threads):
     """sha256 of the (A, B, C) and of the certificate's (Y, P, L) bytes, and its iterations,
-    for random_ni_system(2, n, 2, strict=True) at n = 20 and 50, certified in a fresh
-    interpreter with OpenBLAS at the given thread count."""
+    for random_ni_system(2, n, 2, strict=True) at n = 20 and 50 and for the system of
+    tests/data/riccati_plus.json (certified by Y_+), in a fresh interpreter with OpenBLAS
+    at the given thread count."""
+    plus = Path(__file__).parent / "data" / "riccati_plus.json"
     code = (
         "import hashlib, json\n"
-        "from nistab import lmi_ni_certificate, random_ni_system\n"
+        "from nistab import StateSpace, lmi_ni_certificate, random_ni_system\n"
         "def digest(*arrays):\n"
         "    return hashlib.sha256(b''.join(a.tobytes() for a in arrays)).hexdigest()\n"
+        "systems = {n: random_ni_system(2, n, 2, strict=True)[0] for n in (20, 50)}\n"
+        f"s = json.load(open({str(plus)!r}))['systems']['sni15_seed2']\n"
+        "systems['riccati_plus'] = StateSpace(**s)\n"
         "out = {}\n"
-        "for n in (20, 50):\n"
-        "    g, _ = random_ni_system(2, n, 2, strict=True)\n"
+        "for key, g in systems.items():\n"
         "    c = lmi_ni_certificate(g)\n"
-        "    out[n] = [digest(g.A, g.B, g.C), digest(c.Y, c.P, c.L), c.iterations]\n"
+        "    out[key] = [digest(g.A, g.B, g.C), digest(c.Y, c.P, c.L), c.iterations]\n"
         "print(json.dumps(out))\n")
     src = str(Path(nistab.nicert.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
@@ -878,7 +1000,7 @@ class TestRiccatiRoute:
     def test_route_bytes_do_not_depend_on_the_blas_thread_count(self):
         one, two = _thread_digests(1), _thread_digests(2)
         assert one == two
-        assert [iterations for *_, iterations in one.values()] == [0, 0]
+        assert [iterations for *_, iterations in one.values()] == [0, 0, 0]
 
     def test_certify_sni_at_n_50_takes_the_route(self, tmp_path, monkeypatch, capsys):
         def no_dr(*args, **kwargs):
@@ -930,6 +1052,29 @@ class TestCertifiedResidualsPassTheTest:
                     iterations.append(cert.iterations)
         # the route certifies four systems, and DR those and osc, which the route declines
         assert sorted(it > 0 for it in iterations) == [False] * 4 + [True] * 5
+
+    def test_dr_goes_on_past_a_certificate_that_fails_its_own_residuals(self, osc,
+                                                                          monkeypatch):
+        # osc has no Hamiltonian, so DR certifies it; when the first certificate its
+        # shadow point passes fails the test on its own residuals, the search goes on
+        # and ends at a later iteration with one that passes
+        first = _dr_certificate(osc)
+        assert first.certified and first.iterations > 0
+        real, calls = nistab.nicert.certificate_from_y, []
+
+        def failing_once(*args):
+            cert = real(*args)
+            calls.append(cert)
+            if len(calls) == 1:
+                cert.coupling_residual = float("inf")
+            return cert
+
+        monkeypatch.setattr(nistab.nicert, "certificate_from_y", failing_once)
+        cert = _dr_certificate(osc)
+        assert cert.certified and cert.iterations > first.iterations and len(calls) >= 2
+        tols = _tolerances(osc, DEFAULT_TOL)
+        assert _accepted(tols, cert.lyap_residual, float(np.linalg.eigvalsh(cert.Y)[0]),
+                         cert.coupling_residual)
 
 
 class TestSniRankCondition:
@@ -1023,22 +1168,30 @@ class TestStrictnessFromCrossings:
         assert report.warnings == ["sweep minimum 1.800e-10 inside the +/-1.0e-08 band"]
 
     def test_not_ni_sweep_evaluates_no_crossing(self, monkeypatch, capsys):
-        # certify --property sni on notch3 evaluates G on the grid and at one crossing
-        # interval, where NotNI is decided; the strict rule never evaluates its crossings
+        # certify --property sni on notch3 evaluates G on the grid, by the pole sum, and
+        # at one crossing interval, where NotNI is decided, by the resolvent; the strict
+        # rule never evaluates its crossings
         points = []
 
-        def counted(sys, s, tol_pole):
-            points.append(np.asarray(s).imag)
+        def counted_lu(sys, s, tol_pole):
+            points.append(("lu", np.asarray(s).imag))
             return resolvent_stack(sys, s, tol_pole)
 
+        def counted_modal(sys, omegas):
+            points.append(("modal", np.asarray(omegas)))
+            return modal_tf_stack(sys, omegas)
+
         for module in (nistab.nicert, nistab.statespace):
-            monkeypatch.setattr(module, "resolvent_stack", counted)
+            monkeypatch.setattr(module, "resolvent_stack", counted_lu)
+        monkeypatch.setattr(nistab.nicert, "modal_tf_stack", counted_modal)
         code = main(["certify", str(GOLDEN / "dr_exits.json"), "notch3", "--property", "sni"])
         assert code == 1
         assert json.loads(capsys.readouterr().out)["results"]["frequency_sni"]["verdict"] == "NotNI"
-        assert [p.size for p in points] == [FrequencyGrid().points, 1]
+        assert [(path, p.size) for path, p in points] == [("modal", FrequencyGrid().points),
+                                                          ("lu", 1)]
         crossings = dr_exit_system("notch3").crossings
-        assert crossings.size == 2 and not np.isin(crossings, np.concatenate(points)).any()
+        evaluated = np.concatenate([p for _, p in points])
+        assert crossings.size == 2 and not np.isin(crossings, evaluated).any()
 
 
 class TestWTransferZeroCheck:
