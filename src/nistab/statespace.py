@@ -244,11 +244,14 @@ def _shifted(sys: StateSpace, s: np.ndarray) -> np.ndarray:
     return res
 
 
-def resolvent_guard(sys: StateSpace, points, tol_pole: float = TOL_POLE) -> np.ndarray:
+def resolvent_guard(sys: StateSpace, points, tol_pole: float = TOL_POLE,
+                    shifted: np.ndarray | None = None) -> np.ndarray:
     """The points failing the resolvent guard sigma_min(sI - A) < tol_pole * max(1, |s|, ||A||_2).
 
     Only the points the Bauer-Fike bound below cannot clear take an SVD (all of them when
-    V is singular).  Non-finite points raise DimensionError.
+    V is singular), of ``shifted``, the stack sI - A over all points when the caller has
+    built it, else of sI - A built for those points alone.  Non-finite points raise
+    DimensionError.
     """
     s = np.asarray(points).reshape(-1)
     if not np.all(np.isfinite(s)):
@@ -265,7 +268,8 @@ def resolvent_guard(sys: StateSpace, points, tol_pole: float = TOL_POLE) -> np.n
         unclear &= ~(dist / cond_v - defect >= 2 * bound)
     guarded = np.zeros(s.size, dtype=bool)
     if unclear.any():
-        guarded[unclear] = min_singular_value(_shifted(sys, s[unclear])) < bound[unclear]
+        stack = _shifted(sys, s[unclear]) if shifted is None else shifted[unclear]
+        guarded[unclear] = min_singular_value(stack) < bound[unclear]
     return guarded
 
 
@@ -277,8 +281,10 @@ def resolvent_stack(sys: StateSpace, points, tol_pole: float = TOL_POLE):
     DimensionError.
     """
     s = np.asarray(points).reshape(-1)
-    guarded = resolvent_guard(sys, s, tol_pole)
+    if not np.all(np.isfinite(s)):
+        raise DimensionError("evaluation points must be finite")
     res = _shifted(sys, s)
+    guarded = resolvent_guard(sys, s, tol_pole, res)
     B = sys.B.astype(complex)[np.newaxis]  # a stack of one (n, m) matrix, on numpy 1.x too
     if not guarded.any():
         return np.linalg.solve(res, B), guarded

@@ -46,6 +46,7 @@ from nistab.nicert import (
     _POLISH_STEPS,
     _accepted,
     _dr_certificate,
+    _min_eig_hermitian,
     _riccati_certificate,
     _sym_maps,
     _tolerances,
@@ -72,6 +73,15 @@ def modal_bound(sys, omegas):
     r = kappa / np.abs(sys.eig[0][:, np.newaxis] - 1j * np.asarray(omegas)).min(axis=0)
     return (np.finfo(float).eps * (sys.n + 4) * kappa * np.linalg.norm(sys.C, 2)
             * np.linalg.norm(sys.B, 2) * r * (1 + sys.norm2 * r))
+
+
+def min_eig_bound(H):
+    """The stated bound on |_min_eig_hermitian - eigvalsh| for one 2 x 2 or 3 x 3 Hermitian H:
+    16 eps ||H||_F for 2 x 2 and 1e-12 ||H||_F for 3 x 3 (what the _COALESCE guard keeps),
+    plus one subnormal step for rounding a result below the normal range."""
+    big = np.abs(H).max() or 1.0  # ||H||_F with no square underflowing
+    scale = {2: 16 * np.finfo(float).eps, 3: 1e-12}[H.shape[-1]]
+    return scale * big * np.linalg.norm(np.abs(H) / big) + np.finfo(float).smallest_subnormal
 
 
 def dr_exit_system(name):
@@ -148,11 +158,11 @@ class TestFrequencyResponse:
         ni, pr = freq_ni_test(resp), positive_real_check(resp)
         for p_ni, p_pr in zip(ni.per_point, pr.per_point):
             G = modal_tf_stack(sys, [p_ni.omega])[0]
-            M = 1j * (G - G.conj().T)
-            assert p_ni.min_eig == float(np.linalg.eigvalsh((M + M.conj().T) / 2).min())
             F = 1j * p_pr.omega * (G - sys.D)
-            M = F + F.conj().T
-            assert p_pr.min_eig == float(np.linalg.eigvalsh((M + M.conj().T) / 2).min())
+            for value, M in ((p_ni.min_eig, 1j * (G - G.conj().T)), (p_pr.min_eig, F + F.conj().T)):
+                assert value == float(_min_eig_hermitian(M[np.newaxis])[0])
+                H = (M + M.conj().T) / 2
+                assert abs(value - float(np.linalg.eigvalsh(H).min())) <= min_eig_bound(H)
 
     def test_identity_equality_and_hashing(self, ctrl_half):
         grid = FrequencyGrid(points=4)
@@ -271,9 +281,122 @@ class TestModalSweep:
             assert linalg_calls["eigvalsh"] == 0
             reference = np.linalg.eigvalsh((M + M.conj().swapaxes(-1, -2)) / 2).min(axis=-1)
         assert got.tobytes() == reference.tobytes()
-        # 2 x 2 and up keep the stacked eigvalsh
-        nistab.nicert._min_eig_hermitian(np.ones((3, 2, 2), dtype=complex))
+        # 4 x 4 keeps the stacked eigvalsh; 2 x 2 and 3 x 3 call it only at fallback points
+        nistab.nicert._min_eig_hermitian(np.ones((3, 4, 4), dtype=complex))
         assert linalg_calls["eigvalsh"] == 2
+        nistab.nicert._min_eig_hermitian(np.ones((3, 2, 2), dtype=complex))
+        nistab.nicert._min_eig_hermitian(np.stack([np.diag([1.0, 2.0, 4.0])] * 3) + 0j)
+        assert linalg_calls["eigvalsh"] == 2
+        nistab.nicert._min_eig_hermitian(np.ones((3, 3, 3), dtype=complex))  # eig 0, 0, 3
+        assert linalg_calls["eigvalsh"] == 3
+
+
+def hermitian_case(m, seed, kind, gap, scale):
+    """One m x m Hermitian matrix of a family that the closed forms must survive, times
+    10^scale: eigenvalues (lo, lo + gap, ...) in a random unitary basis ("coalescent"),
+    random ones, q I, rank-deficient ones, or entries drawn from +-0, subnormals and 1."""
+    rng = np.random.default_rng(seed)
+    if kind == "entries":
+        pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.0])
+        M = rng.choice(pool, (m, m)) + 1j * rng.choice(pool, (m, m))
+        return (M + M.conj().T) / 2 * 10.0 ** scale
+    if kind == "scalar":
+        return rng.standard_normal() * 10.0 ** scale * np.eye(m, dtype=complex)
+    lam = rng.standard_normal(m)
+    if kind == "coalescent":
+        lam = lam[0] + np.concatenate([[0.0, gap], 1 + rng.uniform(0, 2, m - 2)])
+    elif kind == "rank-deficient":
+        lam[: 1 + rng.integers(m)] = 0.0
+    Q = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+    return (Q * lam) @ Q.conj().T * 10.0 ** scale
+
+
+class TestClosedFormMinima:
+    """``_min_eig_hermitian`` on 2 x 2 and 3 x 3 stacks: closed forms of IEEE operations,
+    with eigvalsh only where two smallest eigenvalues nearly coalesce or a result is not
+    finite."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(m=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["random", "coalescent", "scalar", "rank-deficient", "entries"]),
+           gap=st.sampled_from([1e-2, 1e-3, 3e-4, 1e-4, 1e-6, 1e-8, 1e-12, 0.0]),
+           scale=st.integers(-150, 150))
+    def test_within_the_stated_bound_of_eigvalsh(self, m, seed, kind, gap, scale):
+        # the largest |closed form - eigvalsh| / (eps ||H||_F) over 20,000 such draws:
+        # 4.8 for 2 x 2, and 350 for 3 x 3 at gap 1e-3 (31 for random draws); a finer scan
+        # of 3 x 3 gaps from 2e-4 to 2e-3 reached 675, against the bound's 4,504
+        H = hermitian_case(m, seed, kind, gap, scale)
+        got = float(_min_eig_hermitian(H))
+        H = (H + H.conj().T) / 2
+        assert abs(got - float(np.linalg.eigvalsh(H).min())) <= min_eig_bound(H)
+
+    def test_one_point_stacks_and_sub_stacks_have_the_bits_of_the_stack(self):
+        cases = [hermitian_case(m, seed, kind, 1e-3, seed % 7 - 3)
+                 for m in (2, 3) for seed in range(40)
+                 for kind in ("random", "coalescent", "scalar", "rank-deficient", "entries")]
+        for m in (2, 3):
+            stack = np.stack([H for H in cases if H.shape[0] == m])
+            full = _min_eig_hermitian(stack)
+            for k, H in enumerate(stack):
+                assert _min_eig_hermitian(H).tobytes() == full[k].tobytes()
+                assert _min_eig_hermitian(stack[k:k + 1]).tobytes() == full[k:k + 1].tobytes()
+            for part in (slice(0, 3), slice(1, None, 7), slice(None, None, -1)):
+                assert _min_eig_hermitian(stack[part]).tobytes() == full[part].tobytes()
+            grid = stack[:100].reshape(4, 25, m, m)
+            assert _min_eig_hermitian(grid).tobytes() == full[:100].tobytes()
+
+    def test_coalescent_and_non_finite_points_take_eigvalsh(self, monkeypatch):
+        shapes = []
+        real = np.linalg.eigvalsh
+
+        def recorded(H):
+            shapes.append(H.shape)
+            return real(H)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        # two equal smallest eigenvalues: r = 1; one point of the three goes to eigvalsh
+        Q = np.linalg.qr(np.arange(9.0).reshape(3, 3) ** 2 + 1j * np.eye(3))[0]
+        H = (Q * [-1.0, -1.0, 2.0]) @ Q.conj().T
+        stack = np.stack([np.diag([1.0, 2.0, 4.0]) + 0j, H, np.diag([3.0, -1.0, 0.5]) + 0j])
+        got = _min_eig_hermitian(stack)
+        assert shapes == [(1, 3, 3)]
+        H = (H + H.conj().T) / 2
+        assert got[1].tobytes() == real(H).min().tobytes()
+        # non-finite entries give what eigvalsh gives
+        for m in (2, 3):
+            for bad in (np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 1)):
+                for i, j in ((0, 0), (1, 0), (m - 1, m - 1)):
+                    M = np.eye(m, dtype=complex)
+                    M[i, j] = bad
+                    with np.errstate(all="ignore"):
+                        H = (M + M.conj().T) / 2
+                        try:
+                            expected = real(H).min()
+                        except np.linalg.LinAlgError:
+                            with pytest.raises(np.linalg.LinAlgError):
+                                _min_eig_hermitian(M)
+                            continue
+                        assert _min_eig_hermitian(M).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed, m", [(11, 2), (12, 3)])
+    def test_sni_certify_takes_no_sweep_eigvalsh(self, seed, m, linalg_calls, monkeypatch,
+                                                 tmp_path, capsys):
+        g, _ = random_ni_system(seed, 6, m, strict=True)
+        path = tmp_path / "draw.json"
+        path.write_text(json.dumps({"schema_version": "1", "systems": {"draw": {
+            "A": g.A.tolist(), "B": g.B.tolist(), "C": g.C.tolist(), "D": g.D.tolist()}}}))
+        callers = []
+        counted = np.linalg.eigvalsh
+
+        def traced(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", traced)
+        assert main(["certify", str(path), "draw", "--property", "sni"]) == 0
+        assert json.loads(capsys.readouterr().out)["certified"] is True
+        assert linalg_calls["eigvalsh"] == len(callers)
+        assert "_min_eig_hermitian" not in callers
 
 
 class TestFreqNiTest:

@@ -198,6 +198,20 @@ class TestResolventGuard:
         assert guarded.any()
         assert guarded.sum() < sum(shape[0] for shape in svd_shapes) < points.size
 
+    def test_guarded_solve_builds_the_shifted_stack_once(self, osc, monkeypatch):
+        # the guard's SVD reads the rows of the stack that the solve uses; the guard on its
+        # own, as the pole-sum sweep calls it, builds only the rows it takes an SVD of
+        sizes = []
+        real = nistab.statespace._shifted
+        monkeypatch.setattr(nistab.statespace, "_shifted",
+                            lambda sys, s: sizes.append(s.size) or real(sys, s))
+        points = 1j * np.linspace(0.5, 1.5, 400)
+        _, guarded = eval_tf_stack(osc, points, tol_pole=0.05)
+        assert guarded.any() and sizes == [points.size]
+        sizes.clear()
+        nistab.statespace.resolvent_guard(osc, points, 0.05)
+        assert len(sizes) == 1 and 0 < sizes[0] < points.size
+
 
 class TestPoles:
     def test_first_order(self, first_order):
